@@ -6,17 +6,14 @@ A small operational surface over the library::
     python -m repro demo                   # train + estimate-vs-actual demo
     python -m repro explain "SELECT ..."   # cost-based placement of a query
     python -m repro run "SELECT ..."       # place and simulate-execute it
-    python -m repro trace "SELECT ..."     # traced run: span tree + costs
-    python -m repro profile "SELECT ..."   # span-tree cost breakdown (one query)
-    python -m repro report                 # replay the journal (span-tree aggregate)
+    python -m repro trace "SELECT ..."     # span tree + span-tree cost profile
     python -m repro flamegraph             # stack-sampled flamegraph / --diff A B
     python -m repro stats                  # telemetry counters and accuracy
     python -m repro alerts                 # evaluate SLO rules (exit 1 on breach)
     python -m repro health                 # per-system health verdict
     python -m repro tenants                # per-tenant cost attribution
     python -m repro dashboard              # self-contained HTML dashboard
-    python -m repro serve-obs              # live HTTP observability server
-    python -m repro serve                  # concurrent estimation daemon
+    python -m repro serve                  # estimation daemon + observability
     python -m repro simulate               # multi-tenant traffic scenarios
     python -m repro experiments            # list the paper's benchmarks
 
@@ -24,6 +21,11 @@ A small operational surface over the library::
 federation: a simulated Hive system holding a configurable slice of the
 synthetic corpus, with sub-op costing trained at startup (seconds of
 wall-clock).
+
+``stats``, ``alerts``, ``health``, ``tenants`` and ``dashboard`` read
+telemetry from one source, most explicit first: a ``--from`` snapshot
+file (not ``dashboard``), a ``--journal`` file, the
+``$REPRO_OBS_JOURNAL`` journal, else the live process state.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Tenants the demo workloads cycle through (round-robin attribution).
+#: Tenants the demo cycles through (round-robin attribution).
 DEMO_TENANTS = ("analytics", "etl", "adhoc")
 
 
@@ -150,34 +152,6 @@ TRACE_DEMO_QUERY = (
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import render_span_tree
-
-    tracer = obs.get_tracer()
-    tracer.enable()
-    sphere = build_sandbox(with_spark=args.spark, seed=args.seed)
-    tracer.clear()  # drop the sandbox-training traces; keep the query's
-    with tracer.span("repro.trace", query=args.query):
-        result = sphere.run(args.query)
-    root = tracer.last_trace()
-    if root is not None:
-        print(render_span_tree(root))
-    print()
-    for step in result.steps:
-        print(
-            f"  {step.description:55s} @ {step.system:9s} "
-            f"est {step.estimated_seconds:8.2f}s  obs {step.observed_seconds:8.2f}s"
-        )
-    print(
-        f"total: estimated {result.estimated_seconds:.2f}s, "
-        f"observed {result.observed_seconds:.2f}s"
-    )
-    if args.json:
-        tracer.export_json(args.json)
-        print(f"trace JSON written to {args.json}")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import profiler
 
     tracer = obs.get_tracer()
@@ -185,8 +159,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     tracer.enable()
     try:
         sphere = build_sandbox(with_spark=args.spark, seed=args.seed)
-        tracer.clear()  # drop sandbox-training traces; keep the query's
-        with tracer.span("repro.profile", query=args.query):
+        tracer.clear()  # drop the sandbox-training traces; keep the query's
+        with tracer.span("repro.trace", query=args.query):
             sphere.run(args.query)
         root = tracer.last_trace()
     finally:
@@ -196,11 +170,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print("error: no trace was recorded for the query", file=sys.stderr)
         return 1
     profile = profiler.build_profile(root, query=args.query)
+    print(obs.render_span_tree(root))
+    print()
     print(profiler.render_text(profile))
+    if args.json:
+        tracer.export_json(args.json)
+        print(f"trace JSON written to {args.json}")
     if args.html:
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(profiler.render_html(profile))
-        print(f"\nHTML profile written to {args.html}")
+        print(f"HTML profile written to {args.html}")
     return 0
 
 
@@ -291,107 +270,127 @@ def cmd_flamegraph(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _telemetry_source(args: argparse.Namespace, command: str):
+    """Where a telemetry-reading command reads from.
+
+    Most explicit first: ``--from`` snapshot file → ``--journal`` file →
+    the ``$REPRO_OBS_JOURNAL`` journal → the live in-process state.
+    Returns ``("snapshot", dict)``, ``("journal", path)`` or
+    ``("live", None)``; on an operator input error prints it and returns
+    ``None``, and the command exits 2.
+    """
     import os
 
-    from repro.obs import exporters, journal as journal_mod, profiler
+    from repro.obs import exporters
 
+    if getattr(args, "from_file", None):
+        try:
+            return "snapshot", exporters.load_json_snapshot(args.from_file)
+        except (OSError, ValueError) as exc:
+            print(f"error: {command} --from: {exc}", file=sys.stderr)
+            return None
     path = args.journal or os.environ.get(obs.JOURNAL_ENV_VAR, "").strip()
     if not path:
-        print(
-            "error: no journal given (pass --journal FILE or set "
-            f"{obs.JOURNAL_ENV_VAR})",
-            file=sys.stderr,
-        )
-        return 2
+        return "live", None
     if not os.path.exists(path):
-        print(f"error: journal file not found: {path}", file=sys.stderr)
-        return 2
-    registry = obs.MetricsRegistry()
-    ledger = obs.AccuracyLedger()
-    result = journal_mod.replay(path, registry=registry, ledger=ledger)
-    snapshot = exporters.build_snapshot(registry=registry, ledger=ledger)
-    print(profiler.render_report_text(snapshot, result))
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(profiler.render_report_html(snapshot, result))
-        print(f"\nHTML report written to {args.html}")
-    return 0
+        print(f"error: {command}: journal file not found: {path}", file=sys.stderr)
+        return None
+    return "journal", path
+
+
+def _resolve_observation(args: argparse.Namespace, command: str):
+    """The observation an alerts/health/tenants command evaluates, or
+    ``None`` after an input error; journal observations carry their
+    ``journal`` path so alert transitions can be appended to it."""
+    from repro.obs import health
+
+    source = _telemetry_source(args, command)
+    if source is None:
+        return None
+    kind, value = source
+    if kind == "snapshot":
+        return health.observation_from_snapshot(value)
+    if kind == "journal":
+        observation = health.observation_from_journal(value)
+        observation["journal"] = value
+        return observation
+    return health.build_observation()
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs import exporters
+    import json
 
-    if args.from_file:
-        try:
-            snapshot = exporters.load_json_snapshot(args.from_file)
-        except (OSError, ValueError) as exc:
-            # A missing or corrupt snapshot is an operator input error:
-            # report it cleanly and exit 2 (distinct from runtime errors).
-            print(f"error: stats --from: {exc}", file=sys.stderr)
-            return 2
+    from repro.obs import exporters, journal as journal_mod
+
+    source = _telemetry_source(args, "stats")
+    if source is None:
+        return 2
+    kind, value = source
+    replayed = None
+    if kind == "snapshot":
+        snapshot = value
+    elif kind == "journal":
+        registry, ledger = obs.MetricsRegistry(), obs.AccuracyLedger()
+        replayed = journal_mod.replay(value, registry=registry, ledger=ledger)
+        snapshot = exporters.build_snapshot(
+            registry=registry, ledger=ledger, tenants=obs.TenantLedger()
+        )
     else:
         snapshot = exporters.build_snapshot()
     if args.format == "json":
-        import json
-
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     elif args.format == "prom":
         print(exporters.to_prometheus_text(metrics=snapshot["metrics"]), end="")
     else:
+        if replayed is not None:
+            counts = ", ".join(
+                f"{event_type}={count}"
+                for event_type, count in sorted(replayed.counts.items())
+            )
+            print(f"events applied: {replayed.applied} ({counts or 'none'})")
+            if replayed.corrupt_lines or replayed.skipped_versions:
+                print(
+                    f"skipped: {replayed.corrupt_lines} corrupt line(s), "
+                    f"{replayed.skipped_versions} newer-version event(s)"
+                )
+            print()
         print(exporters.format_snapshot_text(snapshot))
     return 0
 
 
-def _resolve_observation(args: argparse.Namespace):
-    """The (observation, journal_path) a health/alerts command works on.
-
-    Source resolution, most explicit first: ``--from`` snapshot file →
-    ``--journal`` file → the ``REPRO_OBS_JOURNAL`` environment journal →
-    the live in-process registry/ledger.  Raises ``SystemExit``-style by
-    returning ``(None, error_message)`` on operator input errors.
-    """
-    import os
-
-    from repro.obs import exporters, health
-
-    if getattr(args, "from_file", None):
-        try:
-            snapshot = exporters.load_json_snapshot(args.from_file)
-        except (OSError, ValueError) as exc:
-            return None, f"--from: {exc}"
-        return health.observation_from_snapshot(snapshot), None
-
-    path = args.journal or os.environ.get(obs.JOURNAL_ENV_VAR, "").strip()
-    if path:
-        if not os.path.exists(path):
-            return None, f"journal file not found: {path}"
-        observation = health.observation_from_journal(path)
-        observation["journal"] = path
-        return observation, None
-    return health.build_observation(), None
-
-
-def _load_rule_set(args: argparse.Namespace):
+def _load_rule_set(args: argparse.Namespace, command: str):
+    """The ``--rules`` set (else the built-in rules), or ``None`` after
+    printing why the file was rejected."""
     from repro.obs import alerts as alerts_mod
 
-    if getattr(args, "rules", None):
-        return alerts_mod.load_rules(args.rules)
-    return alerts_mod.default_rules()
+    try:
+        if args.rules:
+            return alerts_mod.load_rules(args.rules)
+        return alerts_mod.default_rules()
+    except (OSError, ValueError) as exc:
+        print(f"error: {command} --rules: {exc}", file=sys.stderr)
+        return None
+
+
+def _print_firing(report) -> None:
+    for alert in report.firing:
+        exemplars = f"  e.g. {', '.join(alert.exemplars)}" if alert.exemplars else ""
+        print(
+            f"FIRING [{alert.severity}] {alert.rule}"
+            f"{' ' + alert.instance if alert.instance else ''}: "
+            f"{alert.value:.3f} {alert.op} {alert.threshold:g}{exemplars}"
+        )
 
 
 def cmd_alerts(args: argparse.Namespace) -> int:
     """Evaluate SLO rules; exit 1 while any alert is firing."""
     from repro.obs import alerts as alerts_mod, journal as journal_mod
 
-    observation, error = _resolve_observation(args)
+    observation = _resolve_observation(args, "alerts")
     if observation is None:
-        print(f"error: alerts: {error}", file=sys.stderr)
         return 2
-    try:
-        rules = _load_rule_set(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: alerts --rules: {exc}", file=sys.stderr)
+    rules = _load_rule_set(args, "alerts")
+    if rules is None:
         return 2
     engine = alerts_mod.AlertEngine(rules)
     journal_path = observation.get("journal")
@@ -407,17 +406,10 @@ def cmd_alerts(args: argparse.Namespace) -> int:
             journal.close()
     if args.json:
         print(report.to_json())
+    elif not report.firing:
+        print(f"all {len(report.alerts)} alert evaluations quiet")
     else:
-        firing = report.firing
-        if not firing:
-            print(f"all {len(report.alerts)} alert evaluations quiet")
-        for alert in firing:
-            exemplars = f"  e.g. {', '.join(alert.exemplars)}" if alert.exemplars else ""
-            print(
-                f"FIRING [{alert.severity}] {alert.rule}"
-                f"{' ' + alert.instance if alert.instance else ''}: "
-                f"{alert.value:.3f} {alert.op} {alert.threshold:g}{exemplars}"
-            )
+        _print_firing(report)
     return 1 if report.firing else 0
 
 
@@ -427,14 +419,11 @@ def cmd_health(args: argparse.Namespace) -> int:
 
     from repro.obs import alerts as alerts_mod, health
 
-    observation, error = _resolve_observation(args)
+    observation = _resolve_observation(args, "health")
     if observation is None:
-        print(f"error: health: {error}", file=sys.stderr)
         return 2
-    try:
-        rules = _load_rule_set(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: health --rules: {exc}", file=sys.stderr)
+    rules = _load_rule_set(args, "health")
+    if rules is None:
         return 2
     healths = health.evaluate_health(observation)
     report = alerts_mod.AlertEngine(rules).evaluate(observation, emit=False)
@@ -468,13 +457,7 @@ def cmd_health(args: argparse.Namespace) -> int:
             )
     else:
         print("no remote-system signals yet")
-    for alert in report.firing:
-        exemplars = f"  e.g. {', '.join(alert.exemplars)}" if alert.exemplars else ""
-        print(
-            f"FIRING [{alert.severity}] {alert.rule}"
-            f"{' ' + alert.instance if alert.instance else ''}: "
-            f"{alert.value:.3f} {alert.op} {alert.threshold:g}{exemplars}"
-        )
+    _print_firing(report)
     if breached:
         print("health: BREACHED")
     return 1 if breached else 0
@@ -496,9 +479,8 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     """Rank tenants by traffic, accuracy, and estimated cost."""
     import json
 
-    observation, error = _resolve_observation(args)
+    observation = _resolve_observation(args, "tenants")
     if observation is None:
-        print(f"error: tenants: {error}", file=sys.stderr)
         return 2
     tenants = observation.get("tenants")
     tenants = tenants if isinstance(tenants, dict) else {}
@@ -538,16 +520,14 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the self-contained HTML health dashboard."""
-    import os
-
     from repro.obs import alerts as alerts_mod, dashboard, health, journal as journal_mod
 
-    path = args.journal or os.environ.get(obs.JOURNAL_ENV_VAR, "").strip()
+    source = _telemetry_source(args, "dashboard")
+    if source is None:
+        return 2
+    kind, path = source
     history = {}
-    if path:
-        if not os.path.exists(path):
-            print(f"error: dashboard: journal file not found: {path}", file=sys.stderr)
-            return 2
+    if kind == "journal":
         read_result = journal_mod.read_journal(path)
         observation = health.observation_from_events(read_result)
         history = dashboard.build_history(read_result.events)
@@ -569,99 +549,14 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Queries the serve-obs demo workload cycles through.
-SERVE_DEMO_QUERIES = (
-    "SELECT r.a1 FROM t8000000_100 r JOIN t100000_100 s ON r.a1 = s.a1",
-    "SELECT SUM(a1) FROM t1000000_100 GROUP BY a20",
-    "SELECT a1 FROM t100000_100 WHERE a1 = 7",
-)
-
-
-def cmd_serve_obs(args: argparse.Namespace) -> int:
-    """Serve the live observability plane over HTTP."""
-    import time as time_mod
-
-    try:
-        rules = _load_rule_set(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: serve-obs --rules: {exc}", file=sys.stderr)
-        return 2
-    if obs.get_timeseries() is None:
-        # Window width/retention come from --window or the
-        # REPRO_OBS_WINDOW / REPRO_OBS_RETENTION environment variables.
-        obs.enable_timeseries(width=args.window)
-    # Continuous profiling is env-driven here like everywhere else:
-    # REPRO_OBS_PROF starts the stack sampler behind /profile{,.html}.
-    sampler = obs.maybe_start_sampling()
-
-    sphere = None
-    if args.demo:
-        sphere = build_sandbox(seed=args.seed)
-
-        def observe():
-            return obs.build_observation(
-                drift=sphere.costing.drift_snapshot(),
-                cache=sphere.costing.cache.stats(),
-            )
-    else:
-        observe = obs.build_observation
-
-    server = obs.ObsServer(
-        host=args.host, port=args.port, rules=rules, observe=observe
-    )
-    server.start()
-    print(
-        f"serving observability on {server.url} "
-        "(/metrics /metrics.json /health /alerts /timeseries /tenants "
-        "/flight /incidents /profile /dashboard)"
-    )
-    if sampler is not None:
-        print(f"continuous profiling on at {sampler.hz:g} Hz (/profile.html)")
-    if sphere is not None:
-        print("demo workload: cycling sandbox queries until stopped")
-    deadline = (
-        time_mod.monotonic() + args.for_seconds if args.for_seconds else None
-    )
-    try:
-        from repro.sql.parser import parse_select
-
-        index = 0
-        while deadline is None or time_mod.monotonic() < deadline:
-            if sphere is not None:
-                sql = SERVE_DEMO_QUERIES[index % len(SERVE_DEMO_QUERIES)]
-                tenant = DEMO_TENANTS[index % len(DEMO_TENANTS)]
-                index += 1
-                with obs.query_context(query=sql, tenant=tenant):
-                    plan = parse_select(sql)
-                    estimate = sphere.costing.estimate_plan(
-                        "hive", plan, sphere.catalog
-                    )
-                    actual = sphere.costing.system("hive").execute(plan)
-                    sphere.costing.record_actual(
-                        "hive", estimate, actual.elapsed_seconds
-                    )
-                obs.maybe_roll_timeseries()
-            time_mod.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        if sampler is not None:
-            obs.stop_sampling()
-        print("observability server stopped")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve the concurrent cost-estimation daemon over HTTP."""
     import time as time_mod
 
     from repro.serve import ServeDaemon
 
-    try:
-        rules = _load_rule_set(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: serve --rules: {exc}", file=sys.stderr)
+    rules = _load_rule_set(args, "serve")
+    if rules is None:
         return 2
     if obs.get_timeseries() is None:
         obs.enable_timeseries(width=args.window)
@@ -792,6 +687,23 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+def _add_source_args(cmd: argparse.ArgumentParser, snapshot: bool = True) -> None:
+    """The telemetry-source flags :func:`_telemetry_source` resolves."""
+    cmd.add_argument(
+        "--journal",
+        metavar="FILE",
+        help=f"read a journal file (default: ${obs.JOURNAL_ENV_VAR}, "
+        "else the live process state)",
+    )
+    if snapshot:
+        cmd.add_argument(
+            "--from",
+            dest="from_file",
+            metavar="FILE",
+            help="read a dumped *.metrics.json snapshot instead",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -832,7 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=func)
 
     trace = sub.add_parser(
-        "trace", help="run a query with tracing on and print the span tree"
+        "trace",
+        help="span-tree profile: run a query traced, print its span tree "
+        "and cost breakdown (see 'flamegraph' for sampled stacks)",
     )
     trace.add_argument(
         "query",
@@ -843,44 +757,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--spark", action="store_true", help="add a Spark system")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument("--json", metavar="FILE", help="also export the trace JSON")
+    trace.add_argument(
+        "--html", metavar="FILE", help="also write the profile as self-contained HTML"
+    )
     trace.set_defaults(func=cmd_trace)
-
-    profile = sub.add_parser(
-        "profile",
-        help="span-tree profile: one traced query's cost breakdown "
-        "(see 'flamegraph' for sampled stacks)",
-    )
-    profile.add_argument(
-        "query",
-        nargs="?",
-        default=TRACE_DEMO_QUERY,
-        help="SQL SELECT over the sandbox corpus (default: a demo join)",
-    )
-    profile.add_argument("--spark", action="store_true", help="add a Spark system")
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--html", metavar="FILE", help="also write a self-contained HTML report"
-    )
-    profile.set_defaults(func=cmd_profile)
-
-    report = sub.add_parser(
-        "report",
-        help="span-tree aggregate: replay the event journal into a report",
-    )
-    report.add_argument(
-        "--journal",
-        metavar="FILE",
-        help=f"journal file to replay (default: ${obs.JOURNAL_ENV_VAR})",
-    )
-    report.add_argument(
-        "--html", metavar="FILE", help="also write a self-contained HTML report"
-    )
-    report.set_defaults(func=cmd_report)
 
     flame = sub.add_parser(
         "flamegraph",
         help="stack-sampled flamegraph: live burst, journal rebuild, "
-        "or --diff A B (see 'profile' for span trees)",
+        "or --diff A B (see 'trace' for span trees)",
     )
     flame.add_argument(
         "query",
@@ -935,12 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="show telemetry counters and the accuracy ledger"
     )
-    stats.add_argument(
-        "--from",
-        dest="from_file",
-        metavar="FILE",
-        help="read a dumped *.metrics.json snapshot instead of the live registry",
-    )
+    _add_source_args(stats)
     stats.add_argument(
         "--format",
         choices=("text", "json", "prom"),
@@ -954,18 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("health", cmd_health, "per-remote-system health verdict"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "--journal",
-            metavar="FILE",
-            help=f"evaluate a journal file (default: ${obs.JOURNAL_ENV_VAR}, "
-            "else the live registry)",
-        )
-        cmd.add_argument(
-            "--from",
-            dest="from_file",
-            metavar="FILE",
-            help="evaluate a dumped *.metrics.json snapshot instead",
-        )
+        _add_source_args(cmd)
         cmd.add_argument(
             "--rules",
             metavar="FILE",
@@ -985,18 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants = sub.add_parser(
         "tenants", help="rank tenants by traffic, accuracy, and cost"
     )
-    tenants.add_argument(
-        "--journal",
-        metavar="FILE",
-        help=f"attribute from a journal file (default: ${obs.JOURNAL_ENV_VAR}, "
-        "else the live tenant ledger)",
-    )
-    tenants.add_argument(
-        "--from",
-        dest="from_file",
-        metavar="FILE",
-        help="attribute from a dumped *.metrics.json snapshot instead",
-    )
+    _add_source_args(tenants)
     tenants.add_argument(
         "--by",
         choices=TENANT_RANK_KEYS,
@@ -1011,12 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     dash = sub.add_parser(
         "dashboard", help="write the self-contained HTML health dashboard"
     )
-    dash.add_argument(
-        "--journal",
-        metavar="FILE",
-        help=f"journal to visualize (default: ${obs.JOURNAL_ENV_VAR}, "
-        "else the live registry)",
-    )
+    _add_source_args(dash, snapshot=False)
     dash.add_argument(
         "--out",
         metavar="FILE",
@@ -1024,54 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path (default: dashboard.html)",
     )
     dash.set_defaults(func=cmd_dashboard)
-
-    serve = sub.add_parser(
-        "serve-obs", help="serve live observability endpoints over HTTP"
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: loopback)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        help="TCP port; 0 binds an ephemeral port (default: 8321)",
-    )
-    serve.add_argument(
-        "--rules",
-        metavar="FILE",
-        help="JSON rule set overriding the built-in SLO + trend rules",
-    )
-    serve.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=f"telemetry window width (default: ${obs.WINDOW_WIDTH_ENV_VAR} "
-        "or 60)",
-    )
-    serve.add_argument(
-        "--demo",
-        action="store_true",
-        help="drive a sandbox demo workload while serving",
-    )
-    serve.add_argument(
-        "--interval",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="pause between demo queries / idle polls (default: 0.25)",
-    )
-    serve.add_argument(
-        "--for",
-        dest="for_seconds",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="serve for a fixed duration then exit (default: until Ctrl-C)",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.set_defaults(func=cmd_serve_obs)
 
     daemon = sub.add_parser(
         "serve",

@@ -395,7 +395,7 @@ class CostEstimationModule:
             span.set(cache_hits=batch.cache_hits, cache_misses=batch.cache_misses)
             if span.enabled:
                 # Structured per-item record consumed by the profiler's
-                # operator-estimates table (repro profile <sql>).
+                # operator-estimates table (repro trace <sql>).
                 span.set(
                     _items=tuple(
                         {

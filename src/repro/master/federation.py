@@ -248,7 +248,7 @@ class IntelliSphere:
             )
             if span.enabled:
                 # Structured per-step record consumed by the profiler's
-                # estimate-vs-actual delta table (repro profile <sql>).
+                # estimate-vs-actual delta table (repro trace <sql>).
                 span.set(
                     _step_details=tuple(
                         {

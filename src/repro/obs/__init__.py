@@ -19,8 +19,8 @@ around that loop:
   deterministic :func:`~repro.obs.journal.replay` that rebuilds the
   ledger and journal-backed counters in a fresh process;
 * :mod:`repro.obs.profiler` — per-query cost-breakdown reports (text
-  and self-contained HTML) assembled from recorded span trees, plus
-  the aggregate journal report;
+  and self-contained HTML) assembled from recorded span trees
+  (``repro trace``);
 * :mod:`repro.obs.regress` — the performance-regression gate's
   baseline schema and comparison logic (driven by
   ``benchmarks/regress.py``);
@@ -62,8 +62,8 @@ around that loop:
   (``repro flamegraph`` / ``--diff A B``);
 * :mod:`repro.obs.server` — the stdlib HTTP observability server
   (``/metrics``, ``/metrics.json``, ``/health``, ``/alerts``,
-  ``/timeseries``, ``/profile``, ``/dashboard``) behind
-  ``repro serve-obs`` or embedded via
+  ``/timeseries``, ``/profile``, ``/dashboard``) mounted by
+  ``repro serve`` or embedded via
   :class:`~repro.obs.server.ObsServer`;
 * :mod:`repro.obs.logconf` — stdlib-logging configuration for the
   ``repro`` logger hierarchy.

@@ -108,10 +108,33 @@ def write_json_snapshot(
 
 
 def load_json_snapshot(path) -> Dict[str, object]:
+    """Read a :func:`write_json_snapshot` file.
+
+    Raises ``ValueError`` unless every ``metrics`` entry is a typed
+    instrument dict and ``ledger``/``tenants`` (when present) map keys
+    to stats dicts — the shape :func:`format_snapshot_text` renders.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
-    if not isinstance(snapshot, dict) or "metrics" not in snapshot:
+    if not isinstance(snapshot, dict) or not isinstance(
+        snapshot.get("metrics"), dict
+    ):
         raise ValueError(f"{path}: not a metrics snapshot file")
+    for name, data in snapshot["metrics"].items():
+        if not isinstance(data, dict) or "type" not in data:
+            raise ValueError(
+                f"{path}: not a metrics snapshot file "
+                f"(metric {name!r} has no instrument type)"
+            )
+    for section in ("ledger", "tenants"):
+        entries = snapshot.get(section, {})
+        if not isinstance(entries, dict) or not all(
+            isinstance(stats, dict) for stats in entries.values()
+        ):
+            raise ValueError(
+                f"{path}: not a metrics snapshot file "
+                f"({section!r} does not map keys to stats)"
+            )
     return snapshot
 
 

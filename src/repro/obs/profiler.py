@@ -14,10 +14,8 @@ actually asks for — where did the time go?
 * per placement **step**: estimated vs observed seconds and their
   delta, from the federation's run record.
 
-Rendered as aligned text (``repro profile <sql>``) or a self-contained
-HTML page (``--html``).  :func:`render_report_text` /
-:func:`render_report_html` are the aggregate equivalents over a
-replayed journal (``repro report``).
+Rendered as aligned text or a self-contained HTML page by
+``repro trace <sql>`` (``--html``), below the span tree.
 
 Naming note: this is the **span-tree** profiler — it breaks one traced
 query's *simulated and estimation* cost down along instrumented spans.
@@ -28,7 +26,7 @@ frames across every thread, continuously, with no per-site
 instrumentation.  Span trees tell you what the estimate did; sampled
 stacks tell you where Python actually spent the time.
 
-The profiler consumes span trees and snapshot dicts only — it never
+The profiler consumes span trees only — it never
 imports the instrumented packages, keeping :mod:`repro.obs`
 stdlib-only and dependency-free.
 """
@@ -46,8 +44,6 @@ __all__ = [
     "build_profile",
     "render_text",
     "render_html",
-    "render_report_text",
-    "render_report_html",
 ]
 
 
@@ -123,7 +119,7 @@ def build_profile(root, query: str = "") -> QueryProfile:
 
     Args:
         root: A finished root :class:`~repro.obs.tracing.Span` covering
-            the query (the ``repro profile`` command wraps the run in
+            the query (the ``repro trace`` command wraps the run in
             one).
         query: The SQL text, for the report header; falls back to the
             root span's ``query`` attribute.
@@ -301,7 +297,6 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 .bar { background: #e8ecf3; border-radius: 3px; height: .8rem; width: 12rem; }
 .bar > span { display: block; height: 100%; border-radius: 3px; background: #4973b8; }
 .delta-pos { color: #9d3030; } .delta-neg { color: #2a7a46; }
-.muted { color: #68748a; }
 """.strip()
 
 
@@ -407,122 +402,3 @@ def render_html(profile: QueryProfile) -> str:
     body.append("</table>")
     return _html_page("Query cost profile", body)
 
-
-# ----------------------------------------------------------------------
-# Aggregate report (over a replayed journal)
-# ----------------------------------------------------------------------
-def render_report_text(snapshot: Dict[str, object], replay_result=None) -> str:
-    """Aggregate accuracy report over a snapshot (usually replayed).
-
-    Args:
-        snapshot: A :func:`repro.obs.exporters.build_snapshot` dict.
-        replay_result: The :class:`~repro.obs.journal.ReplayResult`
-            that produced it, for the event-count header.
-    """
-    lines: List[str] = ["journal report"]
-    if replay_result is not None:
-        lines.append(
-            "  events applied: {} ({})".format(
-                replay_result.applied,
-                ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in sorted(replay_result.counts.items())
-                )
-                or "none",
-            )
-        )
-        if replay_result.corrupt_lines or replay_result.skipped_versions:
-            lines.append(
-                f"  skipped: {replay_result.corrupt_lines} corrupt line(s), "
-                f"{replay_result.skipped_versions} newer-version event(s)"
-            )
-    ledger = snapshot.get("ledger", {}) or {}
-    lines.append("")
-    lines.append("accuracy by system/operator")
-    if not ledger:
-        lines.append("  (no recorded actuals)")
-    else:
-        lines.append(
-            "  {:<24s} {:>6s} {:>9s} {:>8s} {:>7s} {:>7s}".format(
-                "system/operator", "count", "rmse%", "q-err", "slope", "remedy"
-            )
-        )
-        for key in sorted(ledger):
-            stats = ledger[key]
-            lines.append(
-                "  {:<24s} {:>6d} {:>9.2f} {:>8.3f} {:>7.3f} {:>6.0f}%".format(
-                    key,
-                    int(stats["count"]),
-                    float(stats["rmse_percent"]),
-                    float(stats["mean_q_error"]),
-                    float(stats["slope"]),
-                    100.0 * float(stats["remedy_fraction"]),
-                )
-            )
-    metrics = snapshot.get("metrics", {}) or {}
-    interesting = {
-        name: data
-        for name, data in metrics.items()
-        if data.get("type") == "counter" and float(data.get("value", 0)) > 0
-    }
-    if interesting:
-        lines.append("")
-        lines.append("journal-backed counters")
-        width = max(len(name) for name in interesting)
-        for name in sorted(interesting):
-            lines.append(
-                f"  {name:<{width}}  {float(interesting[name]['value']):.6g}"
-            )
-    return "\n".join(lines)
-
-
-def render_report_html(snapshot: Dict[str, object], replay_result=None) -> str:
-    """Self-contained HTML version of :func:`render_report_text`."""
-    body: List[str] = ["<h1>Journal report</h1>"]
-    if replay_result is not None:
-        counts = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(replay_result.counts.items())
-        )
-        body.append(
-            f"<p>{replay_result.applied} events applied "
-            f'<span class="muted">({_esc(counts or "none")})</span>'
-            f"; {replay_result.corrupt_lines} corrupt line(s) skipped.</p>"
-        )
-    ledger = snapshot.get("ledger", {}) or {}
-    body.append("<h2>Accuracy by system/operator</h2>")
-    if not ledger:
-        body.append('<p class="muted">no recorded actuals</p>')
-    else:
-        body.append(
-            "<table><tr><th>system/operator</th><th class=num>count</th>"
-            "<th class=num>rmse%</th><th class=num>mean q-err</th>"
-            "<th class=num>slope</th><th class=num>remedy</th></tr>"
-        )
-        for key in sorted(ledger):
-            stats = ledger[key]
-            body.append(
-                f"<tr><td>{_esc(key)}</td>"
-                f'<td class="num">{int(stats["count"])}</td>'
-                f'<td class="num">{float(stats["rmse_percent"]):.2f}</td>'
-                f'<td class="num">{float(stats["mean_q_error"]):.3f}</td>'
-                f'<td class="num">{float(stats["slope"]):.3f}</td>'
-                f'<td class="num">{100 * float(stats["remedy_fraction"]):.0f}%</td>'
-                "</tr>"
-            )
-        body.append("</table>")
-    metrics = snapshot.get("metrics", {}) or {}
-    counters = {
-        name: data
-        for name, data in metrics.items()
-        if data.get("type") == "counter" and float(data.get("value", 0)) > 0
-    }
-    if counters:
-        body.append("<h2>Counters</h2><table>")
-        for name in sorted(counters):
-            body.append(
-                f"<tr><td><code>{_esc(name)}</code></td>"
-                f'<td class="num">{float(counters[name]["value"]):.6g}</td></tr>'
-            )
-        body.append("</table>")
-    return _html_page("Journal report", body)

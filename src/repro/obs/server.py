@@ -51,8 +51,9 @@ Design points:
   redirected into a fixed-size ring (:attr:`ObsServer.request_log`);
 * **clean shutdown** — ``stop()`` unwinds ``serve_forever`` and joins
   the serving thread; ``with ObsServer(...) as server:`` does both;
-* **embeddable** — the ``repro serve`` daemon mounts this same object;
-  ``repro serve-obs`` is the standalone CLI front.
+* **embeddable** — the ``repro serve`` daemon mounts this same object
+  beside its estimation endpoints; ``ObsServer(port=0)`` embeds it
+  anywhere else.
 
 Alert evaluation state is engine-local and serialized under a lock, so
 concurrent scrapes cannot corrupt fired/resolved bookkeeping.

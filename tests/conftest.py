@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.cluster import paper_cluster
 from repro.core import ClusterInfo
 from repro.data import Catalog, build_paper_corpus
@@ -87,22 +88,46 @@ def cluster_info(cluster):
     )
 
 
+#: Every process-global slot a ``repro.obs.set_*`` setter owns, with the
+#: factory for the fresh value a test starts from.  ``None`` leaves the
+#: slot unresolved, so its getter re-reads the environment as a new
+#: process would.
+OBS_SLOTS = {
+    "set_registry": obs.MetricsRegistry,
+    "set_ledger": obs.AccuracyLedger,
+    "set_tenant_ledger": obs.TenantLedger,
+    "set_exemplar_store": obs.ExemplarStore,
+    "set_journal": None,
+    "set_tail_sampler": None,
+    "set_flight_recorder": None,
+    "set_sampler": None,
+    "set_timeseries": None,
+    "set_stack_sampler": None,
+}
+
+
 @pytest.fixture()
 def restore_obs_plane():
-    """Snapshot and restore the global observability plane.
+    """Give the test a fresh observability plane; restore the old one after.
 
-    The traffic simulator (and anything else that calls the ``obs``
-    setters) swaps in fresh registries for determinism; suites that run
-    it opt into this fixture so the swap never leaks across tests.
+    Swaps every :data:`OBS_SLOTS` slot and restores the tracer's enabled
+    flag (dropping the spans recorded meanwhile), so nothing a test
+    installs — a journal, sampler, recorder, aggregator — leaks into the
+    next one.
     """
-    from repro import obs
-
-    registry = obs.set_registry(obs.MetricsRegistry())
-    ledger = obs.set_ledger(obs.AccuracyLedger())
-    tenants = obs.set_tenant_ledger(obs.TenantLedger())
-    exemplars = obs.set_exemplar_store(obs.ExemplarStore())
+    setters = {name for name in obs.__all__ if name.startswith("set_")}
+    assert set(OBS_SLOTS) == setters, "OBS_SLOTS must cover every obs.set_*"
+    previous = {
+        setter: getattr(obs, setter)(fresh() if fresh else None)
+        for setter, fresh in OBS_SLOTS.items()
+    }
+    tracer = obs.get_tracer()
+    was_enabled = tracer.enabled
     yield
-    obs.set_registry(registry)
-    obs.set_ledger(ledger)
-    obs.set_tenant_ledger(tenants)
-    obs.set_exemplar_store(exemplars)
+    for setter, value in previous.items():
+        getattr(obs, setter)(value)
+    tracer.clear()
+    if was_enabled:
+        tracer.enable()
+    else:
+        tracer.disable()

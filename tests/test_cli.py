@@ -25,6 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explain"])
 
+    @pytest.mark.parametrize("command", ["serve-obs", "report", "profile"])
+    def test_retired_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_lists_fourteen_subcommands(self, capsys):
+        import re
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out)
+        assert len(choices.group(1).split(",")) == 14
+
 
 class TestCommands:
     def test_corpus(self, capsys):
@@ -112,6 +128,25 @@ class TestObservabilityCommands:
         assert main(["stats", "--from", str(path)]) == 2
         assert "not a metrics snapshot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"metrics": {"costing.x": 1}},
+            {"metrics": {}, "ledger": {"hive/join": 3}},
+        ],
+        ids=["untyped-metric", "non-dict-ledger-entry"],
+    )
+    def test_from_rejects_malformed_snapshot(self, capsys, tmp_path, payload):
+        import json
+
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        for command in ("stats", "alerts", "health", "tenants"):
+            assert main([command, "--from", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {command} --from:" in err
+            assert "not a metrics snapshot" in err
+
     def test_stats_missing_snapshot_file_exits_2(self, capsys, tmp_path):
         assert main(["stats", "--from", str(tmp_path / "absent.json")]) == 2
         err = capsys.readouterr().err
@@ -123,14 +158,8 @@ class TestObservabilityCommands:
         assert main(["stats", "--from", str(path)]) == 2
         assert "error: stats --from" in capsys.readouterr().err
 
-    def test_trace_prints_span_tree(self, capsys):
-        from repro import obs
-
-        try:
-            assert main(["trace"]) == 0
-        finally:
-            obs.get_tracer().disable()
-            obs.get_tracer().clear()
+    def test_trace_prints_span_tree(self, capsys, restore_obs_plane):
+        assert main(["trace"]) == 0
         out = capsys.readouterr().out
         assert "repro.trace" in out
         assert "federation.run" in out
@@ -138,40 +167,30 @@ class TestObservabilityCommands:
         assert "approach=sub_op" in out
         assert "remedy=off" in out
         assert "subop_shares=" in out
-        assert "total: estimated" in out
+        assert "placement: hive" in out
 
-    def test_trace_exports_json(self, capsys, tmp_path):
+    def test_trace_exports_json(self, capsys, tmp_path, restore_obs_plane):
         import json
 
-        from repro import obs
-
         path = tmp_path / "trace.json"
-        try:
-            code = main(
-                [
-                    "trace",
-                    "SELECT SUM(a1) FROM t1000000_100 GROUP BY a20",
-                    "--json",
-                    str(path),
-                ]
-            )
-        finally:
-            obs.get_tracer().disable()
-            obs.get_tracer().clear()
+        code = main(
+            [
+                "trace",
+                "SELECT SUM(a1) FROM t1000000_100 GROUP BY a20",
+                "--json",
+                str(path),
+            ]
+        )
         assert code == 0
         data = json.loads(path.read_text())
         assert data and data[0]["name"] == "repro.trace"
 
-    def test_profile_prints_cost_breakdown(self, capsys, tmp_path):
-        from repro import obs
-
+    def test_profile_prints_cost_breakdown(
+        self, capsys, tmp_path, restore_obs_plane
+    ):
+        """`repro trace` prints the span-tree profile below the tree."""
         html_path = tmp_path / "profile.html"
-        try:
-            code = main(["profile", "--html", str(html_path)])
-        finally:
-            obs.get_tracer().disable()
-            obs.get_tracer().clear()
-        assert code == 0
+        assert main(["trace", "--html", str(html_path)]) == 0
         out = capsys.readouterr().out
         assert "placement steps (estimate vs actual)" in out
         assert "operator estimates" in out
@@ -181,22 +200,23 @@ class TestObservabilityCommands:
         assert html.startswith("<!doctype html>")
         assert "Query cost profile" in html
 
-    def test_profile_restores_disabled_tracer(self):
+    def test_profile_restores_disabled_tracer(self, restore_obs_plane):
+        """Profiling a query with `repro trace` leaves the process-wide
+        tracer as it found it, disabled or enabled."""
         from repro import obs
 
         tracer = obs.get_tracer()
+        tracer.disable()
+        assert main(["trace"]) == 0
         assert not tracer.enabled
-        try:
-            assert main(["profile"]) == 0
-        finally:
-            tracer.disable()
-            tracer.clear()
-        assert not tracer.enabled
+        tracer.enable()
+        assert main(["trace"]) == 0
+        assert tracer.enabled
 
-    def test_report_replays_journal(self, capsys, tmp_path):
+    def _write_feedback_journal(self, path):
         from repro.obs import EventJournal
 
-        journal = EventJournal(tmp_path / "journal.jsonl")
+        journal = EventJournal(path)
         journal.append(
             "estimate",
             system="hive",
@@ -216,23 +236,70 @@ class TestObservabilityCommands:
             drift_flagged=False,
         )
         journal.close()
-        code = main(["report", "--journal", str(journal.path)])
-        assert code == 0
+        return str(path)
+
+    def test_report_replays_journal(self, capsys, tmp_path):
+        """`stats --journal` replays into a fresh plane and prints the
+        replay line above the snapshot tables."""
+        path = self._write_feedback_journal(tmp_path / "journal.jsonl")
+        assert main(["stats", "--journal", path]) == 0
         out = capsys.readouterr().out
-        assert "events applied: 2" in out
+        assert "events applied: 2 (actual=1, estimate=1)" in out
         assert "hive/join" in out
         assert "costing.estimate_plan.calls" in out
 
-    def test_report_without_journal_exits_2(self, capsys, monkeypatch):
+    def test_stats_journal_json_round_trips_through_from(
+        self, capsys, tmp_path
+    ):
+        path = self._write_feedback_journal(tmp_path / "journal.jsonl")
+        assert main(["stats", "--journal", path]) == 0
+        replayed = capsys.readouterr().out
+        assert main(["stats", "--journal", path, "--format", "json"]) == 0
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text(capsys.readouterr().out)
+        assert main(["stats", "--from", str(snapshot)]) == 0
+        loaded = capsys.readouterr().out
+        tables = replayed[replayed.index("metrics registry"):]
+        assert loaded == tables
+        assert "hive/join" in loaded
+
+    def test_stats_prefers_env_journal_over_live(
+        self, capsys, tmp_path, monkeypatch
+    ):
         from repro import obs
 
-        monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
-        assert main(["report"]) == 2
-        assert "no journal given" in capsys.readouterr().err
+        path = self._write_feedback_journal(tmp_path / "journal.jsonl")
+        monkeypatch.setenv(obs.JOURNAL_ENV_VAR, path)
+        assert main(["stats"]) == 0
+        assert "events applied: 2" in capsys.readouterr().out
+
+    def test_stats_from_wins_over_journal(self, capsys, tmp_path):
+        from repro.obs import MetricsRegistry, exporters
+
+        registry = MetricsRegistry()
+        registry.counter("federation.runs").inc(3)
+        snapshot = tmp_path / "run.metrics.json"
+        exporters.write_json_snapshot(snapshot, registry=registry)
+        path = self._write_feedback_journal(tmp_path / "journal.jsonl")
+        assert main(
+            ["stats", "--from", str(snapshot), "--journal", path]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "federation.runs" in out
+        assert "events applied" not in out
 
     def test_report_missing_journal_file_exits_2(self, capsys, tmp_path):
-        assert main(["report", "--journal", str(tmp_path / "nope.jsonl")]) == 2
-        assert "not found" in capsys.readouterr().err
+        """A missing journal is a usage error with one message, from
+        `stats --journal` and every other journal reader alike."""
+        missing = str(tmp_path / "nope.jsonl")
+        messages = set()
+        for command in ("stats", "alerts", "health", "tenants", "dashboard"):
+            assert main([command, "--journal", missing]) == 2
+            err = capsys.readouterr().err.strip()
+            prefix = f"error: {command}: "
+            assert err.startswith(prefix)
+            messages.add(err[len(prefix):])
+        assert messages == {f"journal file not found: {missing}"}
 
     def test_verbose_flag_enables_debug_logging(self, capsys):
         import logging
@@ -279,7 +346,6 @@ class TestFlamegraphCommand:
         usage = parser.format_help()
         assert "span-tree profile" in usage
         assert "stack-sampled flamegraph" in usage
-        assert "span-tree aggregate" in usage
 
     def test_journal_rebuild_writes_deterministic_outputs(
         self, capsys, tmp_path
@@ -588,21 +654,8 @@ class TestHealthAndAlertCommands:
         assert "not found" in capsys.readouterr().err
 
 
-class TestServeObsCommand:
-    def _restore_timeseries(self):
-        from repro import obs
-
-        obs.disable_timeseries()
-
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-obs"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8321
-        assert args.for_seconds == 0.0
-        assert args.window is None
-        assert not args.demo
-
-    def test_short_run_serves_endpoints(self, capsys):
+class TestServeCommand:
+    def test_short_run_serves_endpoints(self, capsys, restore_obs_plane):
         import json
         import re
         import threading
@@ -656,13 +709,11 @@ class TestServeObsCommand:
         try:
             worker.start()
             code = cli_main(
-                ["serve-obs", "--port", "0", "--for", "1.5",
-                 "--interval", "0.05", "--window", "0.2"]
+                ["serve", "--port", "0", "--for", "1.5", "--window", "0.2"]
             )
             worker.join(timeout=10.0)
         finally:
             sys_mod.stdout = original
-            self._restore_timeseries()
         assert code == 0
         assert statuses["/health"][0] == 200
         assert statuses["/timeseries"][0] == 200
@@ -672,19 +723,18 @@ class TestServeObsCommand:
     def test_bad_rules_file_exits_2(self, capsys, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text('[{"name": "bad", "signal": "nosuch:x"}]')
-        code = main(["serve-obs", "--rules", str(rules), "--for", "0.1"])
+        code = main(["serve", "--rules", str(rules), "--for", "0.1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "serve-obs --rules" in err
+        assert "serve --rules" in err
         assert "'bad'" in err
 
     def test_missing_rules_file_exits_2(self, capsys, tmp_path):
         code = main(
-            ["serve-obs", "--rules", str(tmp_path / "nope.json"),
-             "--for", "0.1"]
+            ["serve", "--rules", str(tmp_path / "nope.json"), "--for", "0.1"]
         )
         assert code == 2
-        assert "serve-obs --rules" in capsys.readouterr().err
+        assert "serve --rules" in capsys.readouterr().err
 
 
 class TestTenantsCommand:

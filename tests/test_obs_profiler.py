@@ -4,7 +4,6 @@ import pytest
 
 from repro import obs
 from repro.cli import build_sandbox
-from repro.obs import profiler
 from repro.obs.profiler import (
     OperatorProfile,
     QueryProfile,
@@ -152,38 +151,3 @@ class TestRenderHtml:
         assert "&lt;script&gt;" in html
         assert "&lt;hive&gt;" in html
 
-
-class TestReportRendering:
-    def _snapshot(self):
-        registry = obs.MetricsRegistry()
-        registry.counter("costing.estimate_plan.calls").inc(4)
-        ledger = obs.AccuracyLedger()
-        ledger.record(
-            system="hive",
-            operator="join",
-            estimated_seconds=10.0,
-            actual_seconds=20.0,
-        )
-        from repro.obs import exporters
-
-        return exporters.build_snapshot(registry=registry, ledger=ledger)
-
-    def test_report_text(self):
-        text = profiler.render_report_text(self._snapshot())
-        assert "accuracy by system/operator" in text
-        assert "hive/join" in text
-        assert "costing.estimate_plan.calls" in text
-
-    def test_report_text_empty_ledger(self):
-        from repro.obs import exporters
-
-        snapshot = exporters.build_snapshot(
-            registry=obs.MetricsRegistry(), ledger=obs.AccuracyLedger()
-        )
-        text = profiler.render_report_text(snapshot)
-        assert "(no recorded actuals)" in text
-
-    def test_report_html(self):
-        html = profiler.render_report_html(self._snapshot())
-        assert html.startswith("<!doctype html>")
-        assert "hive/join" in html
