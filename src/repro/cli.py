@@ -31,6 +31,7 @@ file (not ``dashboard``), a ``--journal`` file, the
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -184,18 +185,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_flamegraph(args: argparse.Namespace) -> int:
-    import os
-
     from repro.obs import flamegraph, sampling
 
     if args.diff:
         before_path, after_path = args.diff
-        for path in (before_path, after_path):
-            if not os.path.exists(path):
-                print(f"error: journal file not found: {path}", file=sys.stderr)
+        for path in args.diff:
+            if _missing_journal(path, "flamegraph"):
                 return 2
-        before = sampling.merge_stacks(sampling.profiles_from_events(before_path))
-        after = sampling.merge_stacks(sampling.profiles_from_events(after_path))
+        before = sampling.merge_stacks(obs.replay(before_path).profiles)
+        after = sampling.merge_stacks(obs.replay(after_path).profiles)
         if not before and not after:
             print(
                 "error: neither journal holds profile events "
@@ -216,14 +214,12 @@ def cmd_flamegraph(args: argparse.Namespace) -> int:
             print(f"\nHTML diff written to {args.out}")
         return 0
 
-    if args.journal:
-        if not os.path.exists(args.journal):
-            print(
-                f"error: journal file not found: {args.journal}",
-                file=sys.stderr,
-            )
-            return 2
-        windows = sampling.profiles_from_events(args.journal)
+    source = _telemetry_source(args, "flamegraph")
+    if source is None:
+        return 2
+    kind, path = source
+    if kind == "journal":
+        windows = obs.replay(path).profiles
         if not windows:
             print(
                 "error: no profile events in the journal "
@@ -279,8 +275,6 @@ def _telemetry_source(args: argparse.Namespace, command: str):
     ``("live", None)``; on an operator input error prints it and returns
     ``None``, and the command exits 2.
     """
-    import os
-
     from repro.obs import exporters
 
     if getattr(args, "from_file", None):
@@ -292,10 +286,17 @@ def _telemetry_source(args: argparse.Namespace, command: str):
     path = args.journal or os.environ.get(obs.JOURNAL_ENV_VAR, "").strip()
     if not path:
         return "live", None
-    if not os.path.exists(path):
-        print(f"error: {command}: journal file not found: {path}", file=sys.stderr)
+    if _missing_journal(path, command):
         return None
     return "journal", path
+
+
+def _missing_journal(path: str, command: str) -> bool:
+    """Print the one missing-journal usage error if ``path`` is absent."""
+    if os.path.exists(path):
+        return False
+    print(f"error: {command}: journal file not found: {path}", file=sys.stderr)
+    return True
 
 
 def _resolve_observation(args: argparse.Namespace, command: str):
@@ -311,7 +312,7 @@ def _resolve_observation(args: argparse.Namespace, command: str):
     if kind == "snapshot":
         return health.observation_from_snapshot(value)
     if kind == "journal":
-        observation = health.observation_from_journal(value)
+        observation = obs.replay(value).observation()
         observation["journal"] = value
         return observation
     return health.build_observation()
@@ -320,7 +321,7 @@ def _resolve_observation(args: argparse.Namespace, command: str):
 def cmd_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import exporters, journal as journal_mod
+    from repro.obs import exporters
 
     source = _telemetry_source(args, "stats")
     if source is None:
@@ -330,10 +331,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if kind == "snapshot":
         snapshot = value
     elif kind == "journal":
-        registry, ledger = obs.MetricsRegistry(), obs.AccuracyLedger()
-        replayed = journal_mod.replay(value, registry=registry, ledger=ledger)
+        replayed = obs.replay(value)
         snapshot = exporters.build_snapshot(
-            registry=registry, ledger=ledger, tenants=obs.TenantLedger()
+            replayed.registry, replayed.ledger, tenants=obs.TenantLedger()
         )
     else:
         snapshot = exporters.build_snapshot()
@@ -520,7 +520,7 @@ def cmd_tenants(args: argparse.Namespace) -> int:
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the self-contained HTML health dashboard."""
-    from repro.obs import alerts as alerts_mod, dashboard, health, journal as journal_mod
+    from repro.obs import alerts as alerts_mod, dashboard, health
 
     source = _telemetry_source(args, "dashboard")
     if source is None:
@@ -528,10 +528,10 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     kind, path = source
     history = {}
     if kind == "journal":
-        read_result = journal_mod.read_journal(path)
-        observation = health.observation_from_events(read_result)
-        history = dashboard.build_history(read_result.events)
-        windows = obs.windows_from_events(read_result.events)
+        replayed = obs.replay(path)
+        observation = replayed.observation()
+        history = replayed.history
+        windows = replayed.windows
     else:
         observation = health.build_observation()
         aggregator = obs.get_timeseries()
@@ -541,7 +541,8 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         observation, emit=False
     )
     html = dashboard.render_dashboard(
-        healths, report=report, history=history, windows=windows
+        healths, report=report, history=history, windows=windows,
+        tenants=observation["tenants"],
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(html)
@@ -598,7 +599,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one registered traffic scenario and evaluate its checks."""
     import contextlib
     import json
-    import os
     import tempfile
 
     from repro.workloads.scenarios import run_scenario
@@ -792,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
     flame.add_argument(
         "--journal",
         metavar="FILE",
-        help="rebuild windows from a journal's profile events instead "
-        "of sampling live",
+        help="rebuild windows from a journal's profile events (default: "
+        f"${obs.JOURNAL_ENV_VAR}, else a live sampling burst)",
     )
     flame.add_argument(
         "--diff",

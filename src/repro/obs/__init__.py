@@ -15,9 +15,8 @@ around that loop:
   RMSE% / slope per (system, operator), fed by ``record_actual``;
 * :mod:`repro.obs.journal` — the persistent event journal: an
   append-only, schema-versioned, size-rotated JSONL stream of
-  feedback-loop events (estimate/actual/remedy/tuning/drift) with a
-  deterministic :func:`~repro.obs.journal.replay` that rebuilds the
-  ledger and journal-backed counters in a fresh process;
+  feedback-loop events (estimate/actual/remedy/tuning/drift) that
+  only writes and reads;
 * :mod:`repro.obs.profiler` — per-query cost-breakdown reports (text
   and self-contained HTML) assembled from recorded span trees
   (``repro trace``);
@@ -44,8 +43,8 @@ around that loop:
 * :mod:`repro.obs.alerts` — the declarative SLO rule engine: evaluates
   thresholds over metrics/ledger/drift/cache observations, journals
   schema-versioned ``alert`` events on firing/resolved transitions;
-* :mod:`repro.obs.health` — observation snapshots (live or replayed
-  from a journal) and the per-remote-system composite health score;
+* :mod:`repro.obs.health` — observation snapshots and the
+  per-remote-system composite health score;
 * :mod:`repro.obs.dashboard` — the self-contained HTML health
   dashboard with journal-derived q-error sparklines;
 * :mod:`repro.obs.timeseries` — the live telemetry plane: a windowed
@@ -60,6 +59,10 @@ around that loop:
 * :mod:`repro.obs.flamegraph` — flamegraph HTML rendering, flat
   hot-frame tables, and differential profiles over folded stacks
   (``repro flamegraph`` / ``--diff A B``);
+* :mod:`repro.obs.rebuild` — the one journal fold: a deterministic
+  :func:`~repro.obs.rebuild.replay` that rebuilds every offline view
+  (ledger, counters, windows, incidents, observation, ...) in a fresh
+  process, one reducer per event type;
 * :mod:`repro.obs.server` — the stdlib HTTP observability server
   (``/metrics``, ``/metrics.json``, ``/health``, ``/alerts``,
   ``/timeseries``, ``/profile``, ``/dashboard``) mounted by
@@ -118,12 +121,10 @@ from repro.obs.journal import (
     EventJournal,
     JournalEvent,
     NoopJournal,
-    ReplayResult,
     add_journal_listener,
     get_journal,
     read_journal,
     remove_journal_listener,
-    replay,
     set_journal,
 )
 from repro.obs.flight import (
@@ -133,7 +134,6 @@ from repro.obs.flight import (
     FlightRecorder,
     IncidentBundle,
     get_flight_recorder,
-    incidents_from_events,
     load_bundle,
     render_bundle_html,
     set_flight_recorder,
@@ -199,16 +199,10 @@ from repro.obs.health import (
     SystemHealth,
     build_observation,
     evaluate_health,
-    observation_from_events,
-    observation_from_journal,
     observation_from_snapshot,
     worst_grade,
 )
-from repro.obs.dashboard import (
-    build_history,
-    history_from_windows,
-    render_dashboard,
-)
+from repro.obs.dashboard import history_from_windows, render_dashboard
 from repro.obs.timeseries import (
     WINDOW_RETENTION_ENV_VAR,
     WINDOW_SCHEMA_VERSION,
@@ -223,7 +217,6 @@ from repro.obs.timeseries import (
     log_buckets,
     maybe_roll_timeseries,
     set_timeseries,
-    windows_from_events,
 )
 from repro.obs.sampling import (
     DEFAULT_HZ,
@@ -236,7 +229,6 @@ from repro.obs.sampling import (
     get_stack_sampler,
     maybe_start_sampling,
     merge_stacks,
-    profiles_from_events,
     register_thread_role,
     role_for_thread,
     set_stack_sampler,
@@ -256,6 +248,7 @@ from repro.obs.flamegraph import (
     render_flamegraph_html,
     render_top_text,
 )
+from repro.obs.rebuild import ReplayResult, replay
 from repro.obs.server import HttpRequest, HttpResponse, ObsServer, json_response
 from repro.obs.logconf import configure as configure_logging
 
@@ -297,12 +290,10 @@ __all__ = [
     "EventJournal",
     "JournalEvent",
     "NoopJournal",
-    "ReplayResult",
     "add_journal_listener",
     "get_journal",
     "read_journal",
     "remove_journal_listener",
-    "replay",
     "set_journal",
     "FLIGHT_DIR_ENV_VAR",
     "FLIGHT_SCHEMA_VERSION",
@@ -310,7 +301,6 @@ __all__ = [
     "FlightRecorder",
     "IncidentBundle",
     "get_flight_recorder",
-    "incidents_from_events",
     "load_bundle",
     "render_bundle_html",
     "set_flight_recorder",
@@ -364,11 +354,8 @@ __all__ = [
     "SystemHealth",
     "build_observation",
     "evaluate_health",
-    "observation_from_events",
-    "observation_from_journal",
     "observation_from_snapshot",
     "worst_grade",
-    "build_history",
     "history_from_windows",
     "render_dashboard",
     "WINDOW_RETENTION_ENV_VAR",
@@ -384,7 +371,6 @@ __all__ = [
     "log_buckets",
     "maybe_roll_timeseries",
     "set_timeseries",
-    "windows_from_events",
     "DEFAULT_HZ",
     "PROF_ENV_VAR",
     "PROF_WINDOW_ENV_VAR",
@@ -395,7 +381,6 @@ __all__ = [
     "get_stack_sampler",
     "maybe_start_sampling",
     "merge_stacks",
-    "profiles_from_events",
     "register_thread_role",
     "role_for_thread",
     "set_stack_sampler",
@@ -412,6 +397,8 @@ __all__ = [
     "render_flamegraph_fragment",
     "render_flamegraph_html",
     "render_top_text",
+    "ReplayResult",
+    "replay",
     "HttpRequest",
     "HttpResponse",
     "ObsServer",

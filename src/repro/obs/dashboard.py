@@ -10,8 +10,9 @@ inputs the CLI's ``health``/``alerts`` commands use:
 * the **alert table** from the latest :class:`~repro.obs.alerts.AlertReport`,
   firing rows first, with exemplar query ids attached;
 * a **q-error sparkline** per system, built from the journal's
-  ``actual`` events (:func:`build_history`), so the page shows the
-  accuracy *trajectory*, not just the final number;
+  ``actual`` events (:attr:`repro.obs.rebuild.ReplayResult.history`),
+  so the page shows the accuracy *trajectory*, not just the final
+  number;
 * a **tenant ranking** (when attribution ran) ordered by estimated
   cost, so the most expensive tenants surface first;
 * a **continuous profiling** section (when the stack sampler ran): the
@@ -26,53 +27,17 @@ standard library and must never import from the instrumented packages.
 from __future__ import annotations
 
 import html
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.alerts import AlertReport
 from repro.obs.flamegraph import render_flamegraph_fragment
 from repro.obs.health import SystemHealth
-from repro.obs.journal import JournalEvent
 from repro.obs.timeseries import WindowSummary
 
-__all__ = ["build_history", "history_from_windows", "render_dashboard"]
+__all__ = ["history_from_windows", "render_dashboard"]
 
 #: Points kept per system sparkline (newest win; enough for a trend).
 HISTORY_POINTS = 120
-
-
-def build_history(
-    events: Iterable[JournalEvent],
-    max_points: int = HISTORY_POINTS,
-) -> Dict[str, List[float]]:
-    """Per-system q-error series from a journal's ``actual`` events.
-
-    The q-error of one observation is ``max(est/act, act/est)`` — the
-    paper's headline accuracy measure; the series is the raw
-    per-observation sequence (oldest first), truncated to the newest
-    ``max_points``.
-    """
-    history: Dict[str, List[float]] = {}
-    for event in events:
-        if event.type != "actual":
-            continue
-        payload = event.payload
-        system = str(payload.get("system", ""))
-        if not system:
-            continue
-        try:
-            estimated = float(payload.get("estimated_seconds", 0.0))  # type: ignore[arg-type]
-            actual = float(payload.get("actual_seconds", 0.0))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            continue
-        if estimated <= 0 or actual <= 0:
-            continue
-        q_error = max(estimated / actual, actual / estimated)
-        series = history.setdefault(system, [])
-        series.append(q_error)
-        if len(series) > max_points:
-            del series[: len(series) - max_points]
-    return history
-
 
 #: Metric prefix the telemetry plane records per-system q-errors under.
 _Q_ERROR_PREFIX = "accuracy.q_error."
@@ -86,8 +51,8 @@ def history_from_windows(
 
     One point per window: the mean of the window's
     ``accuracy.q_error.<system>`` histogram.  This is the live-server
-    counterpart of :func:`build_history` — real windowed history even
-    when no journal is configured.
+    counterpart of the journal replay's per-``actual`` history — real
+    windowed history even when no journal is configured.
     """
     history: Dict[str, List[float]] = {}
     for summary in windows:

@@ -107,12 +107,41 @@ def write_json_snapshot(
         fh.write("\n")
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _renderable(data: object) -> bool:
+    """Whether one snapshot ``metrics`` entry is a counter or gauge with
+    a numeric ``value``, or a histogram with numeric ``count``/``sum``
+    and ``[bound, count]`` ``buckets``."""
+    if not isinstance(data, dict):
+        return False
+    if data.get("type") in ("counter", "gauge"):
+        return _is_number(data.get("value"))
+    buckets = data.get("buckets")
+    return (
+        data.get("type") == "histogram"
+        and _is_number(data.get("count"))
+        and _is_number(data.get("sum"))
+        and isinstance(buckets, list)
+        and all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and (_is_number(pair[0]) or pair[0] == "+Inf")
+            and _is_number(pair[1])
+            for pair in buckets
+        )
+    )
+
+
 def load_json_snapshot(path) -> Dict[str, object]:
     """Read a :func:`write_json_snapshot` file.
 
-    Raises ``ValueError`` unless every ``metrics`` entry is a typed
-    instrument dict and ``ledger``/``tenants`` (when present) map keys
-    to stats dicts — the shape :func:`format_snapshot_text` renders.
+    Raises ``ValueError`` unless every ``metrics`` entry is a complete
+    counter, gauge or histogram dict and ``ledger``/``tenants`` (when
+    present) map keys to stats dicts — the shape
+    :func:`format_snapshot_text` and :func:`to_prometheus_text` render.
     """
     with open(path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
@@ -121,10 +150,11 @@ def load_json_snapshot(path) -> Dict[str, object]:
     ):
         raise ValueError(f"{path}: not a metrics snapshot file")
     for name, data in snapshot["metrics"].items():
-        if not isinstance(data, dict) or "type" not in data:
+        if not _renderable(data):
             raise ValueError(
                 f"{path}: not a metrics snapshot file "
-                f"(metric {name!r} has no instrument type)"
+                f"(metric {name!r} is not a complete counter, gauge or "
+                "histogram)"
             )
     for section in ("ledger", "tenants"):
         entries = snapshot.get(section, {})

@@ -14,7 +14,7 @@ queries, systems, and exemplars, and
 * appends it to the event journal as one rotation-atomic group
   (:meth:`repro.obs.journal.EventJournal.append_group`), so replay in a
   fresh process reconstructs the same bundles
-  (:func:`incidents_from_events`);
+  (:func:`repro.obs.rebuild.replay`);
 * dumps it to ``REPRO_OBS_FLIGHT_DIR`` (when set) as a deterministic
   JSONL file plus a self-contained HTML report — :func:`load_bundle`
   of the JSONL re-dumps bit-identically.
@@ -32,16 +32,10 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.context import add_completion_hook
-from repro.obs.journal import (
-    JournalEvent,
-    ReadResult,
-    add_journal_listener,
-    get_journal,
-    read_journal,
-)
+from repro.obs.journal import JournalEvent, add_journal_listener, get_journal
 from repro.obs.metrics import counter
 from repro.obs.profiler import _esc, _html_page
 from repro.obs.sampling import get_stack_sampler
@@ -59,7 +53,6 @@ __all__ = [
     "trigger_incident",
     "load_bundle",
     "render_bundle_html",
-    "incidents_from_events",
 ]
 
 #: Bump on breaking bundle-layout changes; carried in every header.
@@ -590,58 +583,6 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
             )
         body.append("</table>")
     return _html_page(f"Incident {bundle.name}", body)
-
-
-# ----------------------------------------------------------------------
-# Offline reconstruction: journal events -> bundles
-# ----------------------------------------------------------------------
-def incidents_from_events(
-    source: Union[str, os.PathLike, ReadResult, Iterable[JournalEvent]],
-) -> Tuple[IncidentBundle, ...]:
-    """Rebuild incident bundles from a journal.
-
-    An incident is journaled as one rotation-atomic group — a header
-    ``incident`` event (carrying the trigger and the captured journal
-    events) followed by its ``incident_record`` events — so this walk
-    reattaches records to headers by bundle name.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        source = read_journal(source)
-    events: Iterable[JournalEvent]
-    events = source.events if isinstance(source, ReadResult) else source
-    bundles: Dict[str, Dict[str, Any]] = {}
-    order: List[str] = []
-    for event in events:
-        payload = event.payload
-        if event.type == "incident":
-            name = str(payload.get("name", ""))
-            if not name:
-                continue
-            raw_profile = payload.get("profile", {})
-            bundles[name] = {
-                "trigger": dict(payload.get("trigger", {})),
-                "events": [dict(e) for e in payload.get("events", ())],
-                "records": [],
-                "profile": dict(raw_profile)
-                if isinstance(raw_profile, dict)
-                else {},
-            }
-            order.append(name)
-        elif event.type == "incident_record":
-            name = str(payload.get("incident", ""))
-            if name in bundles:
-                record = {k: v for k, v in payload.items() if k != "incident"}
-                bundles[name]["records"].append(record)
-    return tuple(
-        IncidentBundle(
-            name=name,
-            trigger=bundles[name]["trigger"],
-            records=tuple(bundles[name]["records"]),
-            events=tuple(bundles[name]["events"]),
-            profile=bundles[name]["profile"],
-        )
-        for name in order
-    )
 
 
 # ----------------------------------------------------------------------

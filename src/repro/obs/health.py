@@ -25,7 +25,8 @@ observability stack produces:
 
 Observations can be built **live** (:func:`build_observation`, from the
 process-wide registry/ledger plus the costing module's drift and cache
-views) or **offline** (:func:`observation_from_journal`, replaying a
+views) or **offline**
+(:meth:`repro.obs.rebuild.ReplayResult.observation`, replaying a
 journal in a fresh process — the CI health gate path).  Either way the
 evaluation downstream is a pure function of the observation, so health
 verdicts are reproducible from the journal alone.
@@ -45,28 +46,20 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.context import get_exemplar_store
-from repro.obs.journal import (
-    ReadResult,
-    read_journal,
-    replay,
-)
 from repro.obs.ledger import AccuracyLedger, get_ledger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tenants import get_tenant_ledger
-from repro.obs.timeseries import get_timeseries, windows_from_events
+from repro.obs.timeseries import get_timeseries
 
 __all__ = [
     "OBSERVATION_VERSION",
     "GRADES",
     "SystemHealth",
     "build_observation",
-    "observation_from_events",
-    "observation_from_journal",
     "observation_from_snapshot",
     "evaluate_health",
     "worst_grade",
@@ -86,9 +79,6 @@ _DEGRADED_FLOOR = 0.40
 #: happened — a cold cache is not a sick cache.
 _CACHE_WARMUP_LOOKUPS = 64
 
-#: How many recent query ids an offline observation keeps per system.
-_EXEMPLARS_PER_SYSTEM = 8
-
 _EMPTY_CACHE: Dict[str, float] = {
     "hits": 0,
     "misses": 0,
@@ -102,27 +92,6 @@ _EMPTY_CACHE: Dict[str, float] = {
 
 def _empty_timeseries() -> Dict[str, object]:
     return {"width": 0.0, "retention": 0, "closed": 0, "windows": []}
-
-
-def _empty_tenant_stats() -> Dict[str, object]:
-    """Offline tenant accumulator matching the live snapshot layout.
-
-    Wall seconds, errors, and kept traces are completion-hook signals
-    that are not journaled, so offline rebuilds report them as zero;
-    ``_sum_q_error`` is a scratch key folded into ``mean_q_error`` once
-    the scan finishes.
-    """
-    return {
-        "queries": 0,
-        "errors": 0,
-        "wall_seconds": 0.0,
-        "estimates": 0,
-        "estimated_seconds": 0.0,
-        "actuals": 0,
-        "_sum_q_error": 0.0,
-        "max_q_error": 0.0,
-        "kept_traces": 0,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -186,107 +155,6 @@ def build_observation(
             for tenant, stats in sorted((tenants or {}).items())
         },
     }
-
-
-def observation_from_events(source: ReadResult) -> Dict[str, object]:
-    """Rebuild an observation offline from journal events.
-
-    Replays the events into a *fresh* registry and ledger (the live
-    process-wide ones are untouched), then scans the stream for the
-    signals replay does not cover: the latest drift state per system and
-    the most recent exemplar query ids carried on estimate/actual
-    events.  Cache statistics are process-local and not journaled, so
-    the offline cache view is all-zero (which keeps cache rules quiet —
-    their warm-up guards see zero lookups).  Closed telemetry windows
-    are rebuilt bit-identically from ``window`` events, so trend rules
-    evaluate offline exactly as they did live.
-    """
-    registry = MetricsRegistry()
-    ledger = AccuracyLedger()
-    replay(source, registry=registry, ledger=ledger)
-
-    drift: Dict[str, Dict[str, object]] = {}
-    exemplars: Dict[str, List[str]] = {}
-    tenants: Dict[str, Dict[str, object]] = {}
-    tenant_queries: Dict[str, set] = {}
-    for event in source.events:
-        payload = event.payload
-        system = str(payload.get("system", ""))
-        if event.type == "drift" and system:
-            drift[system] = {
-                "drifted": True,
-                "statistic": payload.get("statistic", 0.0),
-                "direction": payload.get("direction"),
-                "observations": payload.get("observations", 0),
-            }
-        elif event.type in ("estimate", "actual") and system:
-            query_id = payload.get("query_id")
-            if isinstance(query_id, str) and query_id:
-                bucket = exemplars.setdefault(system, [])
-                if query_id in bucket:
-                    bucket.remove(query_id)
-                bucket.append(query_id)
-                if len(bucket) > _EXEMPLARS_PER_SYSTEM:
-                    del bucket[: len(bucket) - _EXEMPLARS_PER_SYSTEM]
-            tenant = str(payload.get("tenant", ""))
-            if tenant:
-                stats = tenants.setdefault(tenant, _empty_tenant_stats())
-                if isinstance(query_id, str) and query_id:
-                    seen = tenant_queries.setdefault(tenant, set())
-                    if query_id not in seen:
-                        seen.add(query_id)
-                        stats["queries"] += 1  # type: ignore[operator]
-                if event.type == "estimate":
-                    stats["estimates"] += 1  # type: ignore[operator]
-                    seconds = payload.get("seconds")
-                    if isinstance(seconds, (int, float)) and seconds > 0:
-                        stats["estimated_seconds"] += float(seconds)  # type: ignore[operator]
-                else:
-                    estimated = _as_float(payload.get("estimated_seconds"))
-                    actual = _as_float(payload.get("actual_seconds"))
-                    if estimated > 0 and actual > 0:
-                        q_error = max(estimated / actual, actual / estimated)
-                        stats["actuals"] += 1  # type: ignore[operator]
-                        stats["_sum_q_error"] += q_error  # type: ignore[operator]
-                        if q_error > float(stats["max_q_error"]):  # type: ignore[arg-type]
-                            stats["max_q_error"] = q_error
-    for stats in tenants.values():
-        # Fold the scratch sum into the mean, keeping the key order
-        # identical to the live ``_TenantStats.snapshot()`` layout.
-        actuals = int(stats["actuals"])  # type: ignore[arg-type]
-        total = float(stats.pop("_sum_q_error"))  # type: ignore[arg-type]
-        max_q = stats.pop("max_q_error")
-        kept = stats.pop("kept_traces")
-        stats["mean_q_error"] = total / actuals if actuals else 0.0
-        stats["max_q_error"] = max_q
-        stats["kept_traces"] = kept
-    window_summaries = windows_from_events(source.events)
-    width = (
-        window_summaries[-1].end - window_summaries[-1].start
-        if window_summaries else 0.0
-    )
-    return build_observation(
-        registry=registry,
-        ledger=ledger,
-        drift=drift,
-        exemplars={system: ids for system, ids in sorted(exemplars.items())},
-        timeseries={
-            "width": width,
-            "retention": len(window_summaries),
-            "closed": len(window_summaries),
-            "windows": [
-                summary.to_payload() for summary in window_summaries
-            ],
-        },
-        tenants=tenants,
-    )
-
-
-def observation_from_journal(
-    path: Union[str, os.PathLike],
-) -> Dict[str, object]:
-    """Rebuild an observation from a journal on disk."""
-    return observation_from_events(read_journal(path))
 
 
 def observation_from_snapshot(

@@ -40,15 +40,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
-
-from repro.obs.ledger import AccuracyLedger, get_ledger
-from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
-    Q_ERROR_BUCKETS,
-    MetricsRegistry,
-    get_registry,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,10 +51,8 @@ __all__ = [
     "NOOP_JOURNAL",
     "JOURNAL_ENV_VAR",
     "ReadResult",
-    "ReplayResult",
     "read_journal",
     "iter_journal_lines",
-    "replay",
     "get_journal",
     "set_journal",
     "add_journal_listener",
@@ -72,7 +62,8 @@ __all__ = [
 #: Bump on breaking payload changes; readers skip newer-versioned events.
 SCHEMA_VERSION = 1
 
-#: The journaled feedback-loop event kinds (DESIGN §6).
+#: The journaled feedback-loop event kinds (DESIGN §6); each has one
+#: reducer in :data:`repro.obs.rebuild.REDUCERS`.
 EVENT_TYPES: Tuple[str, ...] = (
     "estimate",         # an operator estimate was issued
     "actual",           # an actual execution time was recorded (validated)
@@ -469,202 +460,6 @@ def read_journal(
                 events.append(event)
     return ReadResult(
         events=tuple(events), corrupt_lines=corrupt, skipped_versions=skipped
-    )
-
-
-# ----------------------------------------------------------------------
-# Replay: journal -> ledger + metrics counters
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReplayResult:
-    """Outcome of replaying a journal into a ledger and registry.
-
-    Attributes:
-        applied: Events applied to the ledger/registry.
-        ignored: Known-version events of unknown type (forward compat).
-        corrupt_lines: Unparseable lines skipped during the read.
-        skipped_versions: Events from a newer schema version.
-        counts: Applied events per event type.
-    """
-
-    applied: int
-    ignored: int
-    corrupt_lines: int
-    skipped_versions: int
-    counts: Dict[str, int]
-
-
-def _as_float(value: object, default: float = 0.0) -> float:
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return default
-
-
-def replay(
-    source: Union[str, os.PathLike, Iterable[JournalEvent], ReadResult],
-    registry: Optional[MetricsRegistry] = None,
-    ledger: Optional[AccuracyLedger] = None,
-) -> ReplayResult:
-    """Rebuild the ledger and journal-backed counters from a journal.
-
-    Replay is *deterministic*: applying the same journal to a fresh
-    registry/ledger yields bit-identical ledger statistics and counter
-    values to the live run that wrote it, because floats survive the
-    JSON round-trip exactly and events apply in append order.
-
-    Each event type maps onto the same instruments its live emission
-    site drives (see DESIGN §6 for the full table):
-
-    * ``estimate`` — ``costing.estimate_plan.calls``,
-      ``costing.approach.<approach>``, the ``costing.estimate_seconds``
-      histogram, ``costing.estimates_remedied``;
-    * ``actual`` — ``costing.record_actual.calls``,
-      ``costing.drift_flags``, the per-system ``accuracy.q_error.<s>``
-      histogram, and one :meth:`AccuracyLedger.record`;
-    * ``remedy`` — ``remedy.activations`` /
-      ``remedy.regression_fallbacks`` (activation phase) or
-      ``remedy.recalibrations`` + the ``remedy.alpha`` gauge
-      (recalibration phase);
-    * ``tuning`` — ``tuning.folds`` and ``tuning.entries_folded``;
-    * ``drift`` — ``drift.alarms``;
-    * ``alert`` — ``alerts.replayed`` (the live engine's
-      evaluation/firing counters are not reconstructed: alert *state*
-      belongs to the engine that evaluated, the journal only witnesses
-      the transitions);
-    * ``window`` — counted but drives no instrument; the time-series
-      ring is rebuilt separately by
-      :func:`repro.obs.timeseries.windows_from_events`;
-    * ``incident`` — ``incidents.replayed`` (the bundle itself is
-      reconstructed by :func:`repro.obs.flight.incidents_from_events`,
-      which this module cannot import — flight depends on the journal);
-    * ``incident_record`` — counted but drives no instrument (the
-      records belong to their incident's bundle, not to the registry);
-    * ``profile`` — counted but drives no instrument; sampling-profiler
-      windows are rebuilt separately by
-      :func:`repro.obs.sampling.profiles_from_events`.
-
-    Events of unknown type are skipped and counted (``ignored`` plus
-    the ``journal.replay.skipped_events`` counter) so journals written
-    by newer code never break an older reader.
-
-    Args:
-        source: A journal path, a :class:`ReadResult`, or an iterable
-            of events.
-        registry: Target registry (defaults to the process-wide one).
-        ledger: Target ledger (defaults to the process-wide one).
-    """
-    registry = registry if registry is not None else get_registry()
-    ledger = ledger if ledger is not None else get_ledger()
-    corrupt = 0
-    skipped = 0
-    if isinstance(source, (str, os.PathLike)):
-        source = read_journal(source)
-    if isinstance(source, ReadResult):
-        corrupt = source.corrupt_lines
-        skipped = source.skipped_versions
-        events: Iterable[JournalEvent] = source.events
-    else:
-        events = source
-
-    applied = 0
-    ignored = 0
-    counts: Dict[str, int] = {}
-    for event in events:
-        payload = event.payload
-        if event.type == "estimate":
-            registry.counter("costing.estimate_plan.calls").inc()
-            approach = str(payload.get("approach", ""))
-            if approach:
-                registry.counter(f"costing.approach.{approach}").inc()
-            registry.histogram(
-                "costing.estimate_seconds", buckets=DEFAULT_SECONDS_BUCKETS
-            ).observe(_as_float(payload.get("seconds")))
-            if payload.get("remedy_active"):
-                registry.counter("costing.estimates_remedied").inc()
-        elif event.type == "actual":
-            registry.counter("costing.record_actual.calls").inc()
-            estimated = _as_float(payload.get("estimated_seconds"))
-            actual = _as_float(payload.get("actual_seconds"))
-            if estimated > 0 and actual > 0:
-                system = str(payload.get("system", ""))
-                ledger.record(
-                    system=system,
-                    operator=str(payload.get("operator", "")),
-                    estimated_seconds=estimated,
-                    actual_seconds=actual,
-                    approach=str(payload.get("approach", "")),
-                    remedy_active=bool(payload.get("remedy_active", False)),
-                )
-                # Mirror of record_actual's per-system q-error histogram
-                # — same guard, same division on floats that round-trip
-                # JSON exactly, so replay stays bit-identical.
-                registry.histogram(
-                    f"accuracy.q_error.{system}", buckets=Q_ERROR_BUCKETS
-                ).observe(max(estimated / actual, actual / estimated))
-            if payload.get("drift_flagged"):
-                registry.counter("costing.drift_flags").inc()
-        elif event.type == "remedy":
-            if payload.get("phase") == "recalibration":
-                registry.counter("remedy.recalibrations").inc()
-                registry.gauge("remedy.alpha").set(
-                    _as_float(payload.get("alpha"), default=0.5)
-                )
-            else:
-                registry.counter("remedy.activations").inc()
-                if payload.get("fallback"):
-                    registry.counter("remedy.regression_fallbacks").inc()
-        elif event.type == "tuning":
-            registry.counter("tuning.folds").inc()
-            registry.counter("tuning.entries_folded").inc(
-                _as_float(payload.get("entries"))
-            )
-        elif event.type == "drift":
-            registry.counter("drift.alarms").inc()
-        elif event.type == "alert":
-            registry.counter("alerts.replayed").inc()
-        elif event.type == "window":
-            # Window summaries are *data*, not instrument deltas: the
-            # time-series ring is rebuilt by
-            # ``repro.obs.timeseries.windows_from_events`` (this module
-            # cannot import it — timeseries depends on the journal).
-            # Counting the event here keeps replay totals honest
-            # without driving any instrument, so bit-identity of the
-            # replayed registry is untouched.
-            pass
-        elif event.type == "incident":
-            registry.counter("incidents.replayed").inc()
-        elif event.type == "incident_record":
-            # Incident records are bundle *data* (rebuilt by
-            # ``repro.obs.flight.incidents_from_events``); counted here,
-            # no instrument driven.
-            pass
-        elif event.type == "profile":
-            # Profile windows are *data*, like ``window``: rebuilt by
-            # ``repro.obs.sampling.profiles_from_events``, never driven
-            # into the registry — replay bit-identity is untouched.
-            pass
-        else:
-            ignored += 1
-            continue
-        applied += 1
-        counts[event.type] = counts.get(event.type, 0) + 1
-    if ignored:
-        # Forward compatibility is observable: an old reader walking a
-        # journal with event types it does not know counts them instead
-        # of failing.  The counter is only created when something was
-        # actually skipped, so replaying a fully-understood journal into
-        # a fresh registry stays bit-identical to the live run.
-        registry.counter(
-            "journal.replay.skipped_events",
-            help="journal events of unknown type skipped during replay",
-        ).inc(ignored)
-    return ReplayResult(
-        applied=applied,
-        ignored=ignored,
-        corrupt_lines=corrupt,
-        skipped_versions=skipped,
-        counts=counts,
     )
 
 

@@ -25,7 +25,7 @@ How it works:
   overflow collapses deterministically into :data:`OVERFLOW_KEY`);
 * when the clock crosses a window boundary the window is closed into a
   bounded ring and journaled as one schema-versioned ``profile`` event;
-  :func:`profiles_from_events` rebuilds the exact same windows in a
+  :func:`repro.obs.rebuild.replay` rebuilds the exact same windows in a
   fresh process (the payload round-trips JSON bit-identically);
 * per-frame **self/total sample counts** (:meth:`ProfileWindow.
   frame_stats`) and merged folded stacks feed the flamegraph renderer
@@ -59,10 +59,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from repro.obs.journal import JournalEvent, ReadResult, get_journal, read_journal
+from repro.obs.journal import get_journal
 from repro.obs.metrics import counter, gauge
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "fold_stack",
     "role_for_thread",
     "register_thread_role",
-    "profiles_from_events",
     "merge_stacks",
     "get_stack_sampler",
     "set_stack_sampler",
@@ -608,36 +606,8 @@ class StackSampler:
 
 
 # ----------------------------------------------------------------------
-# Offline reconstruction and merging
+# Merging
 # ----------------------------------------------------------------------
-def profiles_from_events(
-    source: Union[str, os.PathLike, ReadResult, Iterable[JournalEvent]],
-) -> Tuple[ProfileWindow, ...]:
-    """Rebuild profile windows from ``profile`` journal events.
-
-    Bit-identical to the live sampler's windows for the same run: every
-    payload field is an int or a JSON-exact float.  Events with a newer
-    ``profile_v`` or a malformed payload are skipped — forward
-    compatibility mirrors :func:`repro.obs.journal.replay`.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        source = read_journal(source)
-    events: Iterable[JournalEvent]
-    events = source.events if isinstance(source, ReadResult) else source
-    windows: List[ProfileWindow] = []
-    for event in events:
-        if event.type != "profile":
-            continue
-        payload = event.payload
-        try:
-            if int(payload.get("profile_v", 0)) > PROFILE_SCHEMA_VERSION:
-                continue
-            windows.append(ProfileWindow.from_payload(payload))
-        except (TypeError, ValueError):
-            continue
-    return tuple(windows)
-
-
 def merge_stacks(windows: Iterable[ProfileWindow]) -> Dict[str, int]:
     """Folded stacks summed across windows, sorted by stack key."""
     merged: Dict[str, int] = {}

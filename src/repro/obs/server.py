@@ -74,23 +74,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.dashboard import (
-    build_history,
-    history_from_windows,
-    render_dashboard,
-)
+from repro.obs.dashboard import history_from_windows, render_dashboard
 from repro.obs.exporters import build_snapshot, to_prometheus_text
 from repro.obs.flamegraph import render_flamegraph_html
 from repro.obs.flight import FLIGHT_SCHEMA_VERSION, get_flight_recorder
 from repro.obs.sampling import PROFILE_SCHEMA_VERSION, get_stack_sampler
 from repro.obs.health import build_observation, evaluate_health, worst_grade
 from repro.obs.journal import get_journal
+from repro.obs.rebuild import replay
 from repro.obs.tenants import get_tenant_ledger
-from repro.obs.timeseries import (
-    get_timeseries,
-    maybe_roll_timeseries,
-    windows_from_events,
-)
+from repro.obs.timeseries import get_timeseries, maybe_roll_timeseries
 
 __all__ = [
     "HttpRequest",
@@ -548,7 +541,7 @@ class ObsServer:
         windows = aggregator.windows() if aggregator is not None else ()
         journal = get_journal()
         if journal.enabled and journal.path:
-            history = build_history(journal.read().events)
+            history = replay(journal.read()).history
         else:
             history = history_from_windows(windows)
         tenants = observation.get("tenants")

@@ -17,8 +17,8 @@ When the clock crosses a window boundary the current window is closed
 into a bounded ring (``deque(maxlen=retention)``) and — when the
 process-wide journal is enabled — persisted as one schema-versioned
 ``window`` event whose payload round-trips **bit-identically** through
-JSON: :func:`windows_from_events` rebuilds the exact same summaries in
-a fresh process.  Idle gaps never flood the journal: skipping many
+JSON: :func:`repro.obs.rebuild.replay` rebuilds the exact same summaries
+in a fresh process.  Idle gaps never flood the journal: skipping many
 boundaries closes exactly one window (indices in the ring may
 therefore be non-consecutive).
 
@@ -36,9 +36,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.obs.journal import JournalEvent, get_journal
+from repro.obs.journal import get_journal
 from repro.obs.metrics import MetricsObserver, MetricsRegistry, get_registry
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "WindowSummary",
     "TimeSeriesAggregator",
     "ManualClock",
-    "windows_from_events",
     "get_timeseries",
     "set_timeseries",
     "enable_timeseries",
@@ -525,33 +524,6 @@ class TimeSeriesAggregator(MetricsObserver):
             f"TimeSeriesAggregator(width={self.width}, "
             f"retention={self.retention}, closed={self.closed_count})"
         )
-
-
-# ----------------------------------------------------------------------
-# Journal reconstruction
-# ----------------------------------------------------------------------
-def windows_from_events(
-    events: Iterable[JournalEvent],
-) -> Tuple[WindowSummary, ...]:
-    """Rebuild closed windows from ``window`` journal events.
-
-    Bit-identical to the live aggregator's ring for the same run:
-    every payload field survives the JSON round-trip exactly.  Events
-    with a newer ``window_v`` or a malformed payload are skipped —
-    forward compatibility mirrors :func:`repro.obs.journal.replay`.
-    """
-    summaries: List[WindowSummary] = []
-    for event in events:
-        if event.type != "window":
-            continue
-        payload = event.payload
-        try:
-            if int(payload.get("window_v", 0)) > WINDOW_SCHEMA_VERSION:
-                continue
-            summaries.append(WindowSummary.from_payload(payload))
-        except (TypeError, ValueError):
-            continue
-    return tuple(summaries)
 
 
 # ----------------------------------------------------------------------

@@ -885,24 +885,22 @@ class TrafficSimulator:
         if not self.journal_path:
             report.replay_detail = "no journal configured"
             return
-        result = obs.read_journal(self.journal_path)
-        for event in result.events:
-            if event.type == "drift":
-                report.drift_alarms += 1
-            elif event.type == "remedy":
-                phase = event.payload.get("phase")
-                if phase == "activation":
-                    report.remedy_activations += 1
-                elif phase == "recalibration":
-                    report.alpha_recalibrations += 1
-            elif event.type == "tuning":
-                report.tuning_runs += 1
-                report.tuning_entries += int(event.payload.get("entries", 0))
-        fresh_registry = obs.MetricsRegistry()
-        fresh_ledger = obs.AccuracyLedger(window=self.config.ledger_window)
-        obs.replay(result, registry=fresh_registry, ledger=fresh_ledger)
+        result = obs.replay(
+            self.journal_path,
+            ledger=obs.AccuracyLedger(window=self.config.ledger_window),
+        )
+
+        def tally(name: str) -> int:
+            metric = result.registry.get(name)
+            return int(metric.value) if metric is not None else 0
+
+        report.drift_alarms = tally("drift.alarms")
+        report.remedy_activations = tally("remedy.activations")
+        report.alpha_recalibrations = tally("remedy.recalibrations")
+        report.tuning_runs = tally("tuning.folds")
+        report.tuning_entries = tally("tuning.entries_folded")
         live = ledger.snapshot()
-        rebuilt = fresh_ledger.snapshot()
+        rebuilt = result.ledger.snapshot()
         if result.corrupt_lines:
             report.replay_consistent = False
             report.replay_detail = f"{result.corrupt_lines} corrupt journal lines"
@@ -917,5 +915,6 @@ class TrafficSimulator:
         else:
             report.replay_consistent = True
             report.replay_detail = (
-                f"replayed {len(result.events)} events bit-identically"
+                f"replayed {result.applied + result.ignored} events "
+                "bit-identically"
             )

@@ -133,8 +133,17 @@ class TestObservabilityCommands:
         [
             {"metrics": {"costing.x": 1}},
             {"metrics": {}, "ledger": {"hive/join": 3}},
+            {"metrics": {"costing.x": {"type": "counter"}}},
+            {"metrics": {"costing.x": {"type": "histogram", "count": 1}}},
+            {"metrics": {"costing.x": {"type": "bogus", "value": 1}}},
         ],
-        ids=["untyped-metric", "non-dict-ledger-entry"],
+        ids=[
+            "untyped-metric",
+            "non-dict-ledger-entry",
+            "counter-without-value",
+            "histogram-without-sum-or-buckets",
+            "unknown-instrument-type",
+        ],
     )
     def test_from_rejects_malformed_snapshot(self, capsys, tmp_path, payload):
         import json
@@ -293,7 +302,9 @@ class TestObservabilityCommands:
         `stats --journal` and every other journal reader alike."""
         missing = str(tmp_path / "nope.jsonl")
         messages = set()
-        for command in ("stats", "alerts", "health", "tenants", "dashboard"):
+        for command in (
+            "stats", "alerts", "health", "tenants", "dashboard", "flamegraph"
+        ):
             assert main([command, "--journal", missing]) == 2
             err = capsys.readouterr().err.strip()
             prefix = f"error: {command}: "
@@ -384,11 +395,21 @@ class TestFlamegraphCommand:
         assert main(["flamegraph", "--journal", str(journal.path)]) == 2
         assert "no profile events" in capsys.readouterr().err
 
-    def test_missing_journal_exits_2(self, capsys, tmp_path):
-        assert main(
-            ["flamegraph", "--journal", str(tmp_path / "nope.jsonl")]
-        ) == 2
-        assert "not found" in capsys.readouterr().err
+    def test_env_journal_is_the_default_source(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Without --journal, $REPRO_OBS_JOURNAL beats a live burst."""
+        from repro import obs
+
+        path = self._write_profile_journal(
+            tmp_path / "prof.jsonl",
+            [{"[serve];repro.a;repro.b": 10, "[main]": 2},
+             {"[serve];repro.a;repro.b": 5}],
+        )
+        monkeypatch.setenv(obs.JOURNAL_ENV_VAR, str(path))
+        out_path = tmp_path / "env.html"
+        assert main(["flamegraph", "--out", str(out_path)]) == 0
+        assert "2 profile windows, 17 samples" in out_path.read_text()
 
     def test_diff_between_two_journals(self, capsys, tmp_path):
         a = self._write_profile_journal(
@@ -413,10 +434,11 @@ class TestFlamegraphCommand:
         a = self._write_profile_journal(
             tmp_path / "a.jsonl", [{"[serve];repro.a": 1}]
         )
-        assert main(
-            ["flamegraph", "--diff", str(a), str(tmp_path / "nope.jsonl")]
-        ) == 2
-        assert "not found" in capsys.readouterr().err
+        missing = tmp_path / "nope.jsonl"
+        assert main(["flamegraph", "--diff", str(a), str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: flamegraph: journal file not found: {missing}\n"
+        )
 
     def test_diff_without_profile_events_exits_2(self, capsys, tmp_path):
         from repro.obs import EventJournal
@@ -433,9 +455,13 @@ class TestFlamegraphCommand:
             capsys.readouterr().err
         )
 
-    def test_live_burst_samples_the_optimizer(self, capsys, tmp_path):
+    def test_live_burst_samples_the_optimizer(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro import obs
         from repro.obs.sampling import get_stack_sampler
 
+        monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
         out_path = tmp_path / "live.html"
         code = main([
             "flamegraph", "--hz", "1000", "--queries", "400",
@@ -645,6 +671,42 @@ class TestHealthAndAlertCommands:
         assert "<svg" in page  # journal history sparkline
         assert "q-0000" in page  # exemplars on the alert table
 
+    def test_dashboard_reads_and_walks_the_journal_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Observation, history and windows all come from one
+        ``read_journal`` call and one walk over its events."""
+        import dataclasses
+
+        from repro import obs
+        from repro.obs import journal as journal_mod, rebuild
+
+        path = self._write_journal(tmp_path / "j.jsonl", drift=True)
+        real_read = journal_mod.read_journal
+        reads, walks = [], []
+
+        class CountingEvents(tuple):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        def counting_read(*args, **kwargs):
+            reads.append(args)
+            result = real_read(*args, **kwargs)
+            return dataclasses.replace(
+                result, events=CountingEvents(result.events)
+            )
+
+        for module in (journal_mod, rebuild, obs):
+            monkeypatch.setattr(module, "read_journal", counting_read)
+        code = main(
+            ["dashboard", "--journal", str(path),
+             "--out", str(tmp_path / "dash.html")]
+        )
+        assert code == 0
+        assert len(reads) == 1
+        assert len(walks) == 1
+
     def test_dashboard_missing_journal_exits_2(self, capsys, tmp_path):
         code = main(
             ["dashboard", "--journal", str(tmp_path / "nope.jsonl"),
@@ -826,6 +888,34 @@ class TestTenantsCommand:
         assert main(["tenants", "--journal", str(journal_path)]) == 0
         out = capsys.readouterr().out
         assert "analytics" in out
+
+    def test_dashboard_from_journal_ranks_tenants(self, capsys, tmp_path):
+        """`dashboard --journal` shows the same tenants `tenants
+        --journal` lists for a tenant-attributed journal."""
+        from repro import obs
+
+        journal_path = tmp_path / "j.jsonl"
+        journal = obs.EventJournal(journal_path)
+        previous = obs.set_journal(journal)
+        try:
+            assert main(
+                ["run", "SELECT a1 FROM t1000000_100 WHERE a1 < 700",
+                 "--tenant", "etl"]
+            ) == 0
+            journal.close()
+        finally:
+            obs.set_journal(previous)
+        capsys.readouterr()
+        assert main(["tenants", "--journal", str(journal_path)]) == 0
+        assert "etl" in capsys.readouterr().out
+        out_file = tmp_path / "dash.html"
+        assert main(
+            ["dashboard", "--journal", str(journal_path),
+             "--out", str(out_file)]
+        ) == 0
+        page = out_file.read_text()
+        assert "<h2>Tenants</h2>" in page
+        assert "<code>etl</code>" in page
 
     def test_missing_journal_exits_2(self, capsys, tmp_path):
         code = main(["tenants", "--journal", str(tmp_path / "missing.jsonl")])

@@ -1,8 +1,9 @@
-"""The HTML health dashboard: history extraction and page rendering."""
+"""The HTML health dashboard: the replayed q-error history and page
+rendering."""
 
 from repro import obs
 from repro.obs.alerts import Alert, AlertReport
-from repro.obs.dashboard import HISTORY_POINTS, _sparkline, build_history
+from repro.obs.dashboard import HISTORY_POINTS, _sparkline
 from repro.obs.health import SystemHealth
 from repro.obs.journal import JournalEvent
 
@@ -38,7 +39,7 @@ class TestBuildHistory:
             actual_event(2, estimated=30.0, actual=10.0),   # q = 3
             actual_event(3, system="spark", estimated=5.0, actual=5.0),
         ]
-        history = build_history(events)
+        history = obs.replay(events).history
         assert history["hive"] == [2.0, 3.0]
         assert history["spark"] == [1.0]
 
@@ -54,7 +55,7 @@ class TestBuildHistory:
             ),                                            # no system
             actual_event(5),
         ]
-        history = build_history(events)
+        history = obs.replay(events).history
         assert history == {"hive": [2.0]}
 
     def test_series_truncates_to_newest_points(self):
@@ -62,15 +63,10 @@ class TestBuildHistory:
             actual_event(i, estimated=float(i), actual=1.0)
             for i in range(1, HISTORY_POINTS + 11)
         ]
-        history = build_history(events)
+        history = obs.replay(events).history
         series = history["hive"]
         assert len(series) == HISTORY_POINTS
         assert series[-1] == float(HISTORY_POINTS + 10)
-
-    def test_custom_max_points(self):
-        events = [actual_event(i, actual=10.0 * i) for i in range(1, 10)]
-        history = build_history(events, max_points=3)
-        assert len(history["hive"]) == 3
 
 
 class TestSparkline:

@@ -263,7 +263,7 @@ class TestJournalReplay:
             "drift", system="hive", journal=journal
         )
         journal.close()
-        (rebuilt,) = flight.incidents_from_events(tmp_path / "j.jsonl")
+        (rebuilt,) = obs.replay(tmp_path / "j.jsonl").incidents
         assert rebuilt.name == bundle.name
         assert rebuilt.trigger == bundle.trigger
         assert rebuilt.records == bundle.records
@@ -302,7 +302,7 @@ class TestJournalReplay:
         assert len(files_with_bundle) == 1
         assert os.path.exists(f"{path}.1")  # rotation actually happened
         # Replaying the rotated journal rebuilds the identical bundle.
-        (rebuilt,) = flight.incidents_from_events(path)
+        (rebuilt,) = obs.replay(path).incidents
         assert rebuilt.to_jsonl() == bundle.to_jsonl()
 
 
@@ -453,7 +453,7 @@ class TestProfileInBundles:
             set_stack_sampler(previous)
             obs.set_journal(previous_journal)
             journal.close()
-        rebuilt = flight.incidents_from_events(journal.read().events)
+        rebuilt = obs.replay(journal.read().events).incidents
         assert len(rebuilt) == 1
         assert rebuilt[0].profile == bundle.profile
         assert rebuilt[0].to_jsonl() == bundle.to_jsonl()

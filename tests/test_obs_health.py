@@ -117,7 +117,7 @@ class TestObservationFromJournal:
             journal.append(event.type, **event.payload)
         journal.close()
 
-        observation = obs.observation_from_journal(tmp_path / "j.jsonl")
+        observation = obs.replay(tmp_path / "j.jsonl").observation()
         assert observation["ledger"]["hive/join"]["count"] == 1
         assert observation["ledger"]["hive/join"]["mean_q_error"] == 2.0
         assert observation["drift"]["hive"]["drifted"] is True
@@ -132,7 +132,7 @@ class TestObservationFromJournal:
             journal.append(event.type, **event.payload)
         journal.close()
         live_before = obs.get_registry().snapshot()
-        obs.observation_from_journal(tmp_path / "j.jsonl")
+        obs.replay(tmp_path / "j.jsonl").observation()
         assert obs.get_registry().snapshot() == live_before
 
     def test_exemplar_buffer_is_bounded_and_distinct(self):
@@ -148,11 +148,7 @@ class TestObservationFromJournal:
             )
             for index in range(30)
         ]
-        from repro.obs.journal import ReadResult
-
-        observation = obs.observation_from_events(
-            ReadResult(events=tuple(events), corrupt_lines=0, skipped_versions=0)
-        )
+        observation = obs.replay(events).observation()
         exemplars = observation["exemplars"]["hive"]
         assert len(exemplars) == 8
         assert len(set(exemplars)) == 8
@@ -364,7 +360,7 @@ class TestTimeseriesSlice:
                 payload=aggregator.windows()[0].to_payload(),
             )
         ]
-        observation = obs.observation_from_events(_read_result(events))
+        observation = obs.replay(events).observation()
         slice_ = observation["timeseries"]
         assert slice_["width"] == 10.0
         assert slice_["closed"] == 1
@@ -373,16 +369,6 @@ class TestTimeseriesSlice:
     def test_snapshot_observation_has_empty_slice(self):
         observation = obs.observation_from_snapshot({"metrics": {}})
         assert observation["timeseries"]["windows"] == []
-
-
-def _read_result(events):
-    """Wrap bare events in the ReadResult shape observation_from_events
-    takes."""
-    from repro.obs.journal import ReadResult
-
-    return ReadResult(
-        events=tuple(events), corrupt_lines=0, skipped_versions=0
-    )
 
 
 class TestTenantsSlice:
@@ -430,7 +416,7 @@ class TestTenantsSlice:
             query_id="q-000002",
         )  # unattributed
         journal.close()
-        observation = obs.observation_from_journal(tmp_path / "j.jsonl")
+        observation = obs.replay(tmp_path / "j.jsonl").observation()
         tenants = observation["tenants"]
         assert list(tenants) == ["analytics"]
         stats = tenants["analytics"]
@@ -448,7 +434,7 @@ class TestTenantsSlice:
             query_id="q-000001", tenant="etl",
         )
         journal.close()
-        offline = obs.observation_from_journal(tmp_path / "j.jsonl")
+        offline = obs.replay(tmp_path / "j.jsonl").observation()
         live_ledger = obs.TenantLedger()
         live_ledger.record_estimate("etl", 3.0)
         live_keys = list(live_ledger.snapshot()["etl"])

@@ -16,13 +16,14 @@ from repro.data import Catalog, build_paper_corpus
 from repro.engines import HiveEngine
 from repro.obs import journal as jmod
 from repro.obs.journal import (
+    EVENT_TYPES,
     EventJournal,
     JournalEvent,
     NOOP_JOURNAL,
     SCHEMA_VERSION,
     read_journal,
-    replay,
 )
+from repro.obs.rebuild import REDUCERS, replay
 from repro.sql.parser import parse_select
 
 
@@ -202,7 +203,6 @@ class TestDefaultJournal:
 
 class TestReplayUnits:
     def test_estimate_event(self):
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(
                 seq=1,
@@ -214,15 +214,14 @@ class TestReplayUnits:
                 },
             )
         ]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
+        registry = result.registry
         assert result.applied == 1
         assert registry.counter("costing.estimate_plan.calls").value == 1
         assert registry.counter("costing.approach.sub_op").value == 1
         assert registry.counter("costing.estimates_remedied").value == 1
 
     def test_actual_event_feeds_ledger(self):
-        ledger = obs.AccuracyLedger()
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(
                 seq=1,
@@ -238,7 +237,8 @@ class TestReplayUnits:
                 },
             )
         ]
-        replay(events, registry=registry, ledger=ledger)
+        result = replay(events)
+        registry, ledger = result.registry, result.ledger
         assert registry.counter("costing.record_actual.calls").value == 1
         assert registry.counter("costing.drift_flags").value == 1
         stats = ledger.stats(system="hive", operator="join")
@@ -246,14 +246,14 @@ class TestReplayUnits:
         assert stats.mean_q_error == 2.0
 
     def test_remedy_tuning_drift_events(self):
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(seq=1, type="remedy", payload={"phase": "activation", "fallback": True}),
             JournalEvent(seq=2, type="remedy", payload={"phase": "recalibration", "alpha": 0.7}),
             JournalEvent(seq=3, type="tuning", payload={"entries": 12}),
             JournalEvent(seq=4, type="drift", payload={"direction": "slower"}),
         ]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
+        registry = result.registry
         assert result.applied == 4
         assert registry.counter("remedy.activations").value == 1
         assert registry.counter("remedy.regression_fallbacks").value == 1
@@ -263,38 +263,40 @@ class TestReplayUnits:
         assert registry.counter("tuning.entries_folded").value == 12
         assert registry.counter("drift.alarms").value == 1
 
+    def test_reducer_table_covers_exactly_the_event_types(self):
+        """One reducer per journaled event type, no more, no fewer."""
+        assert tuple(REDUCERS) == EVENT_TYPES
+
     def test_unknown_event_types_are_ignored(self):
-        registry = obs.MetricsRegistry()
         events = [JournalEvent(seq=1, type="mystery", payload={})]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
         assert result.applied == 0
         assert result.ignored == 1
 
     def test_unknown_event_types_counted_in_registry(self):
         """Forward compatibility: a journal written by a newer minor
         version replays with its unknown types skipped *and counted*."""
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(seq=1, type="estimate", payload={"seconds": 1.0}),
             JournalEvent(seq=2, type="mystery", payload={}),
             JournalEvent(seq=3, type="hologram", payload={"x": 1}),
             JournalEvent(seq=4, type="mystery", payload={}),
         ]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
         assert result.applied == 1
         assert result.ignored == 3
         assert (
-            registry.counter("journal.replay.skipped_events").value == 3.0
+            result.registry.counter("journal.replay.skipped_events").value
+            == 3.0
         )
 
     def test_no_skip_counter_when_all_events_known(self):
         """An all-known replay must not materialize the skip counter —
         replayed registries stay bit-identical to the live ones."""
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(seq=1, type="estimate", payload={"seconds": 1.0})
         ]
-        replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        registry = replay(events).registry
         assert "journal.replay.skipped_events" not in registry.snapshot()
 
     def test_profile_events_counted_but_drive_no_instrument(self):
@@ -302,7 +304,6 @@ class TestReplayUnits:
         replay counts them as applied (they are a known type) without
         touching any metric — replayed registries stay bit-identical
         whether or not the run was profiled."""
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(
                 seq=1,
@@ -319,14 +320,13 @@ class TestReplayUnits:
                 },
             )
         ]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
         assert result.applied == 1
         assert result.ignored == 0
         assert result.counts["profile"] == 1
-        assert registry.snapshot() == {}
+        assert result.registry.snapshot() == {}
 
     def test_alert_events_replay_into_counter(self):
-        registry = obs.MetricsRegistry()
         events = [
             JournalEvent(
                 seq=1,
@@ -347,11 +347,11 @@ class TestReplayUnits:
                 payload={"rule": "slo-q-error", "state": "resolved"},
             ),
         ]
-        result = replay(events, registry=registry, ledger=obs.AccuracyLedger())
+        result = replay(events)
         assert result.applied == 2
         assert result.ignored == 0
         assert result.counts["alert"] == 2
-        assert registry.counter("alerts.replayed").value == 2.0
+        assert result.registry.counter("alerts.replayed").value == 2.0
 
 
 # ----------------------------------------------------------------------
@@ -431,9 +431,8 @@ def _comparable_metrics(snapshot):
 
 def test_replay_in_process_is_bit_identical(tmp_path):
     path, live_registry, live_ledger = _journaled_workload(tmp_path)
-    registry = obs.MetricsRegistry()
-    ledger = obs.AccuracyLedger()
-    result = replay(str(path), registry=registry, ledger=ledger)
+    result = replay(str(path))
+    registry, ledger = result.registry, result.ledger
 
     assert result.corrupt_lines == 0
     assert result.counts["estimate"] == 3
@@ -454,14 +453,12 @@ def test_replay_in_fresh_process_is_bit_identical(tmp_path):
     script = (
         "import json, sys\n"
         "from repro import obs\n"
-        "from repro.obs.journal import replay\n"
-        "registry = obs.MetricsRegistry()\n"
-        "ledger = obs.AccuracyLedger()\n"
-        "result = replay(sys.argv[1], registry=registry, ledger=ledger)\n"
+        "from repro.obs.rebuild import replay\n"
+        "result = replay(sys.argv[1])\n"
         "print(json.dumps({\n"
         "    'applied': result.applied,\n"
-        "    'ledger': ledger.snapshot(),\n"
-        "    'metrics': registry.snapshot(),\n"
+        "    'ledger': result.ledger.snapshot(),\n"
+        "    'metrics': result.registry.snapshot(),\n"
         "}, sort_keys=True))\n"
     )
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(obs.__file__)))
@@ -538,19 +535,14 @@ class TestRotationAcrossRestart:
         journal.close()
         assert (tmp_path / "j.jsonl.1").exists()
 
-        registry = obs.MetricsRegistry()
-        ledger = obs.AccuracyLedger()
-        result = replay(path, registry=registry, ledger=ledger)
+        result = replay(path)
+        registry, ledger = result.registry, result.ledger
         assert result.counts["actual"] == events
         assert registry.counter("costing.record_actual.calls").value == events
         assert ledger.stats("hive", "scan").count == events
 
     def test_window_events_survive_rotation_and_restart(self, tmp_path):
-        from repro.obs.timeseries import (
-            ManualClock,
-            TimeSeriesAggregator,
-            windows_from_events,
-        )
+        from repro.obs.timeseries import ManualClock, TimeSeriesAggregator
 
         path = tmp_path / "j.jsonl"
         clock = ManualClock()
@@ -578,7 +570,7 @@ class TestRotationAcrossRestart:
         result = read_journal(path, max_files=6)
         seqs = [e.seq for e in result.events]
         assert seqs == sorted(seqs)
-        rebuilt = windows_from_events(result.events)
+        rebuilt = replay(result).windows
         assert rebuilt == tuple(first) + tuple(second)
 
 

@@ -29,7 +29,6 @@ from repro.obs.sampling import (
     get_stack_sampler,
     maybe_start_sampling,
     merge_stacks,
-    profiles_from_events,
     register_thread_role,
     role_for_thread,
     set_stack_sampler,
@@ -294,7 +293,7 @@ class TestJournalRoundTrip:
         sampler.flush()
         journal.close()
         live = [w.to_payload() for w in sampler.windows()]
-        rebuilt = profiles_from_events(path)
+        rebuilt = obs.replay(path).profiles
         assert [w.to_payload() for w in rebuilt] == live
         assert obs.counter("obs.sampling.windows").value == 3.0
 
@@ -306,7 +305,7 @@ class TestJournalRoundTrip:
         journal.append("profile", profile_v="soon")
         journal.append("estimate", seconds=1.0)
         journal.close()
-        rebuilt = profiles_from_events(path)
+        rebuilt = obs.replay(path).profiles
         assert len(rebuilt) == 1
         assert rebuilt[0].index == 0
 

@@ -29,7 +29,6 @@ from repro.obs.timeseries import (
     log_buckets,
     maybe_roll_timeseries,
     set_timeseries,
-    windows_from_events,
 )
 
 
@@ -281,7 +280,7 @@ class TestJournalRoundTrip:
         close_one(aggregator, clock)
         journal.close()
 
-        rebuilt = windows_from_events(read_journal(tmp_path / "j.jsonl").events)
+        rebuilt = obs.replay(tmp_path / "j.jsonl").windows
         assert rebuilt == aggregator.windows()
 
     def test_window_payload_carries_schema_version(self, tmp_path, clock):
@@ -302,7 +301,7 @@ class TestJournalRoundTrip:
             type="window",
             payload={"window_v": WINDOW_SCHEMA_VERSION + 1, "index": 0},
         )
-        assert windows_from_events([newer]) == ()
+        assert obs.replay([newer]).windows == ()
 
     def test_malformed_payloads_are_skipped(self):
         bad = obs.JournalEvent(
@@ -310,11 +309,11 @@ class TestJournalRoundTrip:
             type="window",
             payload={"window_v": 1, "histograms": {"m": {"counts": [1]}}},
         )
-        assert windows_from_events([bad]) == ()
+        assert obs.replay([bad]).windows == ()
 
     def test_non_window_events_are_ignored(self):
         other = obs.JournalEvent(seq=1, type="estimate", payload={})
-        assert windows_from_events([other]) == ()
+        assert obs.replay([other]).windows == ()
 
     def test_disabled_journal_appends_nothing(self, tmp_path, clock):
         aggregator = TimeSeriesAggregator(
@@ -335,16 +334,12 @@ class TestJournalRoundTrip:
         close_one(aggregator, clock)
         journal.close()
 
-        registry = MetricsRegistry()
-        ledger = obs.AccuracyLedger()
-        result = obs.replay(
-            tmp_path / "j.jsonl", ledger=ledger, registry=registry
-        )
+        result = obs.replay(tmp_path / "j.jsonl")
         assert result.counts.get("window") == 1
         assert result.applied == 1
-        # Window events reconstruct through windows_from_events, never
-        # by re-driving instruments: the registry must stay untouched.
-        assert tuple(registry.names()) == ()
+        # Window events reconstruct into ``result.windows``, never by
+        # re-driving instruments: the registry must stay untouched.
+        assert tuple(result.registry.names()) == ()
 
 
 class TestEnvironmentConfiguration:
