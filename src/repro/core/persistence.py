@@ -87,14 +87,15 @@ def _standard_scaler_from_dict(data: Optional[Dict[str, Any]]) -> StandardScaler
 
 
 def _network_to_dict(network: NeuralNetwork) -> Dict[str, Any]:
+    weights, biases = network.parameters()
     return {
         "hidden_layers": list(network.hidden_layers),
         "learning_rate": network.learning_rate,
         "batch_size": network.batch_size,
         "seed": network.seed,
         "log_target": network.log_target,
-        "weights": [w.tolist() for w in network._weights],
-        "biases": [b.tolist() for b in network._biases],
+        "weights": [w.tolist() for w in weights],
+        "biases": [b.tolist() for b in biases],
         "x_scaler": _standard_scaler_to_dict(network._x_scaler._inner),
         "y_scaler": _standard_scaler_to_dict(network._y_scaler),
     }
@@ -108,19 +109,11 @@ def _network_from_dict(data: Dict[str, Any]) -> NeuralNetwork:
         seed=data["seed"],
         log_target=data["log_target"],
     )
-    network._weights = [np.asarray(w, dtype=float) for w in data["weights"]]
-    network._biases = [np.asarray(b, dtype=float) for b in data["biases"]]
+    network.load_parameters(data["weights"], data["biases"])
     x_scaler = LogStandardScaler()
     x_scaler._inner = _standard_scaler_from_dict(data["x_scaler"])
     network._x_scaler = x_scaler
     network._y_scaler = _standard_scaler_from_dict(data["y_scaler"])
-    # Fresh Adam state: reloaded models predict identically; further
-    # partial_fit restarts the optimizer moments.
-    network._adam_m = [np.zeros_like(w) for w in network._weights] + [
-        np.zeros_like(b) for b in network._biases
-    ]
-    network._adam_v = [np.zeros_like(m) for m in network._adam_m]
-    network._adam_t = 0
     return network
 
 

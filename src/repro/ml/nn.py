@@ -16,6 +16,7 @@ across the wide execution-time range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +26,12 @@ from repro import obs
 from repro.exceptions import ConfigurationError, ModelNotTrainedError, TrainingError
 from repro.ml.metrics import rmse_percent
 from repro.ml.scaling import LogStandardScaler, StandardScaler
+
+#: Training steps whose minibatch indices come from one generator call.
+_INDEX_BLOCK = 256
+
+#: Adam's moment decay rates and denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -85,11 +92,19 @@ class NeuralNetwork:
         self.log_target = log_target
 
         self._rng = np.random.default_rng(seed)
+        # Every parameter lives in the flat vector ``_params``; the weight
+        # matrices and bias vectors are reshaped views of it, and the
+        # gradient and both Adam moments share its layout (see _allocate).
+        self._params = np.empty(0)
         self._weights: List[np.ndarray] = []
         self._biases: List[np.ndarray] = []
-        self._adam_m: List[np.ndarray] = []
-        self._adam_v: List[np.ndarray] = []
-        self._adam_t = 0
+        self._grads = np.empty(0)
+        self._grad_w: List[np.ndarray] = []
+        self._grad_b: List[np.ndarray] = []
+        self._m = np.empty(0)
+        self._v = np.empty(0)
+        self._t = 0
+        self._scratch = np.empty((2, 0))
         self._x_scaler = LogStandardScaler()
         self._y_scaler = StandardScaler()
 
@@ -113,12 +128,17 @@ class NeuralNetwork:
             record_every: History recording period.
             record_on: Optional (x, y) set on which the history error is
                 computed; defaults to the training set.
+
+        Every argument is validated before the network changes, so a
+        rejected call leaves a trained network serving its old weights.
         """
+        _validate_schedule(iterations, record_every)
         x, y = _validate_xy(x, y)
-        self._x_scaler = LogStandardScaler()
-        self._y_scaler = StandardScaler()
-        xs = self._x_scaler.fit_transform(x)
-        ys = self._y_scaler.fit_transform(self._target_forward(y))
+        x_scaler = LogStandardScaler()
+        y_scaler = StandardScaler()
+        xs = x_scaler.fit_transform(x)
+        ys = y_scaler.fit_transform(self._target_forward(y))
+        self._x_scaler, self._y_scaler = x_scaler, y_scaler
         self._init_weights(xs.shape[1])
         obs.counter("nn.fits").inc()
         return self._train_loop(xs, ys, x, y, iterations, record_every, record_on)
@@ -137,6 +157,7 @@ class NeuralNetwork:
         """
         if not self._weights:
             raise ModelNotTrainedError("partial_fit requires a previous fit")
+        _validate_schedule(iterations, record_every)
         x, y = _validate_xy(x, y)
         xs = self._x_scaler.transform(x)
         ys = self._y_scaler.transform(self._target_forward(y))
@@ -156,20 +177,24 @@ class NeuralNetwork:
         record_every: int,
         record_on: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> TrainingHistory:
-        if iterations < 1:
-            raise TrainingError("iterations must be >= 1")
         history = TrainingHistory()
         n = xs.shape[0]
         batch = min(self.batch_size, n)
-        for step in range(1, iterations + 1):
-            idx = self._rng.integers(0, n, size=batch)
-            self._adam_step(xs[idx], ys[idx])
-            if step % record_every == 0 or step == iterations:
-                if record_on is not None:
-                    error = rmse_percent(record_on[1], self.predict(record_on[0]))
-                else:
-                    error = rmse_percent(y_raw, self.predict(x_raw))
-                history.record(step, error)
+        for start in range(0, iterations, _INDEX_BLOCK):
+            # One (k, batch) draw is the stream of k size-batch draws, and
+            # the last block draws only the steps left, so the generator
+            # ends where a per-step draw would leave it.
+            block = self._rng.integers(
+                0, n, size=(min(_INDEX_BLOCK, iterations - start), batch)
+            )
+            for step, idx in enumerate(block, start + 1):
+                self._adam_step(xs[idx], ys[idx])
+                if step % record_every == 0 or step == iterations:
+                    if record_on is not None:
+                        error = rmse_percent(record_on[1], self.predict(record_on[0]))
+                    else:
+                        error = rmse_percent(y_raw, self.predict(x_raw))
+                    history.record(step, error)
         obs.counter(
             "nn.iterations", help="minibatch gradient steps taken"
         ).inc(iterations)
@@ -205,23 +230,78 @@ class NeuralNetwork:
         return float(self.predict(np.asarray(features, dtype=float).reshape(1, -1))[0])
 
     # ------------------------------------------------------------------
+    # Parameters
+    # ------------------------------------------------------------------
+    def parameters(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Copies of the weight matrices and bias vectors, input layer first."""
+        if not self._weights:
+            raise ModelNotTrainedError("NeuralNetwork.parameters before fit")
+        return [w.copy() for w in self._weights], [b.copy() for b in self._biases]
+
+    def load_parameters(
+        self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]
+    ) -> None:
+        """Install trained weights and biases, as :meth:`parameters` returns them.
+
+        The optimizer starts afresh (zero Adam moments, step 0): the
+        network predicts exactly as the one the arrays came from, and a
+        later :meth:`partial_fit` restarts the optimizer state.
+        """
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if not weights or weights[0].ndim != 2:
+            raise ConfigurationError("weights must start with a 2-D input matrix")
+        weight_shapes, bias_shapes = self._layer_shapes(weights[0].shape[0])
+        got_weights = [w.shape for w in weights]
+        got_biases = [b.shape for b in biases]
+        if got_weights != weight_shapes or got_biases != bias_shapes:
+            raise ConfigurationError(
+                f"parameter shapes {got_weights} / {got_biases} do not match "
+                f"hidden layers {self.hidden_layers}"
+            )
+        self._allocate(weights[0].shape[0])
+        for view, array in zip(self._weights + self._biases, weights + biases):
+            view[...] = array
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _init_weights(self, n_inputs: int) -> None:
+    def _layer_shapes(
+        self, n_inputs: int
+    ) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
         sizes = [n_inputs, *self.hidden_layers, 1]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        return list(zip(sizes[:-1], sizes[1:])), [(o,) for o in sizes[1:]]
+
+    def _allocate(self, n_inputs: int) -> None:
+        """Zeroed parameters, gradient and Adam state in one flat layout.
+
+        The layout is every weight matrix, then every bias vector, input
+        layer first.  ``_weights``/``_biases`` and ``_grad_w``/``_grad_b``
+        are reshaped views of ``_params`` and ``_grads``, so backprop
+        writes the gradient in place and one pass of whole-vector ufuncs
+        updates the entire network.
+        """
+        weight_shapes, bias_shapes = self._layer_shapes(n_inputs)
+        shapes = weight_shapes + bias_shapes
+        size = sum(math.prod(shape) for shape in shapes)
+        self._params = np.zeros(size)
+        self._grads = np.zeros(size)
+        params = _views(self._params, shapes)
+        grads = _views(self._grads, shapes)
+        layers = len(weight_shapes)
+        self._weights, self._biases = params[:layers], params[layers:]
+        self._grad_w, self._grad_b = grads[:layers], grads[layers:]
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._t = 0
+        self._scratch = np.empty((2, size))
+
+    def _init_weights(self, n_inputs: int) -> None:
+        self._allocate(n_inputs)
+        for w in self._weights:
+            fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(
-                self._rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            )
-            self._biases.append(np.zeros(fan_out))
-        self._adam_m = [np.zeros_like(w) for w in self._weights] + [
-            np.zeros_like(b) for b in self._biases
-        ]
-        self._adam_v = [np.zeros_like(m) for m in self._adam_m]
-        self._adam_t = 0
+            w[...] = self._rng.uniform(-limit, limit, size=w.shape)
 
     @staticmethod
     def _matmul_rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -257,34 +337,45 @@ class NeuralNetwork:
         return activations
 
     def _adam_step(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        grads_w, grads_b = self._gradients(xs, ys)
-        self._adam_t += 1
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        params = self._weights + self._biases
-        grads = grads_w + grads_b
-        for i, (param, grad) in enumerate(zip(params, grads)):
-            self._adam_m[i] = beta1 * self._adam_m[i] + (1 - beta1) * grad
-            self._adam_v[i] = beta2 * self._adam_v[i] + (1 - beta2) * grad**2
-            m_hat = self._adam_m[i] / (1 - beta1**self._adam_t)
-            v_hat = self._adam_v[i] / (1 - beta2**self._adam_t)
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        """One Adam update of the whole network on one minibatch.
 
-    def _gradients(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        Elementwise, this is the textbook per-array update
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+        ``p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``, one
+        IEEE operation per step in the same order (no reassociation), so
+        the flat update is bit-identical to updating each array alone.
+        """
+        self._gradients(xs, ys)
+        self._t += 1
+        grad, m, v = self._grads, self._m, self._v
+        step, denom = self._scratch
+        np.multiply(m, _BETA1, out=m)
+        np.multiply(grad, 1 - _BETA1, out=step)
+        np.add(m, step, out=m)
+        np.multiply(v, _BETA2, out=v)
+        np.square(grad, out=step)
+        np.multiply(step, 1 - _BETA2, out=step)
+        np.add(v, step, out=v)
+        np.divide(m, 1 - _BETA1**self._t, out=step)
+        np.multiply(step, self.learning_rate, out=step)
+        np.divide(v, 1 - _BETA2**self._t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, _EPS, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(self._params, step, out=self._params)
+
+    def _gradients(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Backprop the minibatch MSE gradient into ``_grads``."""
         activations = self._forward(xs)
         n = xs.shape[0]
         delta = (activations[-1] - ys.reshape(-1, 1)) * (2.0 / n)
-        grads_w: List[np.ndarray] = [np.empty(0)] * len(self._weights)
-        grads_b: List[np.ndarray] = [np.empty(0)] * len(self._biases)
         for layer in range(len(self._weights) - 1, -1, -1):
-            grads_w[layer] = activations[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(activations[layer].T, delta, out=self._grad_w[layer])
+            np.add.reduce(delta, axis=0, out=self._grad_b[layer])
             if layer > 0:
                 delta = (delta @ self._weights[layer].T) * (
                     1.0 - activations[layer] ** 2
                 )
-        return grads_w, grads_b
 
     def _target_forward(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).reshape(-1, 1)
@@ -308,6 +399,24 @@ class NeuralNetwork:
             f"NeuralNetwork(hidden={self.hidden_layers}, "
             f"lr={self.learning_rate}, fitted={self.is_fitted})"
         )
+
+
+def _views(flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def _validate_schedule(iterations: int, record_every: int) -> None:
+    if iterations < 1:
+        raise TrainingError("iterations must be >= 1")
+    if record_every < 1:
+        raise TrainingError("record_every must be >= 1")
 
 
 def _validate_xy(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -136,6 +136,37 @@ class TestRoundTrip:
         assert restored.costing.has_logical_models
 
 
+class TestReloadedNetworkTunes:
+    def test_partial_fit_after_reload(self, trained_profile, tmp_path):
+        """A reloaded network keeps training: offline tuning moves its
+        predictions, and two reloads given the same fold agree bit for bit
+        (fresh Adam state and a freshly seeded minibatch stream each)."""
+        path = tmp_path / "hive.json"
+        save_profile(trained_profile, path)
+        reloads = [
+            load_profile(path).costing.logical_models[OperatorKind.AGGREGATE].network
+            for _ in range(2)
+        ]
+        rng = np.random.default_rng(5)
+        fold_x = np.column_stack(
+            [
+                rng.uniform(1e7, 4e7, 40),
+                rng.choice([40.0, 100.0, 1000.0], 40),
+                rng.uniform(1e4, 1e6, 40),
+                np.full(40, 12.0),
+            ]
+        )
+        fold_y = 1 + fold_x[:, 0] * 2e-6 * fold_x[:, 1] / 100
+        before = reloads[0].predict(fold_x)
+        for network in reloads:
+            network.partial_fit(fold_x, fold_y, iterations=300)
+        tuned = [network.predict(fold_x) for network in reloads]
+        assert not np.array_equal(tuned[0], before)
+        assert np.array_equal(tuned[0], tuned[1])
+        for got, want in zip(*(network.parameters() for network in reloads)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestErrors:
     def test_untrained_logical_model_rejected(self):
         model = LogicalOpModel(OperatorKind.JOIN)
