@@ -16,6 +16,10 @@ substrate it depends on:
   facade;
 * :mod:`repro.workloads` — the §7 training/evaluation workloads.
 
+Every package resolves the names it re-exports on first use
+(:mod:`repro._lazy`): ``import repro`` loads no subpackage, and a
+process loads only the modules it runs.
+
 Quickstart::
 
     from repro import IntelliSphere, HiveEngine, RemoteSystemProfile, ClusterInfo
@@ -31,72 +35,39 @@ Quickstart::
     # ... add tables, train costing, then sphere.explain("SELECT ...")
 """
 
-from repro.cluster import Cluster, ClusterConfig, paper_cluster
-from repro.core import (
-    AggregateOperatorStats,
-    ClusterInfo,
-    CostEstimationModule,
-    CostingApproach,
-    CostingProfile,
-    JoinOperatorStats,
-    LogicalOpModel,
-    OperatorKind,
-    RemoteSystemProfile,
-    ScanOperatorStats,
-    SubOpTrainer,
-    TrainingQuery,
-)
-from repro.data import Catalog, TableSpec, build_paper_corpus
-from repro.engines import (
-    HiveEngine,
-    ImpalaEngine,
-    PrestoEngine,
-    RdbmsEngine,
-    RemoteSystem,
-    SparkEngine,
-)
-from repro.master import IntelliSphere, PlacementOptimizer, QueryGrid
-from repro.sql import parse_select, scan
-from repro.workloads import (
-    AggregationWorkload,
-    JoinWorkload,
-    OutOfRangeWorkload,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "paper_cluster",
-    "AggregateOperatorStats",
-    "ClusterInfo",
-    "CostEstimationModule",
-    "CostingApproach",
-    "CostingProfile",
-    "JoinOperatorStats",
-    "LogicalOpModel",
-    "OperatorKind",
-    "RemoteSystemProfile",
-    "ScanOperatorStats",
-    "SubOpTrainer",
-    "TrainingQuery",
-    "Catalog",
-    "TableSpec",
-    "build_paper_corpus",
-    "HiveEngine",
-    "ImpalaEngine",
-    "PrestoEngine",
-    "RdbmsEngine",
-    "RemoteSystem",
-    "SparkEngine",
-    "IntelliSphere",
-    "PlacementOptimizer",
-    "QueryGrid",
-    "parse_select",
-    "scan",
-    "AggregationWorkload",
-    "JoinWorkload",
-    "OutOfRangeWorkload",
-    "__version__",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".cluster": ("Cluster", "ClusterConfig", "paper_cluster"),
+        ".core": (
+            "AggregateOperatorStats",
+            "ClusterInfo",
+            "CostEstimationModule",
+            "CostingApproach",
+            "CostingProfile",
+            "JoinOperatorStats",
+            "LogicalOpModel",
+            "OperatorKind",
+            "RemoteSystemProfile",
+            "ScanOperatorStats",
+            "SubOpTrainer",
+            "TrainingQuery",
+        ),
+        ".data": ("Catalog", "TableSpec", "build_paper_corpus"),
+        ".engines": (
+            "HiveEngine",
+            "ImpalaEngine",
+            "PrestoEngine",
+            "RdbmsEngine",
+            "RemoteSystem",
+            "SparkEngine",
+        ),
+        ".master": ("IntelliSphere", "PlacementOptimizer", "QueryGrid"),
+        ".sql": ("parse_select", "scan"),
+        ".workloads": ("AggregationWorkload", "JoinWorkload", "OutOfRangeWorkload"),
+    },
+) + ["__version__"]

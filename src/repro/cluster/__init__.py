@@ -11,21 +11,14 @@ The paper evaluated on a 4-node Hive VM cluster (1 master + 3 data nodes,
 that exact configuration.
 """
 
-from repro.cluster.node import CpuProfile, DiskProfile, MemoryProfile, NodeSpec
-from repro.cluster.cluster import Cluster, ClusterConfig, paper_cluster
-from repro.cluster.dfs import BlockPlacement, DfsFile, DistributedFileSystem
-from repro.cluster.network import NetworkFabric
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CpuProfile",
-    "DiskProfile",
-    "MemoryProfile",
-    "NodeSpec",
-    "Cluster",
-    "ClusterConfig",
-    "paper_cluster",
-    "BlockPlacement",
-    "DfsFile",
-    "DistributedFileSystem",
-    "NetworkFabric",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".node": ("CpuProfile", "DiskProfile", "MemoryProfile", "NodeSpec"),
+        ".cluster": ("Cluster", "ClusterConfig", "paper_cluster"),
+        ".dfs": ("BlockPlacement", "DfsFile", "DistributedFileSystem"),
+        ".network": ("NetworkFabric",),
+    },
+)

@@ -17,147 +17,83 @@ Three costing approaches (§3-§5):
 point.
 """
 
-from repro.core.operators import (
-    AGGREGATE_DIMENSIONS,
-    AggregateOperatorStats,
-    JOIN_DIMENSIONS,
-    JoinOperatorStats,
-    OperatorKind,
-    OperatorStats,
-    ScanOperatorStats,
-    dimensions_for,
-    operator_kind_for,
-)
-from repro.core.metadata import DimensionMetadata, PivotReport, find_pivots
-from repro.core.training import TrainingRecord, TrainingSet
-from repro.core.logical_op import CostEstimate, LogicalOpModel, TrainingReport
-from repro.core.remedy import AlphaCalibrator, OnlineRemedy, RemedyEstimate
-from repro.core.tuning import ExecutionLog, LogEntry, OfflineTuner
-from repro.core.subop_model import (
-    ClusterInfo,
-    HashBuildModel,
-    SubOpModel,
-    SubOpModelSet,
-    SubOpSample,
-    SubOpTrainer,
-    SubOpTrainingResult,
-)
-from repro.core.formulas import (
-    AGGREGATE_FORMULAS,
-    BroadcastJoinFormula,
-    HIVE_JOIN_FORMULAS,
-    SPARK_JOIN_FORMULAS,
-    ScanCostFormula,
-    ShuffleJoinFormula,
-)
-from repro.core.rules import (
-    AggregateAlgorithmSelector,
-    ApplicabilityRule,
-    CostedJoinAlgorithm,
-    JoinAlgorithmSelector,
-    RuleContext,
-    SelectionResult,
-    SelectionStrategy,
-    hive_join_algorithms,
-    spark_join_algorithms,
-)
-from repro.core.estimator import (
-    BatchEstimate,
-    CostingApproach,
-    EstimationRequest,
-    HybridEstimator,
-    LogicalOpEstimator,
-    OperatorEstimate,
-    SubOpEstimator,
-    normalize_join_stats,
-)
-from repro.core.estimate_cache import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_RESOLUTION,
-    EstimateCache,
-)
-from repro.core.profile import CostingProfile, RemoteSystemProfile
-from repro.core.costing import (
-    CostEstimationModule,
-    TrainingQuery,
-    derive_join_stats,
-    derive_operator_stats,
-)
-from repro.core.drift import DriftMonitor, DriftReport
-from repro.core.persistence import (
-    load_profile,
-    profile_from_dict,
-    profile_to_dict,
-    save_profile,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATE_DIMENSIONS",
-    "AggregateOperatorStats",
-    "JOIN_DIMENSIONS",
-    "JoinOperatorStats",
-    "OperatorKind",
-    "OperatorStats",
-    "ScanOperatorStats",
-    "dimensions_for",
-    "operator_kind_for",
-    "DimensionMetadata",
-    "PivotReport",
-    "find_pivots",
-    "TrainingRecord",
-    "TrainingSet",
-    "CostEstimate",
-    "LogicalOpModel",
-    "TrainingReport",
-    "AlphaCalibrator",
-    "OnlineRemedy",
-    "RemedyEstimate",
-    "ExecutionLog",
-    "LogEntry",
-    "OfflineTuner",
-    "ClusterInfo",
-    "HashBuildModel",
-    "SubOpModel",
-    "SubOpModelSet",
-    "SubOpSample",
-    "SubOpTrainer",
-    "SubOpTrainingResult",
-    "AGGREGATE_FORMULAS",
-    "BroadcastJoinFormula",
-    "HIVE_JOIN_FORMULAS",
-    "SPARK_JOIN_FORMULAS",
-    "ScanCostFormula",
-    "ShuffleJoinFormula",
-    "AggregateAlgorithmSelector",
-    "ApplicabilityRule",
-    "CostedJoinAlgorithm",
-    "JoinAlgorithmSelector",
-    "RuleContext",
-    "SelectionResult",
-    "SelectionStrategy",
-    "hive_join_algorithms",
-    "spark_join_algorithms",
-    "BatchEstimate",
-    "CostingApproach",
-    "EstimationRequest",
-    "HybridEstimator",
-    "LogicalOpEstimator",
-    "OperatorEstimate",
-    "SubOpEstimator",
-    "normalize_join_stats",
-    "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_RESOLUTION",
-    "EstimateCache",
-    "CostingProfile",
-    "RemoteSystemProfile",
-    "CostEstimationModule",
-    "TrainingQuery",
-    "derive_join_stats",
-    "derive_operator_stats",
-    "DriftMonitor",
-    "DriftReport",
-    "load_profile",
-    "profile_from_dict",
-    "profile_to_dict",
-    "save_profile",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".operators": (
+            "AGGREGATE_DIMENSIONS",
+            "AggregateOperatorStats",
+            "JOIN_DIMENSIONS",
+            "JoinOperatorStats",
+            "OperatorKind",
+            "OperatorStats",
+            "ScanOperatorStats",
+            "dimensions_for",
+            "operator_kind_for",
+        ),
+        ".metadata": ("DimensionMetadata", "PivotReport", "find_pivots"),
+        ".training": ("TrainingRecord", "TrainingSet"),
+        ".logical_op": ("CostEstimate", "LogicalOpModel", "TrainingReport"),
+        ".remedy": ("AlphaCalibrator", "OnlineRemedy", "RemedyEstimate"),
+        ".tuning": ("ExecutionLog", "LogEntry", "OfflineTuner"),
+        ".subop_model": (
+            "ClusterInfo",
+            "HashBuildModel",
+            "SubOpModel",
+            "SubOpModelSet",
+            "SubOpSample",
+            "SubOpTrainer",
+            "SubOpTrainingResult",
+        ),
+        ".formulas": (
+            "AGGREGATE_FORMULAS",
+            "BroadcastJoinFormula",
+            "HIVE_JOIN_FORMULAS",
+            "SPARK_JOIN_FORMULAS",
+            "ScanCostFormula",
+            "ShuffleJoinFormula",
+        ),
+        ".rules": (
+            "AggregateAlgorithmSelector",
+            "ApplicabilityRule",
+            "CostedJoinAlgorithm",
+            "JoinAlgorithmSelector",
+            "RuleContext",
+            "SelectionResult",
+            "SelectionStrategy",
+            "hive_join_algorithms",
+            "spark_join_algorithms",
+        ),
+        ".estimator": (
+            "BatchEstimate",
+            "CostingApproach",
+            "EstimationRequest",
+            "HybridEstimator",
+            "LogicalOpEstimator",
+            "OperatorEstimate",
+            "SubOpEstimator",
+            "normalize_join_stats",
+        ),
+        ".estimate_cache": (
+            "DEFAULT_MAX_ENTRIES",
+            "DEFAULT_RESOLUTION",
+            "EstimateCache",
+        ),
+        ".profile": ("CostingProfile", "RemoteSystemProfile"),
+        ".costing": (
+            "CostEstimationModule",
+            "TrainingQuery",
+            "derive_join_stats",
+            "derive_operator_stats",
+        ),
+        ".drift": ("DriftMonitor", "DriftReport"),
+        ".persistence": (
+            "load_profile",
+            "profile_from_dict",
+            "profile_to_dict",
+            "save_profile",
+        ),
+    },
+)

@@ -12,32 +12,22 @@ times 6 record sizes, shared schema ``(a1,a2,a5,a10,a20,a50,a100,z,dummy)``
 where column ``a_i`` has duplication rate ``i`` and ``z`` is all zeros.
 """
 
-from repro.data.schema import Column, DataType, TableSchema, paper_schema
-from repro.data.table import TableSpec
-from repro.data.statistics import ColumnStatistics, TableStatistics
-from repro.data.catalog import Catalog
-from repro.data.generator import (
-    PAPER_ROW_COUNTS,
-    PAPER_ROW_SIZES,
-    SyntheticCorpus,
-    build_paper_corpus,
-    materialize_rows,
-    table_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Column",
-    "DataType",
-    "TableSchema",
-    "paper_schema",
-    "TableSpec",
-    "ColumnStatistics",
-    "TableStatistics",
-    "Catalog",
-    "PAPER_ROW_COUNTS",
-    "PAPER_ROW_SIZES",
-    "SyntheticCorpus",
-    "build_paper_corpus",
-    "materialize_rows",
-    "table_name",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".schema": ("Column", "DataType", "TableSchema", "paper_schema"),
+        ".table": ("TableSpec",),
+        ".statistics": ("ColumnStatistics", "TableStatistics"),
+        ".catalog": ("Catalog",),
+        ".generator": (
+            "PAPER_ROW_COUNTS",
+            "PAPER_ROW_SIZES",
+            "SyntheticCorpus",
+            "build_paper_corpus",
+            "materialize_rows",
+            "table_name",
+        ),
+    },
+)

@@ -14,34 +14,23 @@ as invisible; it may only call :meth:`RemoteSystem.execute` and
 relies on.
 """
 
-from repro.engines.base import (
-    EngineCapabilities,
-    PrimitiveKind,
-    PrimitiveQuery,
-    QueryResult,
-    RemoteSystem,
-)
-from repro.engines.execution import EngineTuning
-from repro.engines.subops import SubOp, SubOpKernel, TwoRegimeKernel, KernelSet
-from repro.engines.hive import HiveEngine
-from repro.engines.spark import SparkEngine
-from repro.engines.mpp import ImpalaEngine, PrestoEngine
-from repro.engines.rdbms import RdbmsEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ImpalaEngine",
-    "PrestoEngine",
-    "EngineCapabilities",
-    "EngineTuning",
-    "PrimitiveKind",
-    "PrimitiveQuery",
-    "QueryResult",
-    "RemoteSystem",
-    "SubOp",
-    "SubOpKernel",
-    "TwoRegimeKernel",
-    "KernelSet",
-    "HiveEngine",
-    "SparkEngine",
-    "RdbmsEngine",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".mpp": ("ImpalaEngine", "PrestoEngine"),
+        ".base": (
+            "EngineCapabilities",
+            "PrimitiveKind",
+            "PrimitiveQuery",
+            "QueryResult",
+            "RemoteSystem",
+        ),
+        ".execution": ("EngineTuning",),
+        ".subops": ("SubOp", "SubOpKernel", "TwoRegimeKernel", "KernelSet"),
+        ".hive": ("HiveEngine",),
+        ".spark": ("SparkEngine",),
+        ".rdbms": ("RdbmsEngine",),
+    },
+)

@@ -12,30 +12,19 @@
   remote systems, train costing profiles, explain and run SQL.
 """
 
-from repro.master.querygrid import QueryGrid, TransferEstimate
-from repro.master.teradata import TeradataCostModel
-from repro.master.optimizer import (
-    PlacementOptimizer,
-    PlacementPlan,
-    PlacementStep,
-)
-from repro.master.federation import FederatedResult, IntelliSphere
-from repro.master.transfer_learning import (
-    NoisyTransferChannel,
-    TransferCostLearner,
-    probe_transfers,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NoisyTransferChannel",
-    "TransferCostLearner",
-    "probe_transfers",
-    "QueryGrid",
-    "TransferEstimate",
-    "TeradataCostModel",
-    "PlacementOptimizer",
-    "PlacementPlan",
-    "PlacementStep",
-    "FederatedResult",
-    "IntelliSphere",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".transfer_learning": (
+            "NoisyTransferChannel",
+            "TransferCostLearner",
+            "probe_transfers",
+        ),
+        ".querygrid": ("QueryGrid", "TransferEstimate"),
+        ".teradata": ("TeradataCostModel",),
+        ".optimizer": ("PlacementOptimizer", "PlacementPlan", "PlacementStep"),
+        ".federation": ("FederatedResult", "IntelliSphere"),
+    },
+)

@@ -14,31 +14,21 @@ external ML dependency is available here):
 * :mod:`repro.ml.crossval` — the §3 cross-validation topology search.
 """
 
-from repro.ml.metrics import (
-    fit_line,
-    mean_absolute_error,
-    r_squared,
-    rmse,
-    rmse_percent,
-)
-from repro.ml.scaling import LogStandardScaler, StandardScaler
-from repro.ml.linear import LinearRegression, SegmentedLinearRegression
-from repro.ml.nn import NeuralNetwork, TrainingHistory
-from repro.ml.crossval import TopologySearchResult, topology_search, train_test_split
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fit_line",
-    "mean_absolute_error",
-    "r_squared",
-    "rmse",
-    "rmse_percent",
-    "LogStandardScaler",
-    "StandardScaler",
-    "LinearRegression",
-    "SegmentedLinearRegression",
-    "NeuralNetwork",
-    "TrainingHistory",
-    "TopologySearchResult",
-    "topology_search",
-    "train_test_split",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".metrics": (
+            "fit_line",
+            "mean_absolute_error",
+            "r_squared",
+            "rmse",
+            "rmse_percent",
+        ),
+        ".scaling": ("LogStandardScaler", "StandardScaler"),
+        ".linear": ("LinearRegression", "SegmentedLinearRegression"),
+        ".nn": ("NeuralNetwork", "TrainingHistory"),
+        ".crossval": ("TopologySearchResult", "topology_search", "train_test_split"),
+    },
+)

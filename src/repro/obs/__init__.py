@@ -73,335 +73,203 @@ around that loop:
 
 Instrumented subsystems must import *this* package, never the other way
 around: :mod:`repro.obs` depends only on the standard library.
+
+Importing the package loads only what set-up and a request run: the
+registry, tail sampler, tracer, query context, ledgers, journal and the
+time-series windows the federation rolls on every query.  Every other
+name loads its module on first use (:mod:`repro._lazy`), so a serving
+process never compiles the alert engine, dashboard, flamegraphs,
+profilers, exporters, journal fold or flight recorder it does not call.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsObserver,
-    MetricsRegistry,
-    DEFAULT_SECONDS_BUCKETS,
-    WALL_SECONDS_BUCKETS,
-    Q_ERROR_BUCKETS,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-    set_registry,
-)
-from repro.obs.tail import (
-    KEEP_REASONS,
-    TAIL_LATENCY_ENV_VAR,
-    TAIL_QERROR_ENV_VAR,
-    QueryOutcome,
-    TailDecision,
-    TailSampler,
-    get_tail_sampler,
-    set_tail_sampler,
-)
-from repro.obs.tracing import (
-    NOOP_SPAN,
-    Span,
-    Tracer,
-    get_tracer,
-    render_span_tree,
-)
-from repro.obs.ledger import (
-    AccuracyLedger,
-    AccuracyStats,
-    LedgerEntry,
-    get_ledger,
-    set_ledger,
-)
-from repro.obs.journal import (
-    EVENT_TYPES,
-    JOURNAL_ENV_VAR,
-    NOOP_JOURNAL,
-    EventJournal,
-    JournalEvent,
-    NoopJournal,
-    add_journal_listener,
-    get_journal,
-    read_journal,
-    remove_journal_listener,
-    set_journal,
-)
-from repro.obs.flight import (
-    FLIGHT_DIR_ENV_VAR,
-    FLIGHT_SCHEMA_VERSION,
-    FlightRecord,
-    FlightRecorder,
-    IncidentBundle,
-    get_flight_recorder,
-    load_bundle,
-    render_bundle_html,
-    set_flight_recorder,
-    trigger_incident,
-)
-from repro.obs.tenants import (
-    TenantLedger,
-    get_tenant_ledger,
-    rank_tenants,
-    set_tenant_ledger,
-)
-from repro.obs.profiler import (
-    QueryProfile,
-    build_profile,
-    render_html,
-    render_text,
-)
-from repro.obs.exporters import (
-    build_snapshot,
-    derive_gauges,
-    format_snapshot_text,
-    load_json_snapshot,
-    to_prometheus_text,
-    write_json_snapshot,
-)
-from repro.obs.context import (
-    SAMPLE_ENV_VAR,
-    ExemplarStore,
-    HeadSampler,
-    QueryContext,
-    QueryStats,
-    add_completion_hook,
-    adopt_context,
-    build_query_context,
-    current_context,
-    current_query_id,
-    current_sampled,
-    current_tenant,
-    ensure_query_context,
-    get_exemplar_store,
-    get_sampler,
-    note_estimated_seconds,
-    note_query_q_error,
-    query_context,
-    record_exemplar,
-    remove_completion_hook,
-    reset_query_ids,
-    set_exemplar_store,
-    set_sampler,
-)
-from repro.obs.alerts import (
-    ALERT_SCHEMA_VERSION,
-    Alert,
-    AlertEngine,
-    AlertReport,
-    AlertRule,
-    default_rules,
-    load_rules,
-    rules_from_json,
-)
-from repro.obs.health import (
-    OBSERVATION_VERSION,
-    SystemHealth,
-    build_observation,
-    evaluate_health,
-    observation_from_snapshot,
-    worst_grade,
-)
-from repro.obs.dashboard import history_from_windows, render_dashboard
-from repro.obs.timeseries import (
-    WINDOW_RETENTION_ENV_VAR,
-    WINDOW_SCHEMA_VERSION,
-    WINDOW_WIDTH_ENV_VAR,
-    HistogramWindow,
-    ManualClock,
-    TimeSeriesAggregator,
-    WindowSummary,
-    disable_timeseries,
-    enable_timeseries,
-    get_timeseries,
-    log_buckets,
-    maybe_roll_timeseries,
-    set_timeseries,
-)
-from repro.obs.sampling import (
-    DEFAULT_HZ,
-    PROF_ENV_VAR,
-    PROF_WINDOW_ENV_VAR,
-    PROFILE_SCHEMA_VERSION,
-    ProfileWindow,
-    StackSampler,
-    fold_stack,
-    get_stack_sampler,
-    maybe_start_sampling,
-    merge_stacks,
-    register_thread_role,
-    role_for_thread,
-    set_stack_sampler,
-    start_sampling,
-    stop_sampling,
-)
-from repro.obs.flamegraph import (
-    FlameNode,
-    FrameDelta,
-    build_flame,
-    diff_frames,
-    frame_stats,
-    render_collapsed,
-    render_diff_html,
-    render_diff_text,
-    render_flamegraph_fragment,
-    render_flamegraph_html,
-    render_top_text,
-)
-from repro.obs.rebuild import ReplayResult, replay
-from repro.obs.server import HttpRequest, HttpResponse, ObsServer, json_response
-from repro.obs.logconf import configure as configure_logging
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsObserver",
-    "MetricsRegistry",
-    "DEFAULT_SECONDS_BUCKETS",
-    "WALL_SECONDS_BUCKETS",
-    "Q_ERROR_BUCKETS",
-    "counter",
-    "gauge",
-    "histogram",
-    "get_registry",
-    "set_registry",
-    "KEEP_REASONS",
-    "TAIL_LATENCY_ENV_VAR",
-    "TAIL_QERROR_ENV_VAR",
-    "QueryOutcome",
-    "TailDecision",
-    "TailSampler",
-    "get_tail_sampler",
-    "set_tail_sampler",
-    "NOOP_SPAN",
-    "Span",
-    "Tracer",
-    "get_tracer",
-    "render_span_tree",
-    "AccuracyLedger",
-    "AccuracyStats",
-    "LedgerEntry",
-    "get_ledger",
-    "set_ledger",
-    "EVENT_TYPES",
-    "JOURNAL_ENV_VAR",
-    "NOOP_JOURNAL",
-    "EventJournal",
-    "JournalEvent",
-    "NoopJournal",
-    "add_journal_listener",
-    "get_journal",
-    "read_journal",
-    "remove_journal_listener",
-    "set_journal",
-    "FLIGHT_DIR_ENV_VAR",
-    "FLIGHT_SCHEMA_VERSION",
-    "FlightRecord",
-    "FlightRecorder",
-    "IncidentBundle",
-    "get_flight_recorder",
-    "load_bundle",
-    "render_bundle_html",
-    "set_flight_recorder",
-    "trigger_incident",
-    "TenantLedger",
-    "get_tenant_ledger",
-    "rank_tenants",
-    "set_tenant_ledger",
-    "QueryProfile",
-    "build_profile",
-    "render_html",
-    "render_text",
-    "build_snapshot",
-    "derive_gauges",
-    "format_snapshot_text",
-    "load_json_snapshot",
-    "to_prometheus_text",
-    "write_json_snapshot",
-    "SAMPLE_ENV_VAR",
-    "ExemplarStore",
-    "HeadSampler",
-    "QueryContext",
-    "QueryStats",
-    "add_completion_hook",
-    "adopt_context",
-    "build_query_context",
-    "current_context",
-    "current_query_id",
-    "current_sampled",
-    "current_tenant",
-    "ensure_query_context",
-    "get_exemplar_store",
-    "get_sampler",
-    "note_estimated_seconds",
-    "note_query_q_error",
-    "query_context",
-    "record_exemplar",
-    "remove_completion_hook",
-    "reset_query_ids",
-    "set_exemplar_store",
-    "set_sampler",
-    "ALERT_SCHEMA_VERSION",
-    "Alert",
-    "AlertEngine",
-    "AlertReport",
-    "AlertRule",
-    "default_rules",
-    "load_rules",
-    "rules_from_json",
-    "OBSERVATION_VERSION",
-    "SystemHealth",
-    "build_observation",
-    "evaluate_health",
-    "observation_from_snapshot",
-    "worst_grade",
-    "history_from_windows",
-    "render_dashboard",
-    "WINDOW_RETENTION_ENV_VAR",
-    "WINDOW_SCHEMA_VERSION",
-    "WINDOW_WIDTH_ENV_VAR",
-    "HistogramWindow",
-    "ManualClock",
-    "TimeSeriesAggregator",
-    "WindowSummary",
-    "disable_timeseries",
-    "enable_timeseries",
-    "get_timeseries",
-    "log_buckets",
-    "maybe_roll_timeseries",
-    "set_timeseries",
-    "DEFAULT_HZ",
-    "PROF_ENV_VAR",
-    "PROF_WINDOW_ENV_VAR",
-    "PROFILE_SCHEMA_VERSION",
-    "ProfileWindow",
-    "StackSampler",
-    "fold_stack",
-    "get_stack_sampler",
-    "maybe_start_sampling",
-    "merge_stacks",
-    "register_thread_role",
-    "role_for_thread",
-    "set_stack_sampler",
-    "start_sampling",
-    "stop_sampling",
-    "FlameNode",
-    "FrameDelta",
-    "build_flame",
-    "diff_frames",
-    "frame_stats",
-    "render_collapsed",
-    "render_diff_html",
-    "render_diff_text",
-    "render_flamegraph_fragment",
-    "render_flamegraph_html",
-    "render_top_text",
-    "ReplayResult",
-    "replay",
-    "HttpRequest",
-    "HttpResponse",
-    "ObsServer",
-    "json_response",
-    "configure_logging",
-]
+# Importing tracing registers the tracer's completion hook and then the
+# flight recorder's feeds; tenants registers its hook after them.
+from repro.obs import (  # noqa: F401
+    metrics,
+    tail,
+    context,
+    tracing,
+    ledger,
+    journal,
+    tenants,
+    timeseries,
+)
+
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsObserver",
+            "MetricsRegistry",
+            "DEFAULT_SECONDS_BUCKETS",
+            "WALL_SECONDS_BUCKETS",
+            "Q_ERROR_BUCKETS",
+            "counter",
+            "gauge",
+            "histogram",
+            "get_registry",
+            "set_registry",
+        ),
+        ".tail": (
+            "KEEP_REASONS",
+            "TAIL_LATENCY_ENV_VAR",
+            "TAIL_QERROR_ENV_VAR",
+            "QueryOutcome",
+            "TailDecision",
+            "TailSampler",
+            "get_tail_sampler",
+            "set_tail_sampler",
+        ),
+        ".tracing": (
+            "NOOP_SPAN",
+            "Span",
+            "Tracer",
+            "get_tracer",
+            "render_span_tree",
+            "FLIGHT_DIR_ENV_VAR",
+            "PROF_ENV_VAR",
+            "get_flight_recorder",
+            "set_flight_recorder",
+            "trigger_incident",
+        ),
+        ".ledger": (
+            "AccuracyLedger",
+            "AccuracyStats",
+            "LedgerEntry",
+            "get_ledger",
+            "set_ledger",
+        ),
+        ".journal": (
+            "EVENT_TYPES",
+            "JOURNAL_ENV_VAR",
+            "NOOP_JOURNAL",
+            "EventJournal",
+            "JournalEvent",
+            "NoopJournal",
+            "add_journal_listener",
+            "get_journal",
+            "read_journal",
+            "remove_journal_listener",
+            "set_journal",
+        ),
+        ".flight": (
+            "FLIGHT_SCHEMA_VERSION",
+            "FlightRecord",
+            "FlightRecorder",
+            "IncidentBundle",
+            "load_bundle",
+            "render_bundle_html",
+        ),
+        ".tenants": (
+            "TenantLedger",
+            "get_tenant_ledger",
+            "rank_tenants",
+            "set_tenant_ledger",
+        ),
+        ".profiler": ("QueryProfile", "build_profile", "render_html", "render_text"),
+        ".exporters": (
+            "build_snapshot",
+            "derive_gauges",
+            "format_snapshot_text",
+            "load_json_snapshot",
+            "to_prometheus_text",
+            "write_json_snapshot",
+        ),
+        ".context": (
+            "SAMPLE_ENV_VAR",
+            "ExemplarStore",
+            "HeadSampler",
+            "QueryContext",
+            "QueryStats",
+            "add_completion_hook",
+            "adopt_context",
+            "build_query_context",
+            "current_context",
+            "current_query_id",
+            "current_sampled",
+            "current_tenant",
+            "ensure_query_context",
+            "get_exemplar_store",
+            "get_sampler",
+            "note_estimated_seconds",
+            "note_query_q_error",
+            "query_context",
+            "record_exemplar",
+            "remove_completion_hook",
+            "reset_query_ids",
+            "set_exemplar_store",
+            "set_sampler",
+        ),
+        ".alerts": (
+            "ALERT_SCHEMA_VERSION",
+            "Alert",
+            "AlertEngine",
+            "AlertReport",
+            "AlertRule",
+            "default_rules",
+            "load_rules",
+            "rules_from_json",
+        ),
+        ".health": (
+            "OBSERVATION_VERSION",
+            "SystemHealth",
+            "build_observation",
+            "evaluate_health",
+            "observation_from_snapshot",
+            "worst_grade",
+        ),
+        ".dashboard": ("history_from_windows", "render_dashboard"),
+        ".timeseries": (
+            "WINDOW_RETENTION_ENV_VAR",
+            "WINDOW_SCHEMA_VERSION",
+            "WINDOW_WIDTH_ENV_VAR",
+            "HistogramWindow",
+            "ManualClock",
+            "TimeSeriesAggregator",
+            "WindowSummary",
+            "disable_timeseries",
+            "enable_timeseries",
+            "get_timeseries",
+            "log_buckets",
+            "maybe_roll_timeseries",
+            "set_timeseries",
+        ),
+        ".sampling": (
+            "DEFAULT_HZ",
+            "PROF_WINDOW_ENV_VAR",
+            "PROFILE_SCHEMA_VERSION",
+            "ProfileWindow",
+            "StackSampler",
+            "fold_stack",
+            "get_stack_sampler",
+            "maybe_start_sampling",
+            "merge_stacks",
+            "register_thread_role",
+            "role_for_thread",
+            "set_stack_sampler",
+            "start_sampling",
+            "stop_sampling",
+        ),
+        ".flamegraph": (
+            "FlameNode",
+            "FrameDelta",
+            "build_flame",
+            "diff_frames",
+            "frame_stats",
+            "render_collapsed",
+            "render_diff_html",
+            "render_diff_text",
+            "render_flamegraph_fragment",
+            "render_flamegraph_html",
+            "render_top_text",
+        ),
+        ".rebuild": ("ReplayResult", "replay"),
+        ".server": ("HttpRequest", "HttpResponse", "ObsServer", "json_response"),
+        ".logconf": {"configure_logging": "configure"},
+    },
+)

@@ -64,7 +64,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.flight import get_flight_recorder
 from repro.obs.journal import (
     NOOP_JOURNAL,
     EventJournal,
@@ -73,6 +72,7 @@ from repro.obs.journal import (
 )
 from repro.obs.metrics import counter
 from repro.obs.timeseries import HISTOGRAM_STATS, WindowSummary
+from repro.obs.tracing import get_flight_recorder
 
 __all__ = [
     "ALERT_SCHEMA_VERSION",

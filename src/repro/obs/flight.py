@@ -23,7 +23,10 @@ Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages
 (and, to keep the import graph acyclic, never from
 :mod:`repro.obs.alerts` or :mod:`repro.obs.dashboard` — they sit above
-it).
+it).  The process-wide recorder (``get_flight_recorder``,
+``set_flight_recorder``, ``trigger_incident``) and its feeds live in
+:mod:`repro.obs.tracing`, so this module loads only when a recorder is
+first built.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.context import add_completion_hook
-from repro.obs.journal import JournalEvent, add_journal_listener, get_journal
+from repro.obs.journal import JournalEvent, get_journal
 from repro.obs.metrics import counter
 from repro.obs.profiler import _esc, _html_page
 from repro.obs.sampling import get_stack_sampler
@@ -44,23 +46,15 @@ from repro.obs.tracing import get_tracer
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
-    "FLIGHT_DIR_ENV_VAR",
     "FlightRecord",
     "IncidentBundle",
     "FlightRecorder",
-    "get_flight_recorder",
-    "set_flight_recorder",
-    "trigger_incident",
     "load_bundle",
     "render_bundle_html",
 ]
 
 #: Bump on breaking bundle-layout changes; carried in every header.
 FLIGHT_SCHEMA_VERSION = 1
-
-#: Directory incident bundles are dumped into (JSONL + HTML); unset
-#: means incidents stay in memory (and in the journal, when enabled).
-FLIGHT_DIR_ENV_VAR = "REPRO_OBS_FLIGHT_DIR"
 
 _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
@@ -583,72 +577,3 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
             )
         body.append("</table>")
     return _html_page(f"Incident {bundle.name}", body)
-
-
-# ----------------------------------------------------------------------
-# Process-wide default recorder
-# ----------------------------------------------------------------------
-_default_recorder: Optional[FlightRecorder] = None
-_resolved = False
-_recorder_lock = threading.Lock()
-
-
-def _recorder_from_env() -> Optional[FlightRecorder]:
-    directory = os.environ.get(FLIGHT_DIR_ENV_VAR, "").strip()
-    return FlightRecorder(directory=directory) if directory else None
-
-
-def get_flight_recorder() -> Optional[FlightRecorder]:
-    """The process-wide flight recorder, or ``None`` when off.
-    Resolved lazily: ``REPRO_OBS_FLIGHT_DIR`` installs a dumping
-    recorder; unset means no recorder (zero completion-path cost)."""
-    global _default_recorder, _resolved
-    if _resolved:
-        return _default_recorder
-    with _recorder_lock:
-        if not _resolved:
-            _default_recorder = _recorder_from_env()
-            _resolved = True
-        return _default_recorder
-
-
-def set_flight_recorder(
-    recorder: Optional[FlightRecorder],
-) -> Optional[FlightRecorder]:
-    """Swap the flight recorder; ``None`` resets to unresolved so the
-    next :func:`get_flight_recorder` re-reads the environment.  Returns
-    the previous recorder."""
-    global _default_recorder, _resolved
-    with _recorder_lock:
-        previous = _default_recorder if _resolved else None
-        _default_recorder = recorder
-        _resolved = recorder is not None
-    return previous
-
-
-def trigger_incident(kind: str, **info: Any) -> Optional[IncidentBundle]:
-    """Trigger an incident on the process-wide recorder; no-op (returns
-    ``None``) when no recorder is installed.  The emission sites (alert
-    engine, drift transitions) call this unconditionally."""
-    recorder = get_flight_recorder()
-    if recorder is None:
-        return None
-    return recorder.trigger_incident(kind=kind, **info)
-
-
-def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
-    recorder = get_flight_recorder()
-    if recorder is not None:
-        recorder.record(outcome, decision)
-
-
-def _on_journal_event(event: JournalEvent) -> None:
-    recorder = get_flight_recorder()
-    if recorder is not None:
-        recorder.on_journal_event(event)
-
-
-# Registered after the tracer's hook (this module imports tracing), so
-# kept traces are committed into the ring before the recorder looks.
-add_completion_hook(_on_query_complete)
-add_journal_listener(_on_journal_event)

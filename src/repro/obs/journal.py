@@ -40,7 +40,16 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,6 +60,7 @@ __all__ = [
     "NOOP_JOURNAL",
     "JOURNAL_ENV_VAR",
     "ReadResult",
+    "JournalCursor",
     "read_journal",
     "iter_journal_lines",
     "get_journal",
@@ -129,6 +139,24 @@ class ReadResult:
     events: Tuple[JournalEvent, ...]
     corrupt_lines: int = 0
     skipped_versions: int = 0
+
+
+@dataclass(frozen=True)
+class JournalCursor:
+    """Where :meth:`EventJournal.read_since` stopped.
+
+    Attributes:
+        generations: Path, size and mtime of every journal file, taken
+            before the read.
+        offset: Bytes of the active file read, through its last
+            newline-terminated line.
+        last_line: That line, which must still end at ``offset`` for
+            the next read to carry on from there.
+    """
+
+    generations: Tuple[Tuple[str, int, int], ...]
+    offset: int = 0
+    last_line: bytes = b""
 
 
 class NoopJournal:
@@ -324,9 +352,60 @@ class EventJournal:
         self.flush()
         return read_journal(self.path, max_files=self.max_files)
 
+    def read_since(
+        self, cursor: Optional[JournalCursor] = None
+    ) -> Tuple[ReadResult, JournalCursor, bool]:
+        """The events written since ``cursor``, a previous call's.
+
+        Returns ``(result, cursor, appended)``.  When ``appended`` is
+        true, ``result`` holds only the events appended to the active
+        file since ``cursor`` — none, and no file is read, when no
+        journal file changed.  Otherwise it holds the whole journal:
+        there was no cursor, or the files were rotated or rewritten
+        since.  Of the active file only newline-terminated lines are
+        read, so an event still being written is returned once it is
+        complete.
+        """
+        generations = self._generations()
+        rotated = _rotated(generations, self.path)
+        if cursor is not None:
+            if generations == cursor.generations:
+                return ReadResult(events=()), cursor, True
+            if rotated == _rotated(cursor.generations, self.path):
+                tail = _lines_after(self.path, cursor.offset, cursor.last_line)
+                if tail is not None:
+                    lines, offset, last_line = tail
+                    return (
+                        _parse_lines(lines),
+                        JournalCursor(generations, offset, last_line),
+                        True,
+                    )
+        lines = list(_file_lines(path for path, _, _ in rotated))
+        active, offset, last_line = (
+            _lines_after(self.path, 0, b"") or ([], 0, b"")
+        )
+        return (
+            _parse_lines(lines + active),
+            JournalCursor(generations, offset, last_line),
+            False,
+        )
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _generations(self) -> Tuple[Tuple[str, int, int], ...]:
+        """``(path, size, mtime_ns)`` of every journal file, oldest
+        first: any append or rotation changes it."""
+        self.flush()
+        state = []
+        for path in _generation_paths(self.path, self.max_files):
+            try:
+                stat = os.stat(path)
+            except OSError:
+                continue
+            state.append((path, stat.st_size, stat.st_mtime_ns))
+        return tuple(state)
+
     def _open(self) -> None:
         directory = os.path.dirname(self.path)
         if directory:
@@ -432,6 +511,66 @@ def _parse_line(line: str) -> Optional[JournalEvent]:
     return JournalEvent(seq=seq, type=event_type, payload=payload, version=version)
 
 
+def _parse_lines(lines: Iterable[str]) -> ReadResult:
+    events: List[JournalEvent] = []
+    corrupt = 0
+    skipped = 0
+    for line in lines:
+        event = _parse_line(line)
+        if event is None:
+            corrupt += 1
+        elif event.version > SCHEMA_VERSION:
+            skipped += 1
+        else:
+            events.append(event)
+    return ReadResult(
+        events=tuple(events), corrupt_lines=corrupt, skipped_versions=skipped
+    )
+
+
+def _file_lines(paths: Iterable[str]) -> Iterator[str]:
+    """The lines of each journal file in turn; an unreadable file is
+    skipped whole."""
+    for path in paths:
+        try:
+            lines = list(iter_journal_lines(path))
+        except OSError:
+            continue
+        yield from lines
+
+
+def _rotated(
+    generations: Tuple[Tuple[str, int, int], ...], path: str
+) -> Tuple[Tuple[str, int, int], ...]:
+    return tuple(state for state in generations if state[0] != path)
+
+
+def _lines_after(
+    path: str, offset: int, last_line: bytes
+) -> Optional[Tuple[List[str], int, bytes]]:
+    """The newline-terminated lines of journal file ``path`` after byte
+    ``offset``, the offset after them and the last of them as bytes
+    (``offset`` and ``last_line`` again if there are none); ``None``
+    when the file is gone or ``last_line`` no longer ends at ``offset``.
+    Lines split and decode as :func:`iter_journal_lines` splits them."""
+    start = offset - len(last_line)
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read()
+    except OSError:
+        return None
+    if not data.startswith(last_line):
+        return None
+    end = data.rfind(b"\n") + 1
+    if end <= len(last_line):
+        return [], offset, last_line
+    text = data[len(last_line):end].decode("utf-8", errors="replace")
+    lines = [line.strip() for line in io.StringIO(text, newline=None)]
+    begin = data.rfind(b"\n", 0, end - 1) + 1
+    return [line for line in lines if line], start + end, data[begin:end]
+
+
 def read_journal(
     path: Union[str, os.PathLike],
     max_files: int = DEFAULT_MAX_FILES,
@@ -441,26 +580,8 @@ def read_journal(
     Unparseable lines are counted, not fatal; events written under a
     newer schema version are skipped and counted separately.
     """
-    path = os.fspath(path)
-    events: List[JournalEvent] = []
-    corrupt = 0
-    skipped = 0
-    for file_path in _generation_paths(path, max_files):
-        try:
-            lines = list(iter_journal_lines(file_path))
-        except OSError:
-            continue
-        for line in lines:
-            event = _parse_line(line)
-            if event is None:
-                corrupt += 1
-            elif event.version > SCHEMA_VERSION:
-                skipped += 1
-            else:
-                events.append(event)
-    return ReadResult(
-        events=tuple(events), corrupt_lines=corrupt, skipped_versions=skipped
-    )
+    paths = _generation_paths(os.fspath(path), max_files)
+    return _parse_lines(_file_lines(paths))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ instrumentation at the sampled sites at all.
 How it works:
 
 * a daemon thread (``repro-prof-sampler``) wakes at a configurable rate
-  (:data:`DEFAULT_HZ` by default; env :data:`PROF_ENV_VAR` or
+  (:data:`DEFAULT_HZ` by default; env
+  :data:`~repro.obs.tracing.PROF_ENV_VAR` or
   :func:`start_sampling`) and walks ``sys._current_frames()``;
 * every observed thread is tagged with a **role** from its name
   (:func:`role_for_thread`: serve worker / http / main / simulator /
@@ -63,10 +64,10 @@ from typing import (
 
 from repro.obs.journal import get_journal
 from repro.obs.metrics import counter, gauge
+from repro.obs.tracing import PROF_ENV_VAR
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
-    "PROF_ENV_VAR",
     "PROF_WINDOW_ENV_VAR",
     "DEFAULT_HZ",
     "DEFAULT_WINDOW_SECONDS",
@@ -90,10 +91,6 @@ __all__ = [
 
 #: Bump on breaking ``profile`` payload changes; readers skip newer ones.
 PROFILE_SCHEMA_VERSION = 1
-
-#: Sampling rate: unset/empty/0 = off; a number = hz; a bare truthy
-#: value ("1"/"true"/"on"/"yes") = :data:`DEFAULT_HZ`.
-PROF_ENV_VAR = "REPRO_OBS_PROF"
 
 #: Profile-window width override, seconds.
 PROF_WINDOW_ENV_VAR = "REPRO_OBS_PROF_WINDOW"

@@ -58,6 +58,16 @@ Design points:
 Alert evaluation state is engine-local and serialized under a lock, so
 concurrent scrapes cannot corrupt fired/resolved bookkeeping.
 
+Each endpoint imports the modules it renders with when it is first
+called, and the default alert engine is built on the first evaluation:
+a server that only carries estimation traffic never loads the alert
+engine, dashboard, flamegraphs, exporters or journal fold.
+
+A request whose body length cannot be known — a ``Transfer-Encoding``
+header, or a ``Content-Length`` that is not one non-negative integer —
+gets a 400 and the connection is closed: its body bytes must not be
+read as the next request on a keep-alive connection.
+
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages —
 live drift/cache views are injected by the caller as an ``observe``
@@ -71,19 +81,25 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Deque, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.dashboard import history_from_windows, render_dashboard
-from repro.obs.exporters import build_snapshot, to_prometheus_text
-from repro.obs.flamegraph import render_flamegraph_html
-from repro.obs.flight import FLIGHT_SCHEMA_VERSION, get_flight_recorder
-from repro.obs.sampling import PROFILE_SCHEMA_VERSION, get_stack_sampler
-from repro.obs.health import build_observation, evaluate_health, worst_grade
-from repro.obs.journal import get_journal
-from repro.obs.rebuild import replay
+from repro.obs.journal import EventJournal, JournalCursor, get_journal
 from repro.obs.tenants import get_tenant_ledger
 from repro.obs.timeseries import get_timeseries, maybe_roll_timeseries
+from repro.obs.tracing import get_flight_recorder
+
+if TYPE_CHECKING:
+    from repro.obs.alerts import AlertEngine, AlertRule
 
 __all__ = [
     "HttpRequest",
@@ -176,10 +192,18 @@ class _Handler(BaseHTTPRequestHandler):
         obs: "ObsServer" = self.server.obs  # type: ignore[attr-defined]
         raw_path, _, query = self.path.partition("?")
         path = raw_path.rstrip("/") or "/"
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
+        length = self._body_length()
+        if length is None:
+            # Where the body ends is unknown, so nothing after it can be
+            # parsed as the next request: refuse, and close.
+            self._reply(
+                json_response(
+                    {"error": "malformed request framing"},
+                    status=400,
+                    headers=(("Connection", "close"),),
+                )
+            )
+            return
         body = self.rfile.read(length) if length > 0 else b""
         request = HttpRequest(
             method=method,
@@ -192,6 +216,25 @@ class _Handler(BaseHTTPRequestHandler):
             response = obs.dispatch(request)
         except Exception as exc:  # noqa: BLE001 — a request must not kill the server
             response = json_response({"error": str(exc)}, status=500)
+        self._reply(response)
+
+    def _body_length(self) -> Optional[int]:
+        """The body's byte count (0 without ``Content-Length``), or
+        ``None`` when the framing cannot be trusted."""
+        if "Transfer-Encoding" in self.headers:
+            return None
+        values = self.headers.get_all("Content-Length") or []
+        if not values:
+            return 0
+        lengths = {value.strip() for value in values}
+        if len(lengths) != 1:
+            return None
+        (raw,) = lengths
+        if not (raw.isascii() and raw.isdigit()):
+            return None
+        return int(raw)
+
+    def _reply(self, response: HttpResponse) -> None:
         try:
             self._respond(response)
         except OSError:
@@ -252,15 +295,33 @@ class ObsServer:
         self.host = host
         self.port = port
         self.title = title
-        self.engine = AlertEngine(rules)
+        self._engine: Optional["AlertEngine"] = None
+        if rules is not None:
+            from repro.obs.alerts import AlertEngine
+
+            self._engine = AlertEngine(rules)  # validates the rules now
         self.request_log: Deque[str] = deque(maxlen=REQUEST_LOG_LIMIT)
-        self._observe = observe if observe is not None else build_observation
+        self._observe = observe
         self._eval_lock = threading.Lock()
+        # The live dashboard's journal history and how far it was read.
+        self._history: Optional[
+            Tuple[JournalCursor, Dict[str, List[float]]]
+        ] = None
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._routes: Dict[Tuple[str, str], Handler] = {}
         self._prefix_routes: Dict[Tuple[str, str], Handler] = {}
         self._register_default_routes()
+
+    @property
+    def engine(self) -> "AlertEngine":
+        """The alert engine; without caller rules, the default rule set's
+        engine is built on first use."""
+        if self._engine is None:
+            from repro.obs.alerts import AlertEngine
+
+            self._engine = AlertEngine()
+        return self._engine
 
     # ------------------------------------------------------------------
     # Handler registration (the one mounting API)
@@ -435,15 +496,25 @@ class ObsServer:
     def observation(self) -> Mapping[str, object]:
         """One observation, with the window ring rolled up to "now"."""
         maybe_roll_timeseries()
-        return self._observe()
+        if self._observe is not None:
+            return self._observe()
+        from repro.obs.health import build_observation
+
+        return build_observation()
 
     def render_metrics(self) -> str:
+        from repro.obs.exporters import to_prometheus_text
+
         return to_prometheus_text()
 
     def render_metrics_json(self) -> str:
+        from repro.obs.exporters import build_snapshot
+
         return json.dumps(build_snapshot(), sort_keys=True, separators=(",", ":"))
 
     def render_health(self) -> str:
+        from repro.obs.health import evaluate_health, worst_grade
+
         healths = evaluate_health(self.observation())
         return json.dumps(
             {
@@ -477,6 +548,8 @@ class ObsServer:
         )
 
     def render_flight(self) -> str:
+        from repro.obs.flight import FLIGHT_SCHEMA_VERSION
+
         recorder = get_flight_recorder()
         if recorder is None:
             snapshot = {
@@ -508,6 +581,8 @@ class ObsServer:
         return json.dumps(bundle.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def render_profile(self) -> str:
+        from repro.obs.sampling import PROFILE_SCHEMA_VERSION, get_stack_sampler
+
         sampler = get_stack_sampler()
         if sampler is None:
             snapshot = {
@@ -521,6 +596,9 @@ class ObsServer:
         return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 
     def render_profile_html(self) -> str:
+        from repro.obs.flamegraph import render_flamegraph_html
+        from repro.obs.sampling import get_stack_sampler
+
         sampler = get_stack_sampler()
         stacks = sampler.merged_stacks() if sampler is not None else {}
         subtitle = (
@@ -533,6 +611,10 @@ class ObsServer:
         )
 
     def render_dashboard(self) -> str:
+        from repro.obs.dashboard import history_from_windows, render_dashboard
+        from repro.obs.health import evaluate_health
+        from repro.obs.sampling import get_stack_sampler
+
         observation = self.observation()
         healths = evaluate_health(observation)
         with self._eval_lock:
@@ -541,7 +623,7 @@ class ObsServer:
         windows = aggregator.windows() if aggregator is not None else ()
         journal = get_journal()
         if journal.enabled and journal.path:
-            history = replay(journal.read()).history
+            history = self._journal_history(journal)
         else:
             history = history_from_windows(windows)
         tenants = observation.get("tenants")
@@ -556,6 +638,37 @@ class ObsServer:
             profile=sampler.merged_stacks() if sampler is not None else None,
         )
 
+    def _journal_history(self, journal: EventJournal) -> Dict[str, List[float]]:
+        """The journal's folded q-error history: each render reads and
+        folds only the events appended since the last one, and folds the
+        whole journal again after a rotation."""
+        from repro.obs.rebuild import replay
+
+        cursor, history = self._history or (None, {})
+        result, cursor, appended = journal.read_since(cursor)
+        if not appended:
+            history = replay(result).history
+        elif result.events:
+            history = _extend_history(history, replay(result).history)
+        self._history = (cursor, history)
+        return history
+
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
         return f"ObsServer({self.url}, {state})"
+
+
+def _extend_history(
+    history: Mapping[str, Sequence[float]], later: Mapping[str, Sequence[float]]
+) -> Dict[str, List[float]]:
+    """``history`` followed by ``later``, the history folded from the
+    events after it: what one fold over all of them gives.  New lists,
+    so a render still reading ``history`` is not disturbed."""
+    from repro.obs.dashboard import HISTORY_POINTS
+
+    merged = {system: list(series) for system, series in history.items()}
+    for system, series in later.items():
+        combined = merged.setdefault(system, [])
+        combined.extend(series)
+        del combined[:-HISTORY_POINTS]
+    return merged

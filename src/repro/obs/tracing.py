@@ -27,6 +27,15 @@ per-query *pending* buffer, and the query-completion hook either
 commits them into the trace ring (the tail sampler kept the query) or
 discards them.  Head-sampled queries keep the original behaviour —
 their roots land in the ring immediately.
+
+**The flight recorder's slot.**  The process-wide
+:class:`~repro.obs.flight.FlightRecorder` and its two feeds (a
+completion hook and a journal listener) live here, not in
+:mod:`repro.obs.flight`: the feeds must run after the tracer's hook,
+which commits a kept query's spans before the recorder reads them, and
+must be registered before anything imports the recorder, so
+``REPRO_OBS_FLIGHT_DIR`` records from the first query while a process
+that never sets it never loads :mod:`repro.obs.flight`.
 """
 
 from __future__ import annotations
@@ -35,11 +44,15 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.context import add_completion_hook, current_context
+from repro.obs.journal import JournalEvent, add_journal_listener
 from repro.obs.metrics import counter
 from repro.obs.tail import QueryOutcome, TailDecision, get_tail_sampler
+
+if TYPE_CHECKING:
+    from repro.obs.flight import FlightRecorder, IncidentBundle
 
 __all__ = [
     "Span",
@@ -47,6 +60,11 @@ __all__ = [
     "NOOP_SPAN",
     "get_tracer",
     "render_span_tree",
+    "FLIGHT_DIR_ENV_VAR",
+    "PROF_ENV_VAR",
+    "get_flight_recorder",
+    "set_flight_recorder",
+    "trigger_incident",
 ]
 
 
@@ -412,3 +430,86 @@ def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
 
 
 add_completion_hook(_on_query_complete)
+
+
+# ----------------------------------------------------------------------
+# Process-wide flight recorder (see the module docstring)
+# ----------------------------------------------------------------------
+#: Directory incident bundles are dumped into (JSONL + HTML); unset
+#: means no process-wide recorder.
+FLIGHT_DIR_ENV_VAR = "REPRO_OBS_FLIGHT_DIR"
+
+#: The stack sampler's rate (:mod:`repro.obs.sampling`): unset/empty/0
+#: = off; a number = hz; a bare truthy value ("1"/"true"/"on"/"yes") =
+#: its default rate.  Defined here, like :data:`FLIGHT_DIR_ENV_VAR`, so
+#: a process can look at it without loading the sampler.
+PROF_ENV_VAR = "REPRO_OBS_PROF"
+
+_default_recorder: Optional["FlightRecorder"] = None
+_recorder_resolved = False
+_recorder_lock = threading.Lock()
+
+
+def _recorder_from_env() -> Optional["FlightRecorder"]:
+    directory = os.environ.get(FLIGHT_DIR_ENV_VAR, "").strip()
+    if not directory:
+        return None
+    from repro.obs.flight import FlightRecorder
+
+    return FlightRecorder(directory=directory)
+
+
+def get_flight_recorder() -> Optional["FlightRecorder"]:
+    """The process-wide flight recorder, or ``None`` when off.
+    Resolved lazily: ``REPRO_OBS_FLIGHT_DIR`` installs a dumping
+    recorder; unset means no recorder (zero completion-path cost)."""
+    global _default_recorder, _recorder_resolved
+    if _recorder_resolved:
+        return _default_recorder
+    with _recorder_lock:
+        if not _recorder_resolved:
+            _default_recorder = _recorder_from_env()
+            _recorder_resolved = True
+        return _default_recorder
+
+
+def set_flight_recorder(
+    recorder: Optional["FlightRecorder"],
+) -> Optional["FlightRecorder"]:
+    """Swap the flight recorder; ``None`` resets to unresolved so the
+    next :func:`get_flight_recorder` re-reads the environment.  Returns
+    the previous recorder."""
+    global _default_recorder, _recorder_resolved
+    with _recorder_lock:
+        previous = _default_recorder if _recorder_resolved else None
+        _default_recorder = recorder
+        _recorder_resolved = recorder is not None
+    return previous
+
+
+def trigger_incident(kind: str, **info: Any) -> Optional["IncidentBundle"]:
+    """Trigger an incident on the process-wide recorder; no-op (returns
+    ``None``) when no recorder is installed.  The emission sites (alert
+    engine, drift transitions) call this unconditionally."""
+    recorder = get_flight_recorder()
+    if recorder is None:
+        return None
+    return recorder.trigger_incident(kind=kind, **info)
+
+
+def _record_query(outcome: QueryOutcome, decision: TailDecision) -> None:
+    recorder = get_flight_recorder()
+    if recorder is not None:
+        recorder.record(outcome, decision)
+
+
+def _record_journal_event(event: JournalEvent) -> None:
+    recorder = get_flight_recorder()
+    if recorder is not None:
+        recorder.on_journal_event(event)
+
+
+# Registered right after the tracer's hook, so kept traces are committed
+# into the ring before the recorder looks.
+add_completion_hook(_record_query)
+add_journal_listener(_record_journal_event)

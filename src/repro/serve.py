@@ -42,7 +42,8 @@ setting).  This module operates that loop as a long-lived daemon:
   ``REPRO_OBS_PROF`` asks for it, :meth:`EstimationService.start` also
   starts the process-wide stack sampler
   (:mod:`repro.obs.sampling`) and stops it on drain, so a profiled
-  serve burst needs nothing but the environment variable.
+  serve burst needs nothing but the environment variable; without it
+  the sampler module is never loaded.
 
 Determinism contract: estimates served through the pool are
 **bit-identical** to single-threaded calls — estimation is a pure
@@ -60,6 +61,7 @@ function of the seed.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -253,8 +255,10 @@ class EstimationService:
         self.sphere.costing.publish_generations()
         # Continuous profiling, opt-in via the environment: if this
         # call starts the process-wide sampler, the service owns it
-        # and stops it on drain.
-        self._sampler = obs.maybe_start_sampling()
+        # and stops it on drain.  Any value loads the sampler module;
+        # maybe_start_sampling decides whether it means "on".
+        if os.environ.get(obs.PROF_ENV_VAR, "").strip():
+            self._sampler = obs.maybe_start_sampling()
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,

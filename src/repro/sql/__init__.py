@@ -10,58 +10,37 @@ where each operator executes.  This package provides:
 * :mod:`repro.sql.builder` — a fluent programmatic plan builder.
 """
 
-from repro.sql.ast import (
-    AggregateCall,
-    AggregateKind,
-    BinaryArithmetic,
-    BooleanAnd,
-    BooleanNot,
-    BooleanOr,
-    ColumnRef,
-    Comparison,
-    ComparisonOp,
-    Expression,
-    Literal,
-    column,
-    lit,
-)
-from repro.sql.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    JoinCondition,
-    LogicalPlan,
-    Project,
-    Scan,
-)
-from repro.sql.parser import parse_select
-from repro.sql.builder import QueryBuilder, scan
-from repro.sql.render import render_expression, render_plan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregateCall",
-    "AggregateKind",
-    "BinaryArithmetic",
-    "BooleanAnd",
-    "BooleanNot",
-    "BooleanOr",
-    "ColumnRef",
-    "Comparison",
-    "ComparisonOp",
-    "Expression",
-    "Literal",
-    "column",
-    "lit",
-    "Aggregate",
-    "Filter",
-    "Join",
-    "JoinCondition",
-    "LogicalPlan",
-    "Project",
-    "Scan",
-    "parse_select",
-    "QueryBuilder",
-    "scan",
-    "render_expression",
-    "render_plan",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".ast": (
+            "AggregateCall",
+            "AggregateKind",
+            "BinaryArithmetic",
+            "BooleanAnd",
+            "BooleanNot",
+            "BooleanOr",
+            "ColumnRef",
+            "Comparison",
+            "ComparisonOp",
+            "Expression",
+            "Literal",
+            "column",
+            "lit",
+        ),
+        ".logical": (
+            "Aggregate",
+            "Filter",
+            "Join",
+            "JoinCondition",
+            "LogicalPlan",
+            "Project",
+            "Scan",
+        ),
+        ".parser": ("parse_select",),
+        ".builder": ("QueryBuilder", "scan"),
+        ".render": ("render_expression", "render_plan"),
+    },
+)

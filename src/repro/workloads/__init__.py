@@ -17,56 +17,37 @@
   declarative assertions, the engine behind ``repro simulate``.
 """
 
-from repro.workloads.aggregation import AggregationWorkload
-from repro.workloads.join import JoinWorkload
-from repro.workloads.scan import ScanWorkload
-from repro.workloads.scenarios import (
-    SCENARIOS,
-    ScenarioResult,
-    ScenarioSpec,
-    get_scenario,
-    run_scenario,
-    scenario_names,
-)
-from repro.workloads.subop_queries import trainer_for_budget
-from repro.workloads.out_of_range import OutOfRangeWorkload
-from repro.workloads.traffic import (
-    AdmissionGate,
-    BurstyArrivals,
-    DiurnalArrivals,
-    DiurnalBurstArrivals,
-    Mutation,
-    SimClock,
-    SteadyArrivals,
-    TenantMix,
-    TrafficConfig,
-    TrafficReport,
-    TrafficSimulator,
-    generate_arrivals,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregationWorkload",
-    "JoinWorkload",
-    "ScanWorkload",
-    "trainer_for_budget",
-    "OutOfRangeWorkload",
-    "AdmissionGate",
-    "BurstyArrivals",
-    "DiurnalArrivals",
-    "DiurnalBurstArrivals",
-    "Mutation",
-    "SimClock",
-    "SteadyArrivals",
-    "TenantMix",
-    "TrafficConfig",
-    "TrafficReport",
-    "TrafficSimulator",
-    "generate_arrivals",
-    "SCENARIOS",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "get_scenario",
-    "run_scenario",
-    "scenario_names",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".aggregation": ("AggregationWorkload",),
+        ".join": ("JoinWorkload",),
+        ".scan": ("ScanWorkload",),
+        ".subop_queries": ("trainer_for_budget",),
+        ".out_of_range": ("OutOfRangeWorkload",),
+        ".traffic": (
+            "AdmissionGate",
+            "BurstyArrivals",
+            "DiurnalArrivals",
+            "DiurnalBurstArrivals",
+            "Mutation",
+            "SimClock",
+            "SteadyArrivals",
+            "TenantMix",
+            "TrafficConfig",
+            "TrafficReport",
+            "TrafficSimulator",
+            "generate_arrivals",
+        ),
+        ".scenarios": (
+            "SCENARIOS",
+            "ScenarioResult",
+            "ScenarioSpec",
+            "get_scenario",
+            "run_scenario",
+            "scenario_names",
+        ),
+    },
+)

@@ -179,7 +179,7 @@ class TestTriggerIncident:
         assert obs.trigger_incident("drift", system="hive") is None
 
     def test_env_var_installs_dumping_recorder(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(flight.FLIGHT_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(obs.FLIGHT_DIR_ENV_VAR, str(tmp_path))
         obs.set_flight_recorder(None)
         recorder = obs.get_flight_recorder()
         assert recorder is not None

@@ -137,6 +137,92 @@ class TestCorruptionTolerance:
         assert result.corrupt_lines == 0
 
 
+class TestReadSince:
+    def test_first_read_is_whole_then_only_appended_events(self, tmp_path):
+        journal = EventJournal(tmp_path / "j.jsonl")
+        for index in range(3):
+            journal.append("estimate", index=index)
+        result, cursor, appended = journal.read_since()
+        assert not appended
+        assert result.events == journal.read().events
+        journal.append("actual", index=3)
+        journal.append("actual", index=4)
+        result, cursor, appended = journal.read_since(cursor)
+        assert appended
+        assert [e.payload["index"] for e in result.events] == [3, 4]
+        result, _, appended = journal.read_since(cursor)
+        journal.close()
+        assert appended and result.events == ()
+
+    def test_unchanged_journal_reads_no_file(self, tmp_path, monkeypatch):
+        journal = EventJournal(tmp_path / "j.jsonl")
+        journal.append("estimate", index=0)
+        _, cursor, _ = journal.read_since()
+        monkeypatch.setattr(jmod, "open", None, raising=False)  # any read fails
+        result, again, appended = journal.read_since(cursor)
+        journal.close()
+        assert appended and result.events == () and again is cursor
+
+    def test_line_being_written_is_returned_once_complete(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        journal.append("estimate", index=0)
+        _, cursor, _ = journal.read_since()
+        line = JournalEvent(seq=2, type="actual", payload={"index": 1}).to_line()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[:20])
+        result, cursor, appended = journal.read_since(cursor)
+        assert appended and result.events == () and result.corrupt_lines == 0
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[20:] + "\n")
+        result, _, appended = journal.read_since(cursor)
+        journal.close()
+        assert appended
+        assert [e.payload for e in result.events] == [{"index": 1}]
+
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_rotation_rereads_the_whole_journal(self, tmp_path, before):
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path, max_bytes=1024, max_files=2)
+        for index in range(before):
+            journal.append("estimate", index=index, padding="x" * 64)
+        _, cursor, _ = journal.read_since()
+        for index in range(before, 40):
+            journal.append("estimate", index=index, padding="x" * 64)
+        result, _, appended = journal.read_since(cursor)
+        journal.close()
+        assert not appended
+        assert result.events == read_journal(path, max_files=2).events
+        assert result.events[0].payload["index"] > 0  # the oldest were dropped
+
+    def test_rewritten_file_is_read_whole(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        for index in range(3):
+            journal.append("estimate", index=index)
+        _, cursor, _ = journal.read_since()
+        journal.close()
+        os.remove(path)
+        journal = EventJournal(path)
+        for index in range(5):
+            journal.append("actual", index=index)
+        result, _, appended = journal.read_since(cursor)
+        journal.close()
+        assert not appended
+        assert [e.type for e in result.events] == ["actual"] * 5
+
+    def test_tails_add_up_to_the_journal(self, tmp_path):
+        journal = EventJournal(tmp_path / "j.jsonl")
+        cursor, events = None, []
+        for batch in (0, 1, 2, 0, 5, 3):
+            for index in range(batch):
+                journal.append("estimate", index=index)
+            result, cursor, appended = journal.read_since(cursor)
+            events = (events if appended else []) + list(result.events)
+        assert tuple(events) == journal.read().events
+        journal.close()
+
+
 class TestSequenceResumption:
     def test_seq_continues_across_reopen(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -513,3 +513,194 @@ class TestHandlerRegistration:
             assert "handler bug" in json.loads(body)["error"]
             # The server survives its handlers' bugs.
             assert get(f"{server.url}/health")[0] == 200
+
+
+class TestRequestFraming:
+    """A body whose length is unknown must not be read as the next
+    request on a keep-alive connection: 400, then the server closes."""
+
+    SMUGGLED = b"GET /metrics.json HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: abc\r\n\r\n",
+            b"Content-Length: -5\r\n\r\n",
+            b"Content-Length: 3\r\nContent-Length: 4\r\n\r\n",
+            b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        ],
+        ids=["unparsable", "negative", "conflicting", "chunked"],
+    )
+    def test_malformed_framing_gets_one_400_then_eof(self, obs_state, framing):
+        import socket
+
+        from repro.obs.server import json_response
+
+        calls = []
+        server = ObsServer(port=0).register(
+            "/echo",
+            lambda request: calls.append(request) or json_response({}),
+            method="POST",
+        )
+        with server:
+            received, closed = b"", False
+            with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as sock:
+                sock.sendall(
+                    b"POST /echo HTTP/1.1\r\nHost: localhost\r\n"
+                    + framing
+                    + self.SMUGGLED
+                )
+                try:
+                    while True:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            closed = True
+                            break
+                        received += chunk
+                except socket.timeout:
+                    pass  # the connection stayed open
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in received
+        assert closed
+        assert calls == []
+
+    def test_well_framed_requests_share_a_keep_alive_connection(self, obs_state):
+        import http.client
+
+        from repro.obs.server import json_response
+
+        server = ObsServer(port=0).register(
+            "/echo", lambda request: json_response({"n": len(request.body)}), method="POST"
+        )
+        with server:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                for body in (b"{}", b"", b'{"a": 1}'):
+                    connection.request("POST", "/echo", body=body)
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    assert json.loads(response.read()) == {"n": len(body)}
+            finally:
+                connection.close()
+
+
+class TestFirstUse:
+    def test_caller_rules_are_validated_at_construction(self, obs_state):
+        rule = obs.default_rules()[0]
+        with pytest.raises(ValueError, match="duplicate rule names"):
+            ObsServer(port=0, rules=[rule, rule])
+
+    def test_default_engine_is_built_on_first_evaluation(self, obs_state):
+        server = ObsServer(port=0)
+        assert server._engine is None
+        json.loads(server.render_alerts())
+        engine = server.engine
+        assert [rule.name for rule in engine.rules] == [
+            rule.name for rule in obs.default_rules()
+        ]
+        server.render_alerts()
+        assert server.engine is engine
+
+    @pytest.fixture()
+    def journal(self, obs_state, tmp_path):
+        journal = obs.EventJournal(tmp_path / "journal.jsonl")
+        previous = obs.set_journal(journal)
+        yield journal
+        obs.set_journal(previous)
+        journal.close()
+
+    @staticmethod
+    def actual(journal, index, q_error):
+        journal.append(
+            "actual",
+            system="hive",
+            operator="join",
+            approach="sub_op",
+            estimated_seconds=1.0,
+            actual_seconds=q_error,
+            query_id=f"q-{index:06d}",
+        )
+
+    @staticmethod
+    def record_reads(monkeypatch):
+        """Journal files opened for reading, and each ``read_since``'s
+        (appended, events) pair."""
+        from repro.obs import journal as journal_mod
+
+        opened, reads = [], []
+        real_open, real_read_since = open, journal_mod.EventJournal.read_since
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                opened.append(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        def recording_read_since(journal, cursor=None):
+            result, cursor, appended = real_read_since(journal, cursor)
+            reads.append((appended, len(result.events)))
+            return result, cursor, appended
+
+        monkeypatch.setattr(journal_mod, "open", counting_open, raising=False)
+        monkeypatch.setattr(
+            journal_mod.EventJournal, "read_since", recording_read_since
+        )
+        return opened, reads
+
+    def test_dashboard_folds_the_journal_only_when_it_changed(
+        self, journal, monkeypatch
+    ):
+        for index in range(5):
+            self.actual(journal, index, 2.0)
+        opened, reads = self.record_reads(monkeypatch)
+        server = ObsServer(port=0)
+        counts, pages = [], []
+        for append in (False, False, True):
+            if append:
+                self.actual(journal, 5, 9.0)
+            pages.append(server.render_dashboard())
+            counts.append(len(opened))
+        uncached = ObsServer(port=0).render_dashboard()
+        assert counts == [1, 1, 2]
+        assert reads == [(False, 5), (True, 0), (True, 1), (False, 6)]
+        assert pages[0] == pages[1]
+        assert pages[2] != pages[1]
+        assert pages[2] == uncached
+
+    def test_dashboard_under_traffic_folds_only_the_tail(
+        self, journal, monkeypatch
+    ):
+        for index in range(130):  # more than the history keeps
+            self.actual(journal, index, 1.0 + index % 7)
+        server = ObsServer(port=0)
+        server.render_dashboard()
+        opened, reads = self.record_reads(monkeypatch)
+        for round_ in range(3):
+            for index in range(20):  # serving journals every estimate
+                journal.append("estimate", system="hive", query_id=f"e-{index}")
+            self.actual(journal, 100 + round_, 3.0 + round_)
+            page = server.render_dashboard()
+        assert reads == [(True, 21)] * 3
+        assert len(opened) == 3
+        assert page == ObsServer(port=0).render_dashboard()
+
+    def test_dashboard_folds_again_after_rotation(self, obs_state, tmp_path):
+        journal = obs.EventJournal(
+            tmp_path / "journal.jsonl", max_bytes=2048, max_files=1
+        )
+        previous = obs.set_journal(journal)
+        try:
+            for index in range(5):
+                self.actual(journal, index, 50.0)
+            server = ObsServer(port=0)
+            first = server.render_dashboard()
+            # Enough to rotate twice: the first five fall out of the journal.
+            for index in range(5, 40):
+                self.actual(journal, index, 1.0 + index / 10)
+            page = server.render_dashboard()
+            uncached = ObsServer(port=0).render_dashboard()
+        finally:
+            obs.set_journal(previous)
+            journal.close()
+        assert page != first
+        assert page == uncached
