@@ -84,7 +84,7 @@ def _per_call_seconds(fn, inner: int, repeats: int = 7) -> float:
 def experiment(module, catalog, results_dir):
     module.train_sub_op("hive")
     plan = parse_select(JOIN_SQL)
-    tracer = obs.get_tracer()
+    tracer = obs.plane().tracer
     was_enabled = tracer.enabled
     tracer.disable()
 
@@ -116,7 +116,7 @@ def experiment(module, catalog, results_dir):
     aggregator = obs.TimeSeriesAggregator(
         width=1e9, clock=obs.ManualClock(), journal=obs.NOOP_JOURNAL
     )
-    registry = obs.get_registry()
+    registry = obs.plane().registry
     previous_observer = registry.observer
     registry.attach_observer(aggregator)
     try:
@@ -157,16 +157,16 @@ def experiment(module, catalog, results_dir):
     # Query-context cost: what the federation layer pays once per query
     # to mint an id and take the head-sampling decision (sampling "on"
     # means the sampler runs; rate 1.0 keeps every query).
-    previous_sampler = obs.set_sampler(obs.HeadSampler(rate=1.0))
+    previous = obs.install(obs.ObsPlane(head_sampler=obs.HeadSampler(rate=1.0)))
 
     def _open_context():
         with obs.query_context(query=JOIN_SQL):
             pass
 
     t_context = _per_call_seconds(_open_context, inner=10_000)
-    obs.set_sampler(obs.HeadSampler(rate=0.0))
+    obs.install(obs.ObsPlane(head_sampler=obs.HeadSampler(rate=0.0)))
     t_context_unsampled = _per_call_seconds(_open_context, inner=10_000)
-    obs.set_sampler(previous_sampler)
+    obs.install(previous)
     overhead_context = t_context / (t_estimate_off * ESTIMATES_PER_QUERY)
 
     # Tail-based sampling: the completion-time keep/drop decision one

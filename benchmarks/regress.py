@@ -178,7 +178,7 @@ def measure_latencies(
     repeats = 3 if fast else 7
     scale = 1 if fast else 4
 
-    tracer = obs.get_tracer()
+    tracer = obs.plane().tracer
     was_enabled = tracer.enabled
     tracer.disable()
     try:
@@ -302,8 +302,9 @@ def measure_latencies(
 
         # Per-query trace context (id mint + head-sampling decision),
         # measured with the sampler keeping every query.
-        previous_sampler = obs.set_sampler(obs.HeadSampler(rate=1.0))
-        previous_registry = obs.set_registry(obs.MetricsRegistry())
+        previous = obs.install(
+            obs.ObsPlane(head_sampler=obs.HeadSampler(rate=1.0))
+        )
 
         def _open_context():
             with obs.query_context(query=JOIN_SQL):
@@ -312,14 +313,13 @@ def measure_latencies(
         timings["query_context"] = _per_call_seconds(
             _open_context, inner=2_000 * scale, repeats=repeats
         )
-        obs.set_registry(previous_registry)
-        obs.set_sampler(previous_sampler)
+        obs.install(previous)
 
         # The forensics plane's per-query completion cost: the tail
         # sampler's keep/drop decision on the dropped (steady-state)
         # path, and the flight recorder's metadata-only record for a
         # dropped query (no trace fetch happens on a drop).
-        previous_registry = obs.set_registry(obs.MetricsRegistry())
+        previous = obs.install(obs.ObsPlane())
         tail_sampler = obs.TailSampler(latency_seconds=30.0, max_q_error=2.0)
         outcome = obs.QueryOutcome(
             query_id="q-regress",
@@ -341,7 +341,7 @@ def measure_latencies(
             inner=2_000 * scale,
             repeats=repeats,
         )
-        obs.set_registry(previous_registry)
+        obs.install(previous)
 
         # The continuous profiling plane: folding one pre-walked sample
         # into the open profile window — the stack sampler's per-sample
@@ -350,7 +350,7 @@ def measure_latencies(
         # gate read round-trip, the estimate path's per-request
         # synchronization cost now that the gate carries saturation
         # telemetry (uncontended reads must stay histogram-free).
-        previous_registry = obs.set_registry(obs.MetricsRegistry())
+        previous = obs.install(obs.ObsPlane())
         profile_sampler = StackSampler(
             hz=100.0, window_seconds=1e9, journal=obs.NOOP_JOURNAL
         )
@@ -375,7 +375,7 @@ def measure_latencies(
         timings["gate_wait"] = _per_call_seconds(
             _gate_round_trip, inner=5_000 * scale, repeats=repeats
         )
-        obs.set_registry(previous_registry)
+        obs.install(previous)
 
         # One alert-engine pass over a realistic observation (default
         # rule set, three ledger keys); runs periodically, not per query.
@@ -441,9 +441,9 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
     """
     registry = obs.MetricsRegistry()
     ledger = obs.AccuracyLedger()
-    previous_registry = obs.set_registry(registry)
-    previous_ledger = obs.set_ledger(ledger)
-    previous_journal = obs.set_journal(obs.NOOP_JOURNAL)
+    previous = obs.install(
+        obs.ObsPlane(registry=registry, ledger=ledger, journal=obs.NOOP_JOURNAL)
+    )
     try:
         # Start from a cold cache so the hit/miss counters are exact:
         # each distinct plan misses once, then hits on the repeats.
@@ -456,9 +456,7 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
                 module.record_actual("hive", estimate, actual)
         snapshot = registry.snapshot()
     finally:
-        obs.set_registry(previous_registry)
-        obs.set_ledger(previous_ledger)
-        obs.set_journal(previous_journal)
+        obs.install(previous)
     return {
         name: float(data["value"])
         for name, data in sorted(snapshot.items())

@@ -155,7 +155,7 @@ TRACE_DEMO_QUERY = (
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import profiler
 
-    tracer = obs.get_tracer()
+    tracer = obs.plane().tracer
     was_enabled = tracer.enabled
     tracer.enable()
     try:
@@ -232,7 +232,7 @@ def cmd_flamegraph(args: argparse.Namespace) -> int:
         subtitle = f"{len(windows)} profile windows, {samples} samples"
     else:
         # Live burst: profile a short sandbox optimizer workload.  The
-        # burst pins its own sampler (never the process-wide slot) and
+        # burst pins its own sampler (never the plane's) and
         # a noop journal — this is a measurement, not telemetry.
         sampler = sampling.StackSampler(
             hz=args.hz, window_seconds=0.5, journal=obs.NOOP_JOURNAL
@@ -283,7 +283,7 @@ def _telemetry_source(args: argparse.Namespace, command: str):
         except (OSError, ValueError) as exc:
             print(f"error: {command} --from: {exc}", file=sys.stderr)
             return None
-    path = args.journal or os.environ.get(obs.JOURNAL_ENV_VAR, "").strip()
+    path = args.journal or obs.ObsConfig.from_env().journal_path
     if not path:
         return "live", None
     if _missing_journal(path, command):
@@ -534,7 +534,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         windows = replayed.windows
     else:
         observation = health.build_observation()
-        aggregator = obs.get_timeseries()
+        aggregator = obs.plane().timeseries
         windows = aggregator.windows() if aggregator is not None else ()
     healths = health.evaluate_health(observation)
     report = alerts_mod.AlertEngine(alerts_mod.default_rules()).evaluate(
@@ -559,7 +559,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     rules = _load_rule_set(args, "serve")
     if rules is None:
         return 2
-    if obs.get_timeseries() is None:
+    if obs.plane().timeseries is None:
         obs.enable_timeseries(width=args.window)
     sphere = build_sandbox(with_spark=args.spark, seed=args.seed)
     daemon = ServeDaemon(

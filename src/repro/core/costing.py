@@ -84,7 +84,7 @@ class CostEstimationModule:
 
     Args:
         ledger: Accuracy ledger fed by :meth:`record_actual`; defaults to
-            the process-wide :func:`repro.obs.get_ledger`.
+            the installed plane's (:func:`repro.obs.plane`).
         cache: Estimate cache fronting the estimators; defaults to a
             fresh :class:`~repro.core.estimate_cache.EstimateCache`.
             Pass ``EstimateCache(max_entries=0)`` to disable caching.
@@ -105,7 +105,7 @@ class CostEstimationModule:
         cache: Optional[EstimateCache] = None,
     ) -> None:
         self._systems: Dict[str, _RegisteredSystem] = {}
-        self.ledger = ledger if ledger is not None else obs.get_ledger()
+        self.ledger = ledger if ledger is not None else obs.plane().ledger
         self.cache = cache if cache is not None else EstimateCache()
         #: Readers = estimation requests; writers = model mutations.
         self.swap_gate = ReadWriteGate()
@@ -154,7 +154,7 @@ class CostEstimationModule:
                 f"system {name!r} is blackbox; sub-op training is not applicable"
             )
         trainer = trainer or SubOpTrainer()
-        with obs.get_tracer().span("costing.train_sub_op", system=name) as span:
+        with obs.plane().tracer.span("costing.train_sub_op", system=name) as span:
             result = trainer.train(entry.system, entry.profile.cluster)
             span.set("queries", result.num_queries)
             span.add_simulated(result.remote_training_seconds)
@@ -187,7 +187,7 @@ class CostEstimationModule:
         entry = self._entry(name)
         model = model or LogicalOpModel(kind)
         training_set = TrainingSet(model.dimension_names)
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "costing.train_logical_op", system=name, operator=kind.value
         ) as span:
             for query in queries:
@@ -357,7 +357,7 @@ class CostEstimationModule:
         resides on the remote system (§2's design assumption — transfer
         costs are handled elsewhere by the optimizer).
         """
-        with obs.get_tracer().span("costing.estimate_plan", system=name) as span:
+        with obs.plane().tracer.span("costing.estimate_plan", system=name) as span:
             stats = derive_operator_stats(plan, catalog)
             obs.counter(
                 "costing.estimate_plan.calls", help="operator estimates requested"
@@ -381,7 +381,7 @@ class CostEstimationModule:
         looping :meth:`estimate_plan` over the items.
         """
         requests = tuple(requests)
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "costing.estimate_batch", items=len(requests)
         ) as span:
             obs.counter(
@@ -497,10 +497,10 @@ class CostEstimationModule:
         obs.note_estimated_seconds(estimate.seconds)
         tenant = obs.current_tenant()
         if tenant:
-            obs.get_tenant_ledger().record_estimate(tenant, estimate.seconds)
+            obs.plane().tenants.record_estimate(tenant, estimate.seconds)
             if query_id is not None:
                 obs.record_exemplar(f"tenant:{tenant}", query_id)
-        journal = obs.get_journal()
+        journal = obs.plane().journal
         if journal.enabled:
             payload = {
                 "system": name,
@@ -554,7 +554,7 @@ class CostEstimationModule:
         Returns:
             ``(total_seconds, per_operator_estimates)`` bottom-up.
         """
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "costing.estimate_full_plan", system=name
         ) as span:
             nodes = [
@@ -646,7 +646,7 @@ class CostEstimationModule:
             # the tenant ledger attributes the accuracy to the workload.
             obs.note_query_q_error(q_error)
             if tenant:
-                obs.get_tenant_ledger().record_actual(tenant, q_error)
+                obs.plane().tenants.record_actual(tenant, q_error)
             if entry.drift is None:
                 entry.drift = DriftMonitor(name=name)
             was_drifted = entry.drift.drifted
@@ -671,7 +671,7 @@ class CostEstimationModule:
             obs.record_exemplar(name, query_id)
             if tenant:
                 obs.record_exemplar(f"tenant:{tenant}", query_id)
-        journal = obs.get_journal()
+        journal = obs.plane().journal
         if journal.enabled:
             payload = {
                 "system": name,
@@ -746,7 +746,7 @@ class CostEstimationModule:
         return alpha
 
     def run_offline_tuning(self, name: str, kind: OperatorKind) -> int:
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "costing.run_offline_tuning", system=name, operator=kind.value
         ) as span:
             with self.swap_gate.write():

@@ -134,7 +134,7 @@ class DriftMonitor:
                     "drift.alarms",
                     help="drift monitors that crossed the CUSUM threshold",
                 ).inc()
-                journal = obs.get_journal()
+                journal = obs.plane().journal
                 if journal.enabled:
                     payload = {
                         "direction": self._direction,

@@ -204,7 +204,7 @@ class LogicalOpModel:
         """
         network = self._require_network()
         features = self._check_features(features)
-        with obs.get_tracer().span("nn.inference", operator=self.kind.value) as span:
+        with obs.plane().tracer.span("nn.inference", operator=self.kind.value) as span:
             nn_estimate = max(0.0, network.predict_one(features))
             span.set("seconds", nn_estimate)
         return self._finish_estimate(features, nn_estimate)
@@ -225,7 +225,7 @@ class LogicalOpModel:
         if not rows:
             return []
         matrix = np.asarray(rows, dtype=float)
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "nn.inference", operator=self.kind.value, batch=len(rows)
         ) as span:
             predictions = np.maximum(0.0, network.predict(matrix))

@@ -103,7 +103,7 @@ class AlphaCalibrator:
             "remedy.alpha",
             help="last recalibrated cost-combining alpha (Table 1 loop)",
         ).set(self.alpha)
-        journal = obs.get_journal()
+        journal = obs.plane().journal
         if journal.enabled:
             payload = {
                 "phase": "recalibration",
@@ -167,7 +167,7 @@ class OnlineRemedy:
         ).inc()
         features = np.asarray([float(v) for v in features])
         fallback = False
-        with obs.get_tracer().span(
+        with obs.plane().tracer.span(
             "remedy.estimate", pivots=len(pivots), alpha=alpha
         ):
             try:
@@ -187,7 +187,7 @@ class OnlineRemedy:
                 regression_estimate = nn_estimate
         regression_estimate = max(0.0, regression_estimate)
         combined = alpha * nn_estimate + (1.0 - alpha) * regression_estimate
-        journal = obs.get_journal()
+        journal = obs.plane().journal
         if journal.enabled:
             payload = {
                 "phase": "activation",

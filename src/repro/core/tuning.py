@@ -144,7 +144,7 @@ class OfflineTuner:
             "tuning.entries_folded",
             help="logged executions folded back by the offline tuner",
         ).inc(len(batch))
-        journal = obs.get_journal()
+        journal = obs.plane().journal
         if journal.enabled:
             journal.append(
                 "tuning",

@@ -167,7 +167,7 @@ class DfsEngine(RemoteSystem):
     # Execution
     # ------------------------------------------------------------------
     def _execute(self, plan: LogicalPlan) -> QueryResult:
-        with obs.get_tracer().span("engine.execute", engine=self.name) as span:
+        with obs.plane().tracer.span("engine.execute", engine=self.name) as span:
             result = self._cost_node(plan)
             elapsed = self._apply_noise(result.seconds)
             self._observe_execution(result, elapsed, span)

@@ -202,7 +202,7 @@ class IntelliSphere:
         already active).
         """
         sql = query if isinstance(query, str) else ""
-        with obs.ensure_query_context(query=sql, tenant=tenant), obs.get_tracer().span(
+        with obs.ensure_query_context(query=sql, tenant=tenant), obs.plane().tracer.span(
             "federation.run"
         ) as span:
             plan = parse_select(query) if isinstance(query, str) else query

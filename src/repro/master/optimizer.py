@@ -118,7 +118,7 @@ class PlacementOptimizer:
         # direct library callers get their own id so downstream journal
         # events and exemplars stay attributable either way.
         with obs.ensure_query_context():
-            with obs.get_tracer().span("optimizer.optimize") as span:
+            with obs.plane().tracer.span("optimizer.optimize") as span:
                 placement = self._optimize(plan)
                 self._observe_placement(placement, span)
         return placement

@@ -5,9 +5,13 @@ estimates go out, actuals come back, α recalibrates, the offline tuner
 folds logs into the models.  This package is the runtime instrumentation
 around that loop:
 
+* :mod:`repro.obs.config` — the one :class:`~repro.obs.config.ObsPlane`
+  every emission site reports to (:func:`~repro.obs.config.plane`,
+  swapped whole by :func:`~repro.obs.config.install`) and the one
+  parse of the ten ``REPRO_OBS_*`` variables
+  (:class:`~repro.obs.config.ObsConfig`);
 * :mod:`repro.obs.metrics` — a thread-safe, zero-dependency registry of
-  named counters, gauges, and fixed-bucket histograms, with a
-  process-wide default;
+  named counters, gauges, and fixed-bucket histograms;
 * :mod:`repro.obs.tracing` — context-manager spans over the estimate
   path (wall-clock and simulated seconds kept distinct), with a no-op
   fast path when disabled and JSON export;
@@ -75,11 +79,12 @@ Instrumented subsystems must import *this* package, never the other way
 around: :mod:`repro.obs` depends only on the standard library.
 
 Importing the package loads only what set-up and a request run: the
-registry, tail sampler, tracer, query context, ledgers, journal and the
-time-series windows the federation rolls on every query.  Every other
-name loads its module on first use (:mod:`repro._lazy`), so a serving
-process never compiles the alert engine, dashboard, flamegraphs,
-profilers, exporters, journal fold or flight recorder it does not call.
+plane, registry, tail sampler, tracer, query context, ledgers, journal
+and the time-series windows the federation rolls on every query.
+Every other name loads its module on first use (:mod:`repro._lazy`),
+so a serving process never compiles the alert engine, dashboard,
+flamegraphs, profilers, exporters, journal fold or flight recorder it
+does not call.
 """
 
 from repro._lazy import lazy_exports
@@ -87,6 +92,7 @@ from repro._lazy import lazy_exports
 # Importing tracing registers the tracer's completion hook and then the
 # flight recorder's feeds; tenants registers its hook after them.
 from repro.obs import (  # noqa: F401
+    config,
     metrics,
     tail,
     context,
@@ -100,6 +106,23 @@ from repro.obs import (  # noqa: F401
 __all__ = lazy_exports(
     globals(),
     {
+        ".config": (
+            "ObsConfig",
+            "ObsPlane",
+            "install",
+            "plane",
+            "JOURNAL_ENV_VAR",
+            "TRACE_ENV_VAR",
+            "SAMPLE_ENV_VAR",
+            "TAIL_LATENCY_ENV_VAR",
+            "TAIL_QERROR_ENV_VAR",
+            "FLIGHT_DIR_ENV_VAR",
+            "WINDOW_WIDTH_ENV_VAR",
+            "WINDOW_RETENTION_ENV_VAR",
+            "PROF_ENV_VAR",
+            "PROF_WINDOW_ENV_VAR",
+            "DEFAULT_HZ",
+        ),
         ".metrics": (
             "Counter",
             "Gauge",
@@ -112,50 +135,34 @@ __all__ = lazy_exports(
             "counter",
             "gauge",
             "histogram",
-            "get_registry",
-            "set_registry",
         ),
         ".tail": (
             "KEEP_REASONS",
-            "TAIL_LATENCY_ENV_VAR",
-            "TAIL_QERROR_ENV_VAR",
             "QueryOutcome",
             "TailDecision",
             "TailSampler",
-            "get_tail_sampler",
-            "set_tail_sampler",
         ),
         ".tracing": (
             "NOOP_SPAN",
             "Span",
             "Tracer",
-            "get_tracer",
             "render_span_tree",
-            "FLIGHT_DIR_ENV_VAR",
-            "PROF_ENV_VAR",
-            "get_flight_recorder",
-            "set_flight_recorder",
             "trigger_incident",
         ),
         ".ledger": (
             "AccuracyLedger",
             "AccuracyStats",
             "LedgerEntry",
-            "get_ledger",
-            "set_ledger",
         ),
         ".journal": (
             "EVENT_TYPES",
-            "JOURNAL_ENV_VAR",
             "NOOP_JOURNAL",
             "EventJournal",
             "JournalEvent",
             "NoopJournal",
             "add_journal_listener",
-            "get_journal",
             "read_journal",
             "remove_journal_listener",
-            "set_journal",
         ),
         ".flight": (
             "FLIGHT_SCHEMA_VERSION",
@@ -167,9 +174,7 @@ __all__ = lazy_exports(
         ),
         ".tenants": (
             "TenantLedger",
-            "get_tenant_ledger",
             "rank_tenants",
-            "set_tenant_ledger",
         ),
         ".profiler": ("QueryProfile", "build_profile", "render_html", "render_text"),
         ".exporters": (
@@ -181,7 +186,6 @@ __all__ = lazy_exports(
             "write_json_snapshot",
         ),
         ".context": (
-            "SAMPLE_ENV_VAR",
             "ExemplarStore",
             "HeadSampler",
             "QueryContext",
@@ -194,16 +198,12 @@ __all__ = lazy_exports(
             "current_sampled",
             "current_tenant",
             "ensure_query_context",
-            "get_exemplar_store",
-            "get_sampler",
             "note_estimated_seconds",
             "note_query_q_error",
             "query_context",
             "record_exemplar",
             "remove_completion_hook",
             "reset_query_ids",
-            "set_exemplar_store",
-            "set_sampler",
         ),
         ".alerts": (
             "ALERT_SCHEMA_VERSION",
@@ -225,33 +225,25 @@ __all__ = lazy_exports(
         ),
         ".dashboard": ("history_from_windows", "render_dashboard"),
         ".timeseries": (
-            "WINDOW_RETENTION_ENV_VAR",
             "WINDOW_SCHEMA_VERSION",
-            "WINDOW_WIDTH_ENV_VAR",
             "HistogramWindow",
             "ManualClock",
             "TimeSeriesAggregator",
             "WindowSummary",
             "disable_timeseries",
             "enable_timeseries",
-            "get_timeseries",
             "log_buckets",
             "maybe_roll_timeseries",
-            "set_timeseries",
         ),
         ".sampling": (
-            "DEFAULT_HZ",
-            "PROF_WINDOW_ENV_VAR",
             "PROFILE_SCHEMA_VERSION",
             "ProfileWindow",
             "StackSampler",
             "fold_stack",
-            "get_stack_sampler",
             "maybe_start_sampling",
             "merge_stacks",
             "register_thread_role",
             "role_for_thread",
-            "set_stack_sampler",
             "start_sampling",
             "stop_sampling",
         ),

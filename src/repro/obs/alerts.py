@@ -64,15 +64,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.journal import (
-    NOOP_JOURNAL,
-    EventJournal,
-    NoopJournal,
-    get_journal,
-)
+from repro.obs.config import plane
+from repro.obs.journal import NOOP_JOURNAL, EventJournal, NoopJournal
 from repro.obs.metrics import counter
 from repro.obs.timeseries import HISTOGRAM_STATS, WindowSummary
-from repro.obs.tracing import get_flight_recorder
 
 __all__ = [
     "ALERT_SCHEMA_VERSION",
@@ -542,12 +537,12 @@ class AlertEngine:
                 :func:`repro.obs.health.build_observation` (or read back
                 from a journal / JSON snapshot).
             journal: Journal to append ``alert`` events to on state
-                transitions; defaults to the process-wide journal.
+                transitions; defaults to the plane's journal.
             emit: Set ``False`` to evaluate without journaling (pure
                 reporting paths, e.g. ``--json`` inspection of an
                 existing journal).
         """
-        journal = journal if journal is not None else get_journal()
+        journal = journal if journal is not None else plane().journal
         alerts: List[Alert] = []
         fired: List[str] = []
         resolved: List[str] = []
@@ -583,7 +578,7 @@ class AlertEngine:
             for key in resolved:
                 self._emit(journal, by_key[key], state="resolved")
         if fired:
-            recorder = get_flight_recorder()
+            recorder = plane().flight_recorder
             if recorder is not None:
                 # Freeze the flight rings the moment a rule transitions
                 # to firing: the bundle names the breaching alerts (with

@@ -37,18 +37,17 @@ standard library and must never import from the instrumented packages.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.config import plane
 from repro.obs.metrics import counter
-from repro.obs.tail import QueryOutcome, TailDecision, get_tail_sampler
+from repro.obs.tail import QueryOutcome, TailDecision
 
 __all__ = [
-    "SAMPLE_ENV_VAR",
     "QueryContext",
     "QueryStats",
     "HeadSampler",
@@ -65,16 +64,9 @@ __all__ = [
     "note_estimated_seconds",
     "add_completion_hook",
     "remove_completion_hook",
-    "get_sampler",
-    "set_sampler",
-    "get_exemplar_store",
-    "set_exemplar_store",
     "record_exemplar",
     "reset_query_ids",
 ]
-
-#: Head-sampling rate in [0, 1]; unset/invalid means 1.0 (sample all).
-SAMPLE_ENV_VAR = "REPRO_OBS_SAMPLE"
 
 
 class QueryStats:
@@ -191,43 +183,6 @@ class HeadSampler:
         return f"HeadSampler(rate={self.rate})"
 
 
-def _rate_from_env() -> float:
-    raw = os.environ.get(SAMPLE_ENV_VAR, "").strip()
-    if not raw:
-        return 1.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 1.0
-    return min(1.0, max(0.0, rate))
-
-
-_default_sampler: Optional[HeadSampler] = None
-_sampler_lock = threading.Lock()
-
-
-def get_sampler() -> HeadSampler:
-    """The process-wide head sampler (rate from ``REPRO_OBS_SAMPLE``)."""
-    global _default_sampler
-    sampler = _default_sampler
-    if sampler is not None:
-        return sampler
-    with _sampler_lock:
-        if _default_sampler is None:
-            _default_sampler = HeadSampler(rate=_rate_from_env())
-        return _default_sampler
-
-
-def set_sampler(sampler: Optional[HeadSampler]) -> Optional[HeadSampler]:
-    """Swap the default sampler; ``None`` re-reads the environment on
-    next use.  Returns the previous sampler."""
-    global _default_sampler
-    with _sampler_lock:
-        previous = _default_sampler
-        _default_sampler = sampler
-    return previous
-
-
 # ----------------------------------------------------------------------
 # Completion hooks: the tail-sampling dispatch point
 # ----------------------------------------------------------------------
@@ -261,7 +216,7 @@ def _complete(outcome: QueryOutcome) -> None:
     hook.  With no tail sampler installed the decision degrades to the
     head sampler's verdict, so behaviour without ``REPRO_OBS_TAIL_*``
     set is exactly the pre-tail behaviour."""
-    sampler = get_tail_sampler()
+    sampler = plane().tail_sampler
     if sampler is not None:
         decision = sampler.decide(outcome)
     else:
@@ -340,7 +295,7 @@ def build_query_context(
     *arrival* order even when workers complete out of order.
     """
     if sampled is None:
-        sampled = get_sampler().decide()
+        sampled = plane().head_sampler.decide()
     context = QueryContext(
         query_id=query_id if query_id is not None else _next_query_id(),
         sampled=sampled,
@@ -376,8 +331,8 @@ def query_context(
         query: The SQL text (attached to spans and the dashboard).
         query_id: Explicit id; minted from the monotonic counter when
             omitted.
-        sampled: Explicit head-sampling decision; asked of the default
-            sampler when omitted.
+        sampled: Explicit head-sampling decision; asked of the plane's
+            head sampler when omitted.
         tenant: The workload/tenant the query is attributed to.
     """
     return _ContextScope(
@@ -491,26 +446,10 @@ class ExemplarStore:
             self._recent.clear()
 
 
-_default_exemplars = ExemplarStore()
-
-
-def get_exemplar_store() -> ExemplarStore:
-    """The process-wide exemplar store the emission sites feed."""
-    return _default_exemplars
-
-
-def set_exemplar_store(store: ExemplarStore) -> ExemplarStore:
-    """Swap the default exemplar store; returns the previous one."""
-    global _default_exemplars
-    previous = _default_exemplars
-    _default_exemplars = store
-    return previous
-
-
 def record_exemplar(key: str, query_id: Optional[str] = None) -> None:
     """Record the active query as an exemplar for ``key`` (no-op when
     called outside a query scope and no explicit id is given)."""
     if query_id is None:
         query_id = current_query_id()
     if query_id is not None:
-        _default_exemplars.record(key, query_id)
+        plane().exemplars.record(key, query_id)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
-from repro.obs.ledger import AccuracyLedger, get_ledger
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tenants import TenantLedger, get_tenant_ledger
+from repro.obs.config import plane
+from repro.obs.ledger import AccuracyLedger
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tenants import TenantLedger
 
 __all__ = [
     "build_snapshot",
@@ -84,9 +85,10 @@ def build_snapshot(
     tenants: Optional[TenantLedger] = None,
 ) -> Dict[str, object]:
     """One JSON-serializable dict of metrics + ledger + tenant state."""
-    registry = registry if registry is not None else get_registry()
-    ledger = ledger if ledger is not None else get_ledger()
-    tenants = tenants if tenants is not None else get_tenant_ledger()
+    current = plane()
+    registry = registry if registry is not None else current.registry
+    ledger = ledger if ledger is not None else current.ledger
+    tenants = tenants if tenants is not None else current.tenants
     return {
         "version": SNAPSHOT_VERSION,
         "metrics": derive_gauges(registry.snapshot()),
@@ -239,17 +241,17 @@ def to_prometheus_text(
     attribution is appended as ``repro_tenant_*{tenant="..."}`` gauges
     (label values escaped) — pass ``tenants`` (a
     :meth:`~repro.obs.tenants.TenantLedger.snapshot` dict) to override
-    the process-wide ledger's view; no lines are emitted when no tenant
+    the plane's tenant ledger's view; no lines are emitted when no tenant
     was ever attributed, keeping unattributed expositions byte-identical.
     """
     if metrics is None:
-        registry = registry if registry is not None else get_registry()
+        registry = registry if registry is not None else plane().registry
         metrics = derive_gauges(registry.snapshot())
         if tenants is None:
-            # Live exposition: the process-wide attribution rides along.
+            # Live exposition: the plane's attribution rides along.
             # Explicit-metrics callers pass their snapshot's own slice —
             # mixing live tenants into a file snapshot would lie.
-            tenants = get_tenant_ledger().snapshot()
+            tenants = plane().tenants.snapshot()
     lines = []
     for name, data in sorted(metrics.items()):
         prom = _prom_name(name)

@@ -23,10 +23,10 @@ Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages
 (and, to keep the import graph acyclic, never from
 :mod:`repro.obs.alerts` or :mod:`repro.obs.dashboard` — they sit above
-it).  The process-wide recorder (``get_flight_recorder``,
-``set_flight_recorder``, ``trigger_incident``) and its feeds live in
-:mod:`repro.obs.tracing`, so this module loads only when a recorder is
-first built.
+it).  The plane holds the process's recorder
+(:class:`~repro.obs.config.ObsPlane`); ``trigger_incident`` and the
+recorder's feeds live in :mod:`repro.obs.tracing`, so this module
+loads only when a recorder is first built.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.journal import JournalEvent, get_journal
+from repro.obs.config import plane
+from repro.obs.journal import JournalEvent
 from repro.obs.metrics import counter
 from repro.obs.profiler import _esc, _html_page
-from repro.obs.sampling import get_stack_sampler
 from repro.obs.tail import QueryOutcome, TailDecision
-from repro.obs.tracing import get_tracer
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
@@ -308,7 +307,7 @@ class FlightRecorder:
             # kept query's roots are already in the tracer ring.
             trace = tuple(
                 root.to_dict()
-                for root in get_tracer().traces()
+                for root in plane().tracer.traces()
                 if root.attributes.get("query_id") == outcome.query_id
             )
         entry = FlightRecord(
@@ -400,7 +399,7 @@ class FlightRecorder:
         Args:
             kind: Trigger kind ("alert", "drift", "manual", ...).
             journal: Journal to write the bundle group into; defaults
-                to the process-wide journal (pass an explicit disabled
+                to the plane's journal (pass an explicit disabled
                 journal to suppress).
             info: Extra trigger fields (fired alerts, drifted system).
         """
@@ -414,7 +413,7 @@ class FlightRecorder:
         # Freeze the sampler's last profile window, when one is running:
         # the flamegraph of the moments before the incident.
         profile: Dict[str, Any] = {}
-        sampler = get_stack_sampler()
+        sampler = plane().stack_sampler
         if sampler is not None:
             window = sampler.last_window()
             if window is not None:
@@ -431,7 +430,7 @@ class FlightRecorder:
             if len(self._incidents) > self.max_incidents:
                 del self._incidents[: len(self._incidents) - self.max_incidents]
         counter("obs.flight.incidents", help="incident bundles triggered").inc()
-        journal = journal if journal is not None else get_journal()
+        journal = journal if journal is not None else plane().journal
         if journal.enabled:
             header: Dict[str, Any] = {
                 "name": name,

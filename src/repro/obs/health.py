@@ -24,7 +24,7 @@ observability stack produces:
     }
 
 Observations can be built **live** (:func:`build_observation`, from the
-process-wide registry/ledger plus the costing module's drift and cache
+plane's registry/ledger plus the costing module's drift and cache
 views) or **offline**
 (:meth:`repro.obs.rebuild.ReplayResult.observation`, replaying a
 journal in a fresh process — the CI health gate path).  Either way the
@@ -49,11 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.context import get_exemplar_store
-from repro.obs.ledger import AccuracyLedger, get_ledger
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tenants import get_tenant_ledger
-from repro.obs.timeseries import get_timeseries
+from repro.obs.config import plane
+from repro.obs.ledger import AccuracyLedger
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "OBSERVATION_VERSION",
@@ -109,32 +107,33 @@ def build_observation(
     """Snapshot the live observability state into one observation.
 
     Args:
-        registry: Metrics source; the process-wide registry by default.
-        ledger: Accuracy source; the process-wide ledger by default.
+        registry: Metrics source; the plane's registry by default.
+        ledger: Accuracy source; the plane's ledger by default.
         drift: Per-system drift reports as plain dicts — the costing
             module's ``drift_snapshot()``.  (``repro.obs`` cannot import
             the costing module, so the caller passes its view in.)
         cache: Estimate-cache statistics — ``EstimateCache.stats()``.
-        exemplars: Recent query ids per system; the process-wide
-            exemplar store by default.
+        exemplars: Recent query ids per system; the plane's exemplar
+            store by default.
         timeseries: Windowed-telemetry slice (an aggregator
-            ``snapshot()``); the process-wide aggregator's by default,
+            ``snapshot()``); the plane's aggregator's by default,
             empty when the telemetry plane is off.
-        tenants: Per-tenant attribution slice; the process-wide tenant
+        tenants: Per-tenant attribution slice; the plane's tenant
             ledger's snapshot by default.
     """
-    registry = registry if registry is not None else get_registry()
-    ledger = ledger if ledger is not None else get_ledger()
+    current = plane()
+    registry = registry if registry is not None else current.registry
+    ledger = ledger if ledger is not None else current.ledger
     if exemplars is None:
-        exemplars = get_exemplar_store().snapshot()
+        exemplars = current.exemplars.snapshot()
     if timeseries is None:
-        aggregator = get_timeseries()
+        aggregator = current.timeseries
         timeseries = (
             aggregator.snapshot() if aggregator is not None
             else _empty_timeseries()
         )
     if tenants is None:
-        tenants = get_tenant_ledger().snapshot()
+        tenants = current.tenants.snapshot()
     cache_stats = dict(_EMPTY_CACHE)
     if cache is not None:
         cache_stats.update({str(k): v for k, v in cache.items()})

@@ -23,11 +23,11 @@ Design points, in order of importance:
 * **corruption tolerance** — reads skip torn/garbage lines (a crash
   mid-append truncates at most the final line) and report how many
   were skipped rather than refusing the whole file;
-* **cheap when off** — the process-wide default is a shared no-op
-  journal unless the ``REPRO_OBS_JOURNAL`` environment variable names
-  a path (or :func:`set_journal` installs one); emission sites guard
-  on ``journal.enabled`` so the disabled hot path costs one attribute
-  read.
+* **cheap when off** — the plane's journal is a shared no-op unless
+  the ``REPRO_OBS_JOURNAL`` environment variable names a path (or the
+  installed :class:`~repro.obs.config.ObsPlane` pins one); emission
+  sites guard on ``journal.enabled`` so the disabled hot path costs
+  one attribute read.
 
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages.
@@ -58,13 +58,10 @@ __all__ = [
     "EventJournal",
     "NoopJournal",
     "NOOP_JOURNAL",
-    "JOURNAL_ENV_VAR",
     "ReadResult",
     "JournalCursor",
     "read_journal",
     "iter_journal_lines",
-    "get_journal",
-    "set_journal",
     "add_journal_listener",
     "remove_journal_listener",
 ]
@@ -86,8 +83,6 @@ EVENT_TYPES: Tuple[str, ...] = (
     "incident_record",  # one query record inside an incident bundle
     "profile",          # a sampling-profiler window closed (repro.obs.sampling)
 )
-
-JOURNAL_ENV_VAR = "REPRO_OBS_JOURNAL"
 
 #: Default rotation policy: 8 MiB active file, 4 rotated generations.
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
@@ -582,42 +577,3 @@ def read_journal(
     """
     paths = _generation_paths(os.fspath(path), max_files)
     return _parse_lines(_file_lines(paths))
-
-
-# ----------------------------------------------------------------------
-# Process-wide default journal
-# ----------------------------------------------------------------------
-_default_journal: Optional[Union[EventJournal, NoopJournal]] = None
-_default_lock = threading.Lock()
-
-
-def get_journal() -> Union[EventJournal, NoopJournal]:
-    """The process-wide journal all emission sites append to.
-
-    Resolved lazily on first use: the ``REPRO_OBS_JOURNAL`` environment
-    variable names the journal path; unset means the shared no-op.
-    """
-    global _default_journal
-    journal = _default_journal
-    if journal is not None:
-        return journal
-    with _default_lock:
-        if _default_journal is None:
-            path = os.environ.get(JOURNAL_ENV_VAR, "").strip()
-            _default_journal = EventJournal(path) if path else NOOP_JOURNAL
-        return _default_journal
-
-
-def set_journal(
-    journal: Optional[Union[EventJournal, NoopJournal]],
-) -> Union[EventJournal, NoopJournal, None]:
-    """Swap the default journal; returns the previous one.
-
-    Passing ``None`` resets to unresolved, so the next
-    :func:`get_journal` re-reads the environment.
-    """
-    global _default_journal
-    with _default_lock:
-        previous = _default_journal
-        _default_journal = journal
-    return previous

@@ -30,8 +30,6 @@ __all__ = [
     "LedgerEntry",
     "AccuracyStats",
     "AccuracyLedger",
-    "get_ledger",
-    "set_ledger",
 ]
 
 
@@ -246,22 +244,3 @@ class AccuracyLedger:
     def reset(self) -> None:
         with self._lock:
             self._windows.clear()
-
-
-# ----------------------------------------------------------------------
-# Process-wide default ledger
-# ----------------------------------------------------------------------
-_default_ledger = AccuracyLedger()
-
-
-def get_ledger() -> AccuracyLedger:
-    """The process-wide default accuracy ledger."""
-    return _default_ledger
-
-
-def set_ledger(ledger: AccuracyLedger) -> AccuracyLedger:
-    """Swap the default ledger; returns the previous one."""
-    global _default_ledger
-    previous = _default_ledger
-    _default_ledger = ledger
-    return previous

@@ -25,6 +25,8 @@ import bisect
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.obs.config import plane
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -34,8 +36,6 @@ __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "WALL_SECONDS_BUCKETS",
     "Q_ERROR_BUCKETS",
-    "get_registry",
-    "set_registry",
     "counter",
     "gauge",
     "histogram",
@@ -373,31 +373,14 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default registry
+# Instruments on the installed plane's registry
 # ----------------------------------------------------------------------
-_default_registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry all instrumentation writes to."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the default registry (isolated experiment runs); returns the
-    previous one so callers can restore it."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
 def counter(name: str, help: str = "", unit: str = "") -> Counter:
-    return get_registry().counter(name, help=help, unit=unit)
+    return plane().registry.counter(name, help=help, unit=unit)
 
 
 def gauge(name: str, help: str = "", unit: str = "") -> Gauge:
-    return get_registry().gauge(name, help=help, unit=unit)
+    return plane().registry.gauge(name, help=help, unit=unit)
 
 
 def histogram(
@@ -406,4 +389,4 @@ def histogram(
     help: str = "",
     unit: str = "",
 ) -> Histogram:
-    return get_registry().histogram(name, buckets=buckets, help=help, unit=unit)
+    return plane().registry.histogram(name, buckets=buckets, help=help, unit=unit)

@@ -129,7 +129,6 @@ def _as_float(value: object, default: float = 0.0) -> float:
 # ----------------------------------------------------------------------
 def _estimate(fold: _Fold, payload: Mapping[str, object]) -> None:
     registry = fold.registry
-    registry.counter("costing.estimate_plan.calls").inc()
     approach = str(payload.get("approach", ""))
     if approach:
         registry.counter(f"costing.approach.{approach}").inc()

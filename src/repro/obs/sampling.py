@@ -12,9 +12,9 @@ instrumentation at the sampled sites at all.
 How it works:
 
 * a daemon thread (``repro-prof-sampler``) wakes at a configurable rate
-  (:data:`DEFAULT_HZ` by default; env
-  :data:`~repro.obs.tracing.PROF_ENV_VAR` or
-  :func:`start_sampling`) and walks ``sys._current_frames()``;
+  (:data:`~repro.obs.config.DEFAULT_HZ` by default; env
+  ``REPRO_OBS_PROF`` or :func:`start_sampling`) and walks
+  ``sys._current_frames()``;
 * every observed thread is tagged with a **role** from its name
   (:func:`role_for_thread`: serve worker / http / main / simulator /
   other) and its stack is **folded** root-first into a
@@ -46,7 +46,6 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -62,15 +61,11 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.journal import get_journal
+from repro.obs.config import DEFAULT_HZ, ObsConfig, plane
 from repro.obs.metrics import counter, gauge
-from repro.obs.tracing import PROF_ENV_VAR
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
-    "PROF_WINDOW_ENV_VAR",
-    "DEFAULT_HZ",
-    "DEFAULT_WINDOW_SECONDS",
     "DEFAULT_RETENTION",
     "DEFAULT_MAX_STACKS",
     "MAX_STACK_DEPTH",
@@ -82,8 +77,6 @@ __all__ = [
     "role_for_thread",
     "register_thread_role",
     "merge_stacks",
-    "get_stack_sampler",
-    "set_stack_sampler",
     "start_sampling",
     "stop_sampling",
     "maybe_start_sampling",
@@ -91,17 +84,6 @@ __all__ = [
 
 #: Bump on breaking ``profile`` payload changes; readers skip newer ones.
 PROFILE_SCHEMA_VERSION = 1
-
-#: Profile-window width override, seconds.
-PROF_WINDOW_ENV_VAR = "REPRO_OBS_PROF_WINDOW"
-
-#: Default sampling rate.  Prime-ish, like perf's 99 Hz, so the sampler
-#: cannot phase-lock with periodic work (a 10 ms poll loop sampled at
-#: exactly 100 Hz would always land on the same frame).
-DEFAULT_HZ = 97.0
-
-#: Default profile-window width (matches the telemetry plane's windows).
-DEFAULT_WINDOW_SECONDS = 60.0
 
 #: Closed windows kept in the in-memory ring.
 DEFAULT_RETENTION = 16
@@ -305,34 +287,20 @@ class _OpenProfile:
         )
 
 
-def _env_hz(raw: str) -> float:
-    """Parse :data:`PROF_ENV_VAR`: off (0.0), a rate, or the default."""
-    raw = raw.strip().lower()
-    if not raw or raw in ("0", "off", "false", "no", "none"):
-        return 0.0
-    if raw in ("1", "true", "yes", "on"):
-        return DEFAULT_HZ
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_HZ
-    return value if value > 0 else 0.0
-
-
 class StackSampler:
     """The sampling profiler: a daemon thread over ``sys._current_frames``.
 
     Args:
-        hz: Sampling rate; defaults to :data:`PROF_ENV_VAR`, then
-            :data:`DEFAULT_HZ`.
+        hz: Sampling rate; defaults to ``REPRO_OBS_PROF``'s rate, then
+            :data:`~repro.obs.config.DEFAULT_HZ`.
         window_seconds: Profile-window width; defaults to
-            :data:`PROF_WINDOW_ENV_VAR`, then
-            :data:`DEFAULT_WINDOW_SECONDS`.
+            ``REPRO_OBS_PROF_WINDOW``, then
+            :data:`~repro.obs.config.DEFAULT_WINDOW_SECONDS`.
         retention: Closed windows kept in the in-memory ring.
         max_stacks: Distinct folded stacks per window before overflow.
         clock: Zero-argument "now" callable (monotonic by default; a
             manual clock where determinism matters).
-        journal: ``None`` late-binds the process-wide journal on every
+        journal: ``None`` late-binds the plane's journal on every
             window close; pass an explicit journal (or
             :data:`~repro.obs.journal.NOOP_JOURNAL`) to pin.
     """
@@ -346,23 +314,15 @@ class StackSampler:
         clock: Callable[[], float] = time.monotonic,
         journal=None,
     ) -> None:
-        resolved_hz = (
-            float(hz)
-            if hz is not None
-            else _env_hz(os.environ.get(PROF_ENV_VAR, "")) or DEFAULT_HZ
-        )
+        config = ObsConfig.from_env()
+        resolved_hz = float(hz) if hz is not None else config.prof_hz or DEFAULT_HZ
         if resolved_hz <= 0:
             raise ValueError("sampling hz must be positive")
-        raw_width = os.environ.get(PROF_WINDOW_ENV_VAR, "").strip()
-        if window_seconds is not None:
-            resolved_width = float(window_seconds)
-        else:
-            try:
-                resolved_width = float(raw_width) if raw_width else 0.0
-            except ValueError:
-                resolved_width = 0.0
-            if resolved_width <= 0:
-                resolved_width = DEFAULT_WINDOW_SECONDS
+        resolved_width = (
+            float(window_seconds)
+            if window_seconds is not None
+            else config.prof_window_seconds
+        )
         if resolved_width <= 0:
             raise ValueError("window_seconds must be positive")
         if retention < 1:
@@ -538,7 +498,7 @@ class StackSampler:
         counter(
             "obs.sampling.windows", help="profile windows closed"
         ).inc()
-        journal = self._journal if self._journal is not None else get_journal()
+        journal = self._journal if self._journal is not None else plane().journal
         if journal.enabled:
             journal.append("profile", **summary.to_payload())
 
@@ -615,71 +575,50 @@ def merge_stacks(windows: Iterable[ProfileWindow]) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default sampler
+# The plane's sampler
 # ----------------------------------------------------------------------
-_default_sampler: Optional[StackSampler] = None
-_default_lock = threading.Lock()
-
-
-def get_stack_sampler() -> Optional[StackSampler]:
-    """The process-wide sampler, or ``None`` when profiling is off."""
-    return _default_sampler
-
-
-def set_stack_sampler(
-    sampler: Optional[StackSampler],
-) -> Optional[StackSampler]:
-    """Swap the default sampler; returns the previous one (not stopped)."""
-    global _default_sampler
-    with _default_lock:
-        previous = _default_sampler
-        _default_sampler = sampler
-    return previous
-
-
 def start_sampling(
     hz: Optional[float] = None,
     window_seconds: Optional[float] = None,
     **kwargs,
 ) -> StackSampler:
-    """Build, start, and install the process-wide sampler.
+    """Build and start a sampler and make it the plane's
+    ``stack_sampler``.
 
-    An already-installed sampler is returned untouched (idempotent in
+    A sampler already on the plane is returned untouched (idempotent in
     effect — two subsystems may both ask for profiling).
     """
-    with _default_lock:
-        existing = _default_sampler
-    if existing is not None:
-        return existing
+    current = plane()
+    if current.stack_sampler is not None:
+        return current.stack_sampler
     sampler = StackSampler(hz=hz, window_seconds=window_seconds, **kwargs)
     sampler.start()
-    set_stack_sampler(sampler)
+    current.stack_sampler = sampler
     return sampler
 
 
 def stop_sampling(timeout: float = 2.0) -> Optional[StackSampler]:
-    """Stop and uninstall the process-wide sampler; returns it."""
-    previous = set_stack_sampler(None)
+    """Stop the plane's sampler and take it off the plane; returns it."""
+    current = plane()
+    previous, current.stack_sampler = current.stack_sampler, None
     if previous is not None:
         previous.stop(timeout=timeout)
     return previous
 
 
 def maybe_start_sampling() -> Optional[StackSampler]:
-    """Start the process-wide sampler iff :data:`PROF_ENV_VAR` asks.
+    """Start the plane's sampler iff ``REPRO_OBS_PROF`` asks.
 
     Returns the sampler only when *this call* started it — the caller
     owns its shutdown (:class:`~repro.serve.EstimationService` starts
     one per the environment and stops it on drain).  Off, or already
-    installed by someone else: ``None``, zero further cost.
+    started by someone else: ``None``, zero further cost.
     """
-    hz = _env_hz(os.environ.get(PROF_ENV_VAR, ""))
-    if hz <= 0:
+    hz = ObsConfig.from_env().prof_hz
+    current = plane()
+    if hz <= 0 or current.stack_sampler is not None:
         return None
-    with _default_lock:
-        if _default_sampler is not None:
-            return None
     sampler = StackSampler(hz=hz)
     sampler.start()
-    set_stack_sampler(sampler)
+    current.stack_sampler = sampler
     return sampler

@@ -93,10 +93,9 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.journal import EventJournal, JournalCursor, get_journal
-from repro.obs.tenants import get_tenant_ledger
-from repro.obs.timeseries import get_timeseries, maybe_roll_timeseries
-from repro.obs.tracing import get_flight_recorder
+from repro.obs.config import plane
+from repro.obs.journal import EventJournal, JournalCursor
+from repro.obs.timeseries import maybe_roll_timeseries
 
 if TYPE_CHECKING:
     from repro.obs.alerts import AlertEngine, AlertRule
@@ -532,7 +531,7 @@ class ObsServer:
 
     def render_timeseries(self) -> str:
         maybe_roll_timeseries()
-        aggregator = get_timeseries()
+        aggregator = plane().timeseries
         snapshot = (
             aggregator.snapshot()
             if aggregator is not None
@@ -542,7 +541,7 @@ class ObsServer:
 
     def render_tenants(self) -> str:
         return json.dumps(
-            get_tenant_ledger().snapshot(),
+            plane().tenants.snapshot(),
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -550,7 +549,7 @@ class ObsServer:
     def render_flight(self) -> str:
         from repro.obs.flight import FLIGHT_SCHEMA_VERSION
 
-        recorder = get_flight_recorder()
+        recorder = plane().flight_recorder
         if recorder is None:
             snapshot = {
                 "enabled": False,
@@ -564,7 +563,7 @@ class ObsServer:
         return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 
     def render_incidents(self) -> str:
-        recorder = get_flight_recorder()
+        recorder = plane().flight_recorder
         bundles = recorder.incidents() if recorder is not None else ()
         return json.dumps(
             [bundle.header() for bundle in bundles],
@@ -574,16 +573,16 @@ class ObsServer:
 
     def render_incident(self, name: str) -> Optional[str]:
         """One bundle's full JSON, or ``None`` when unknown/off."""
-        recorder = get_flight_recorder()
+        recorder = plane().flight_recorder
         bundle = recorder.find_incident(name) if recorder is not None else None
         if bundle is None:
             return None
         return json.dumps(bundle.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def render_profile(self) -> str:
-        from repro.obs.sampling import PROFILE_SCHEMA_VERSION, get_stack_sampler
+        from repro.obs.sampling import PROFILE_SCHEMA_VERSION
 
-        sampler = get_stack_sampler()
+        sampler = plane().stack_sampler
         if sampler is None:
             snapshot = {
                 "enabled": False,
@@ -597,9 +596,8 @@ class ObsServer:
 
     def render_profile_html(self) -> str:
         from repro.obs.flamegraph import render_flamegraph_html
-        from repro.obs.sampling import get_stack_sampler
 
-        sampler = get_stack_sampler()
+        sampler = plane().stack_sampler
         stacks = sampler.merged_stacks() if sampler is not None else {}
         subtitle = (
             f"{sampler.hz:g} Hz over {len(sampler.windows())} closed windows"
@@ -613,21 +611,21 @@ class ObsServer:
     def render_dashboard(self) -> str:
         from repro.obs.dashboard import history_from_windows, render_dashboard
         from repro.obs.health import evaluate_health
-        from repro.obs.sampling import get_stack_sampler
 
         observation = self.observation()
         healths = evaluate_health(observation)
         with self._eval_lock:
             report = self.engine.evaluate(observation)
-        aggregator = get_timeseries()
+        current = plane()
+        aggregator = current.timeseries
         windows = aggregator.windows() if aggregator is not None else ()
-        journal = get_journal()
+        journal = current.journal
         if journal.enabled and journal.path:
             history = self._journal_history(journal)
         else:
             history = history_from_windows(windows)
         tenants = observation.get("tenants")
-        sampler = get_stack_sampler()
+        sampler = current.stack_sampler
         return render_dashboard(
             healths,
             report=report,

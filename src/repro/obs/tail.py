@@ -22,9 +22,9 @@ ring and the flight recorder); no reason discards it.  With head
 sampling at 1% this captures 100% of threshold-breaching queries at
 near-zero steady-state cost — dropped buffers never leave memory.
 
-Configuration comes from the environment (both unset means tail
-sampling is off and the head-sampling behaviour is byte-for-byte what
-it was):
+The plane's ``tail_sampler`` (:class:`~repro.obs.config.ObsPlane`)
+comes from the environment (both unset means tail sampling is off and
+the head-sampling behaviour is byte-for-byte what it was):
 
 * ``REPRO_OBS_TAIL_LATENCY`` — wall-seconds threshold;
 * ``REPRO_OBS_TAIL_QERROR`` — q-error threshold.
@@ -35,29 +35,17 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.obs.metrics import counter
 
 __all__ = [
-    "TAIL_LATENCY_ENV_VAR",
-    "TAIL_QERROR_ENV_VAR",
     "KEEP_REASONS",
     "QueryOutcome",
     "TailDecision",
     "TailSampler",
-    "get_tail_sampler",
-    "set_tail_sampler",
 ]
-
-#: Wall-latency threshold (seconds); queries at/above it are kept.
-TAIL_LATENCY_ENV_VAR = "REPRO_OBS_TAIL_LATENCY"
-
-#: Q-error threshold; queries whose worst q-error reaches it are kept.
-TAIL_QERROR_ENV_VAR = "REPRO_OBS_TAIL_QERROR"
 
 #: Every reason a tail decision may carry, in emission order.
 KEEP_REASONS: Tuple[str, ...] = ("head", "latency", "q_error", "error")
@@ -188,58 +176,3 @@ class TailSampler:
             f"max_q_error={self.max_q_error}, "
             f"keep_errors={self.keep_errors})"
         )
-
-
-def _threshold_from_env(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def _sampler_from_env() -> Optional[TailSampler]:
-    latency = _threshold_from_env(TAIL_LATENCY_ENV_VAR)
-    q_error = _threshold_from_env(TAIL_QERROR_ENV_VAR)
-    if latency is None and q_error is None:
-        return None
-    if q_error is not None:
-        q_error = max(1.0, q_error)
-    return TailSampler(latency_seconds=latency, max_q_error=q_error)
-
-
-_default_sampler: Optional[TailSampler] = None
-_resolved = False
-_lock = threading.Lock()
-
-
-def get_tail_sampler() -> Optional[TailSampler]:
-    """The process-wide tail sampler, or ``None`` when tail sampling is
-    off.  Resolved lazily from the environment on first use — the fast
-    path (tail off, the default) is two module-global reads."""
-    global _default_sampler, _resolved
-    if _resolved:
-        return _default_sampler
-    with _lock:
-        if not _resolved:
-            _default_sampler = _sampler_from_env()
-            _resolved = True
-        return _default_sampler
-
-
-def set_tail_sampler(
-    sampler: Optional[TailSampler],
-) -> Optional[TailSampler]:
-    """Swap the tail sampler; ``None`` resets to unresolved so the next
-    :func:`get_tail_sampler` re-reads the environment (which means *off*
-    unless the ``REPRO_OBS_TAIL_*`` variables are set).  Returns the
-    previous sampler."""
-    global _default_sampler, _resolved
-    with _lock:
-        previous = _default_sampler if _resolved else None
-        _default_sampler = sampler
-        _resolved = sampler is not None
-    return previous

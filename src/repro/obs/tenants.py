@@ -29,13 +29,12 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Tuple
 
+from repro.obs.config import plane
 from repro.obs.context import add_completion_hook
 from repro.obs.tail import QueryOutcome, TailDecision
 
 __all__ = [
     "TenantLedger",
-    "get_tenant_ledger",
-    "set_tenant_ledger",
     "rank_tenants",
 ]
 
@@ -172,28 +171,9 @@ def rank_tenants(
     return sorted(snapshot.items(), key=_key)
 
 
-# ----------------------------------------------------------------------
-# Process-wide default ledger
-# ----------------------------------------------------------------------
-_default_ledger = TenantLedger()
-
-
-def get_tenant_ledger() -> TenantLedger:
-    """The process-wide tenant ledger the attribution sites feed."""
-    return _default_ledger
-
-
-def set_tenant_ledger(ledger: TenantLedger) -> TenantLedger:
-    """Swap the default tenant ledger; returns the previous one."""
-    global _default_ledger
-    previous = _default_ledger
-    _default_ledger = ledger
-    return previous
-
-
 def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
     if outcome.tenant:
-        _default_ledger.record_query(outcome, decision)
+        plane().tenants.record_query(outcome, decision)
 
 
 add_completion_hook(_on_query_complete)

@@ -15,7 +15,7 @@ time slice ``[index * width, (index + 1) * width)``:
 
 When the clock crosses a window boundary the current window is closed
 into a bounded ring (``deque(maxlen=retention)``) and — when the
-process-wide journal is enabled — persisted as one schema-versioned
+plane's journal is enabled — persisted as one schema-versioned
 ``window`` event whose payload round-trips **bit-identically** through
 JSON: :func:`repro.obs.rebuild.replay` rebuilds the exact same summaries
 in a fresh process.  Idle gaps never flood the journal: skipping many
@@ -31,30 +31,23 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.obs.journal import get_journal
-from repro.obs.metrics import MetricsObserver, MetricsRegistry, get_registry
+from repro.obs.config import ObsConfig, plane
+from repro.obs.metrics import MetricsObserver, MetricsRegistry
 
 __all__ = [
     "WINDOW_SCHEMA_VERSION",
-    "WINDOW_WIDTH_ENV_VAR",
-    "WINDOW_RETENTION_ENV_VAR",
-    "DEFAULT_WINDOW_WIDTH",
-    "DEFAULT_WINDOW_RETENTION",
     "WINDOW_BUCKETS",
     "log_buckets",
     "HistogramWindow",
     "WindowSummary",
     "TimeSeriesAggregator",
     "ManualClock",
-    "get_timeseries",
-    "set_timeseries",
     "enable_timeseries",
     "disable_timeseries",
     "maybe_roll_timeseries",
@@ -62,12 +55,6 @@ __all__ = [
 
 #: Bump on breaking ``window`` payload changes; readers skip newer ones.
 WINDOW_SCHEMA_VERSION = 1
-
-WINDOW_WIDTH_ENV_VAR = "REPRO_OBS_WINDOW"
-WINDOW_RETENTION_ENV_VAR = "REPRO_OBS_RETENTION"
-
-DEFAULT_WINDOW_WIDTH = 60.0
-DEFAULT_WINDOW_RETENTION = 120
 
 #: Quantile stats a window histogram can answer.
 HISTOGRAM_STATS = ("p50", "p95", "p99", "count", "sum", "mean", "min", "max")
@@ -350,28 +337,6 @@ class ManualClock:
         return self._now
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
 class TimeSeriesAggregator(MetricsObserver):
     """Thread-safe windowed aggregation over a registry's update stream.
 
@@ -383,7 +348,7 @@ class TimeSeriesAggregator(MetricsObserver):
         clock: A zero-argument callable returning "now" in seconds —
             wall clock by default, :class:`ManualClock` or a simulated
             clock where determinism matters.
-        journal: ``None`` (the default) late-binds the process-wide
+        journal: ``None`` (the default) late-binds the plane's
             journal on every close; pass an explicit journal (or
             ``False``-y :data:`~repro.obs.journal.NOOP_JOURNAL`) to pin.
 
@@ -399,15 +364,14 @@ class TimeSeriesAggregator(MetricsObserver):
         clock: Callable[[], float] = time.time,
         journal=None,
     ) -> None:
+        config = ObsConfig.from_env()
         resolved_width = (
-            float(width) if width is not None
-            else _env_float(WINDOW_WIDTH_ENV_VAR, DEFAULT_WINDOW_WIDTH)
+            float(width) if width is not None else config.window_seconds
         )
         if resolved_width <= 0:
             raise ValueError("window width must be positive")
         resolved_retention = (
-            int(retention) if retention is not None
-            else _env_int(WINDOW_RETENTION_ENV_VAR, DEFAULT_WINDOW_RETENTION)
+            int(retention) if retention is not None else config.window_retention
         )
         if resolved_retention < 1:
             raise ValueError("retention must be >= 1")
@@ -487,7 +451,7 @@ class TimeSeriesAggregator(MetricsObserver):
         summary = window.summarize(self.width)
         self._windows.append(summary)
         self._closed_count += 1
-        journal = self._journal if self._journal is not None else get_journal()
+        journal = self._journal if self._journal is not None else plane().journal
         if journal.enabled:
             journal.append("window", **summary.to_payload())
 
@@ -527,32 +491,8 @@ class TimeSeriesAggregator(MetricsObserver):
 
 
 # ----------------------------------------------------------------------
-# Process-wide default aggregator
+# The plane's aggregator
 # ----------------------------------------------------------------------
-_default_aggregator: Optional[TimeSeriesAggregator] = None
-_default_lock = threading.Lock()
-
-
-def get_timeseries() -> Optional[TimeSeriesAggregator]:
-    """The process-wide aggregator, or ``None`` when the plane is off."""
-    return _default_aggregator
-
-
-def set_timeseries(
-    aggregator: Optional[TimeSeriesAggregator],
-) -> Optional[TimeSeriesAggregator]:
-    """Swap the default aggregator; returns the previous one.
-
-    Does *not* touch registry observers — use :func:`enable_timeseries`
-    / :func:`disable_timeseries` for the wired-up lifecycle.
-    """
-    global _default_aggregator
-    with _default_lock:
-        previous = _default_aggregator
-        _default_aggregator = aggregator
-    return previous
-
-
 def enable_timeseries(
     width: Optional[float] = None,
     retention: Optional[int] = None,
@@ -560,38 +500,41 @@ def enable_timeseries(
     registry: Optional[MetricsRegistry] = None,
     journal=None,
 ) -> TimeSeriesAggregator:
-    """Build an aggregator, attach it to ``registry``, make it default.
+    """Build an aggregator, attach it to ``registry`` (the plane's by
+    default), and make it the plane's ``timeseries``.
 
     Idempotent in effect: a previously enabled aggregator is replaced
     (its ring is dropped — windows already journaled remain durable).
     """
-    registry = registry if registry is not None else get_registry()
+    current = plane()
+    registry = registry if registry is not None else current.registry
     aggregator = TimeSeriesAggregator(
         width=width, retention=retention, clock=clock, journal=journal
     )
     registry.attach_observer(aggregator)
-    set_timeseries(aggregator)
+    current.timeseries = aggregator
     return aggregator
 
 
 def disable_timeseries(
     registry: Optional[MetricsRegistry] = None,
 ) -> Optional[TimeSeriesAggregator]:
-    """Detach and drop the default aggregator; returns it."""
-    registry = registry if registry is not None else get_registry()
-    previous = set_timeseries(None)
+    """Detach and drop the plane's aggregator; returns it."""
+    current = plane()
+    registry = registry if registry is not None else current.registry
+    previous, current.timeseries = current.timeseries, None
     if previous is not None and registry.observer is previous:
         registry.detach_observer()
     return previous
 
 
 def maybe_roll_timeseries() -> int:
-    """Roll the default aggregator if enabled (one None-check when off).
+    """Roll the plane's aggregator if enabled (one None-check when off).
 
     Called from the federation facade after every query completes so
     windows close promptly even when no instrument fires again.
     """
-    aggregator = _default_aggregator
+    aggregator = plane().timeseries
     if aggregator is None:
         return 0
     return aggregator.maybe_roll()

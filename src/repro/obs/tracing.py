@@ -14,23 +14,23 @@ shared no-op span object — no allocation, no clock reads, a single
 attribute check — so instrumented hot paths stay essentially free
 (``benchmarks/bench_obs_overhead.py`` enforces <5%).  Set the
 ``REPRO_OBS_TRACE`` environment variable (or call
-``get_tracer().enable()``) to record.
+``obs.plane().tracer.enable()``) to record.
 
 Finished root spans accumulate in an in-memory ring buffer, queryable
 (:meth:`Tracer.last_trace`, :meth:`Tracer.find`) and exportable as JSON
 (:meth:`Tracer.export_json`).
 
-**Tail mode.**  With a tail sampler installed
-(:func:`repro.obs.tail.get_tail_sampler`), head-*unsampled* queries no
+**Tail mode.**  With a tail sampler on the plane
+(:class:`~repro.obs.config.ObsPlane`), head-*unsampled* queries no
 longer collapse to the no-op span: their spans record into a bounded
 per-query *pending* buffer, and the query-completion hook either
 commits them into the trace ring (the tail sampler kept the query) or
 discards them.  Head-sampled queries keep the original behaviour —
 their roots land in the ring immediately.
 
-**The flight recorder's slot.**  The process-wide
-:class:`~repro.obs.flight.FlightRecorder` and its two feeds (a
-completion hook and a journal listener) live here, not in
+**The flight recorder's feeds.**  The two feeds of the plane's
+:class:`~repro.obs.flight.FlightRecorder` (a completion hook and a
+journal listener) live here, not in
 :mod:`repro.obs.flight`: the feeds must run after the tracer's hook,
 which commits a kept query's spans before the recorder reads them, and
 must be registered before anything imports the recorder, so
@@ -41,29 +41,24 @@ that never sets it never loads :mod:`repro.obs.flight`.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.config import plane
 from repro.obs.context import add_completion_hook, current_context
 from repro.obs.journal import JournalEvent, add_journal_listener
 from repro.obs.metrics import counter
-from repro.obs.tail import QueryOutcome, TailDecision, get_tail_sampler
+from repro.obs.tail import QueryOutcome, TailDecision
 
 if TYPE_CHECKING:
-    from repro.obs.flight import FlightRecorder, IncidentBundle
+    from repro.obs.flight import IncidentBundle
 
 __all__ = [
     "Span",
     "Tracer",
     "NOOP_SPAN",
-    "get_tracer",
     "render_span_tree",
-    "FLIGHT_DIR_ENV_VAR",
-    "PROF_ENV_VAR",
-    "get_flight_recorder",
-    "set_flight_recorder",
     "trigger_incident",
 ]
 
@@ -239,7 +234,7 @@ class Tracer:
             return NOOP_SPAN
         context = current_context()
         if context is not None:
-            if not context.sampled and get_tail_sampler() is None:
+            if not context.sampled and plane().tail_sampler is None:
                 return NOOP_SPAN
             attributes.setdefault("query_id", context.query_id)
             if context.tenant:
@@ -403,24 +398,13 @@ def render_span_tree(span: Span) -> str:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default tracer
+# The plane's tracer and flight recorder (see the module docstring)
 # ----------------------------------------------------------------------
-_default_tracer = Tracer(
-    enabled=os.environ.get("REPRO_OBS_TRACE", "").lower()
-    in ("1", "true", "yes", "on")
-)
-
-
-def get_tracer() -> Tracer:
-    """The process-wide default tracer the instrumentation reports to."""
-    return _default_tracer
-
-
 def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
     """Completion hook: resolve the query's pending buffer per the tail
     verdict.  The unlocked emptiness check keeps the common case (no
     tail mode, nothing pending) to one attribute read."""
-    tracer = _default_tracer
+    tracer = plane().tracer
     if not tracer._pending:
         return
     if decision.keep:
@@ -432,79 +416,24 @@ def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
 add_completion_hook(_on_query_complete)
 
 
-# ----------------------------------------------------------------------
-# Process-wide flight recorder (see the module docstring)
-# ----------------------------------------------------------------------
-#: Directory incident bundles are dumped into (JSONL + HTML); unset
-#: means no process-wide recorder.
-FLIGHT_DIR_ENV_VAR = "REPRO_OBS_FLIGHT_DIR"
-
-#: The stack sampler's rate (:mod:`repro.obs.sampling`): unset/empty/0
-#: = off; a number = hz; a bare truthy value ("1"/"true"/"on"/"yes") =
-#: its default rate.  Defined here, like :data:`FLIGHT_DIR_ENV_VAR`, so
-#: a process can look at it without loading the sampler.
-PROF_ENV_VAR = "REPRO_OBS_PROF"
-
-_default_recorder: Optional["FlightRecorder"] = None
-_recorder_resolved = False
-_recorder_lock = threading.Lock()
-
-
-def _recorder_from_env() -> Optional["FlightRecorder"]:
-    directory = os.environ.get(FLIGHT_DIR_ENV_VAR, "").strip()
-    if not directory:
-        return None
-    from repro.obs.flight import FlightRecorder
-
-    return FlightRecorder(directory=directory)
-
-
-def get_flight_recorder() -> Optional["FlightRecorder"]:
-    """The process-wide flight recorder, or ``None`` when off.
-    Resolved lazily: ``REPRO_OBS_FLIGHT_DIR`` installs a dumping
-    recorder; unset means no recorder (zero completion-path cost)."""
-    global _default_recorder, _recorder_resolved
-    if _recorder_resolved:
-        return _default_recorder
-    with _recorder_lock:
-        if not _recorder_resolved:
-            _default_recorder = _recorder_from_env()
-            _recorder_resolved = True
-        return _default_recorder
-
-
-def set_flight_recorder(
-    recorder: Optional["FlightRecorder"],
-) -> Optional["FlightRecorder"]:
-    """Swap the flight recorder; ``None`` resets to unresolved so the
-    next :func:`get_flight_recorder` re-reads the environment.  Returns
-    the previous recorder."""
-    global _default_recorder, _recorder_resolved
-    with _recorder_lock:
-        previous = _default_recorder if _recorder_resolved else None
-        _default_recorder = recorder
-        _recorder_resolved = recorder is not None
-    return previous
-
-
 def trigger_incident(kind: str, **info: Any) -> Optional["IncidentBundle"]:
-    """Trigger an incident on the process-wide recorder; no-op (returns
-    ``None``) when no recorder is installed.  The emission sites (alert
-    engine, drift transitions) call this unconditionally."""
-    recorder = get_flight_recorder()
+    """Trigger an incident on the plane's flight recorder; no-op
+    (returns ``None``) when the plane has none.  The emission sites
+    (alert engine, drift transitions) call this unconditionally."""
+    recorder = plane().flight_recorder
     if recorder is None:
         return None
     return recorder.trigger_incident(kind=kind, **info)
 
 
 def _record_query(outcome: QueryOutcome, decision: TailDecision) -> None:
-    recorder = get_flight_recorder()
+    recorder = plane().flight_recorder
     if recorder is not None:
         recorder.record(outcome, decision)
 
 
 def _record_journal_event(event: JournalEvent) -> None:
-    recorder = get_flight_recorder()
+    recorder = plane().flight_recorder
     if recorder is not None:
         recorder.on_journal_event(event)
 

@@ -40,7 +40,7 @@ setting).  This module operates that loop as a long-lived daemon:
   ``serve.latency_seconds`` (service time) this answers the USE-method
   question directly — is the pool CPU-bound or queue-bound?  When
   ``REPRO_OBS_PROF`` asks for it, :meth:`EstimationService.start` also
-  starts the process-wide stack sampler
+  starts the plane's stack sampler
   (:mod:`repro.obs.sampling`) and stops it on drain, so a profiled
   serve burst needs nothing but the environment variable; without it
   the sampler module is never loaded.
@@ -61,7 +61,6 @@ function of the seed.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -254,10 +253,10 @@ class EstimationService:
         # registry before any traffic arrives.
         self.sphere.costing.publish_generations()
         # Continuous profiling, opt-in via the environment: if this
-        # call starts the process-wide sampler, the service owns it
-        # and stops it on drain.  Any value loads the sampler module;
-        # maybe_start_sampling decides whether it means "on".
-        if os.environ.get(obs.PROF_ENV_VAR, "").strip():
+        # call starts the plane's sampler, the service owns it and
+        # stops it on drain.  The sampler module loads only when the
+        # parsed rate is on.
+        if obs.ObsConfig.from_env().prof_hz > 0:
             self._sampler = obs.maybe_start_sampling()
         for index in range(self.workers):
             thread = threading.Thread(

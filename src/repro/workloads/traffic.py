@@ -566,9 +566,10 @@ class TrafficSimulator:
 
     Construction builds the federation (engine, tables, trained
     logical-op models) but touches none of the process-wide
-    observability state; :meth:`run` installs a fresh metrics registry,
-    ledger, tenant ledger, and journal, replays the arrival schedule,
-    and returns a :class:`TrafficReport`.
+    observability state; :meth:`run` installs a fresh observability
+    plane (registry, ledgers, exemplars, journal), replays the arrival
+    schedule, restores the caller's plane, and returns a
+    :class:`TrafficReport`.
     """
 
     def __init__(
@@ -785,24 +786,29 @@ class TrafficSimulator:
         # Fresh observability plane: nothing from previous runs (or the
         # training phase's instruments) leaks into the journal or the
         # health verdict, and two same-seed runs see identical state.
-        obs.set_registry(obs.MetricsRegistry())
+        # The caller's plane is back once the run returns or raises.
         ledger = obs.AccuracyLedger(window=config.ledger_window)
-        obs.set_ledger(ledger)
-        obs.set_tenant_ledger(obs.TenantLedger())
-        obs.set_exemplar_store(obs.ExemplarStore())
-        obs.reset_query_ids()
         journal = (
             obs.EventJournal(self.journal_path)
             if self.journal_path
             else obs.NoopJournal()
         )
-        obs.set_journal(journal)
-        recorder = None
+        fields = {"ledger": ledger, "journal": journal}
         if self.flight_dir:
-            recorder = obs.FlightRecorder(directory=self.flight_dir)
-        obs.set_flight_recorder(recorder)
+            fields["flight_recorder"] = obs.FlightRecorder(directory=self.flight_dir)
+        previous = obs.install(obs.ObsPlane(**fields))
+        obs.reset_query_ids()
         self.sphere.costing.ledger = ledger
+        try:
+            self._simulate(report, journal)
+        finally:
+            obs.install(previous)
+        self._fold_journal(report, ledger)
+        return report
 
+    def _simulate(self, report: TrafficReport, journal) -> None:
+        """Drive every arrival, then take the final health sample."""
+        config = self.config
         arrivals = generate_arrivals(
             config.arrivals, config.queries, np.random.default_rng(config.seed + 1)
         )
@@ -858,16 +864,12 @@ class TrafficSimulator:
                     report.health_timeline.append((index + 1, self._sample_health()))
         finally:
             service.stop()
-            obs.set_flight_recorder(None)
             journal.close()
-            obs.set_journal(None)
 
         report.tenants_seen = len(report.tenant_queries)
         report.final_health = self._sample_health()
         if not report.health_timeline or report.health_timeline[-1][0] != config.queries:
             report.health_timeline.append((config.queries, dict(report.final_health)))
-        self._fold_journal(report, ledger)
-        return report
 
     # ------------------------------------------------------------------
     # Journal accounting

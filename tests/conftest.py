@@ -88,46 +88,14 @@ def cluster_info(cluster):
     )
 
 
-#: Every process-global slot a ``repro.obs.set_*`` setter owns, with the
-#: factory for the fresh value a test starts from.  ``None`` leaves the
-#: slot unresolved, so its getter re-reads the environment as a new
-#: process would.
-OBS_SLOTS = {
-    "set_registry": obs.MetricsRegistry,
-    "set_ledger": obs.AccuracyLedger,
-    "set_tenant_ledger": obs.TenantLedger,
-    "set_exemplar_store": obs.ExemplarStore,
-    "set_journal": None,
-    "set_tail_sampler": None,
-    "set_flight_recorder": None,
-    "set_sampler": None,
-    "set_timeseries": None,
-    "set_stack_sampler": None,
-}
-
-
 @pytest.fixture()
 def restore_obs_plane():
     """Give the test a fresh observability plane; restore the old one after.
 
-    Swaps every :data:`OBS_SLOTS` slot and restores the tracer's enabled
-    flag (dropping the spans recorded meanwhile), so nothing a test
-    installs — a journal, sampler, recorder, aggregator — leaks into the
-    next one.
+    Every field of the fresh :class:`~repro.obs.ObsPlane` resolves on
+    first read, as in a new process, so nothing a test installs — a
+    journal, sampler, recorder, aggregator — leaks into the next one.
     """
-    setters = {name for name in obs.__all__ if name.startswith("set_")}
-    assert set(OBS_SLOTS) == setters, "OBS_SLOTS must cover every obs.set_*"
-    previous = {
-        setter: getattr(obs, setter)(fresh() if fresh else None)
-        for setter, fresh in OBS_SLOTS.items()
-    }
-    tracer = obs.get_tracer()
-    was_enabled = tracer.enabled
+    previous = obs.install(obs.ObsPlane())
     yield
-    for setter, value in previous.items():
-        getattr(obs, setter)(value)
-    tracer.clear()
-    if was_enabled:
-        tracer.enable()
-    else:
-        tracer.disable()
+    obs.install(previous)

@@ -4,16 +4,9 @@ import pytest
 
 from repro.cli import build_parser, build_sandbox, main
 
-
-@pytest.fixture(autouse=True)
-def _isolated_tenant_ledger():
-    """CLI commands attribute tenants to the process-global ledger
-    (demo stamps DEMO_TENANTS); keep that state out of other suites."""
-    from repro import obs
-
-    previous = obs.set_tenant_ledger(obs.TenantLedger())
-    yield
-    obs.set_tenant_ledger(previous)
+#: CLI commands report to the installed plane (demo stamps
+#: DEMO_TENANTS); each test gets a fresh one, restored after.
+pytestmark = pytest.mark.usefixtures("restore_obs_plane")
 
 
 class TestParser:
@@ -214,7 +207,7 @@ class TestObservabilityCommands:
         tracer as it found it, disabled or enabled."""
         from repro import obs
 
-        tracer = obs.get_tracer()
+        tracer = obs.plane().tracer
         tracer.disable()
         assert main(["trace"]) == 0
         assert not tracer.enabled
@@ -255,7 +248,9 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "events applied: 2 (actual=1, estimate=1)" in out
         assert "hive/join" in out
-        assert "costing.estimate_plan.calls" in out
+        assert "costing.approach.sub_op" in out
+        # estimate_plan.calls counts cache hits, which never journal.
+        assert "costing.estimate_plan.calls" not in out
 
     def test_stats_journal_json_round_trips_through_from(
         self, capsys, tmp_path
@@ -459,7 +454,6 @@ class TestFlamegraphCommand:
         self, capsys, tmp_path, monkeypatch
     ):
         from repro import obs
-        from repro.obs.sampling import get_stack_sampler
 
         monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
         out_path = tmp_path / "live.html"
@@ -471,8 +465,8 @@ class TestFlamegraphCommand:
         out = capsys.readouterr().out
         assert "live burst: 400 placements" in out_path.read_text()
         assert "frame" in out
-        # the burst pins a private sampler, never the process-wide slot
-        assert get_stack_sampler() is None
+        # the burst pins a private sampler, never the plane's
+        assert obs.plane().stack_sampler is None
 
 
 class TestHealthAndAlertCommands:
@@ -649,11 +643,7 @@ class TestHealthAndAlertCommands:
         from repro import obs
 
         monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
-        previous = obs.set_ledger(obs.AccuracyLedger())
-        try:
-            code = main(["health"])
-        finally:
-            obs.set_ledger(previous)
+        code = main(["health"])
         assert code == 0
         assert "no remote-system signals yet" in capsys.readouterr().out
 
@@ -801,13 +791,10 @@ class TestServeCommand:
 
 class TestTenantsCommand:
     @pytest.fixture(autouse=True)
-    def _fresh_tenant_ledger(self, monkeypatch):
+    def _live_state(self, monkeypatch):
         from repro import obs
 
         monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
-        previous = obs.set_tenant_ledger(obs.TenantLedger())
-        yield
-        obs.set_tenant_ledger(previous)
 
     def test_live_empty_state_prints_hint(self, capsys):
         assert main(["tenants"]) == 0
@@ -835,7 +822,7 @@ class TestTenantsCommand:
     def test_json_output_is_ranked_and_deterministic(self, capsys):
         from repro import obs
 
-        ledger = obs.get_tenant_ledger()
+        ledger = obs.plane().tenants
         ledger.record_estimate("adhoc", 9.0)
         ledger.record_estimate("etl", 2.0)
         assert main(["tenants", "--json"]) == 0
@@ -852,7 +839,7 @@ class TestTenantsCommand:
     def test_rank_by_alternate_key(self, capsys):
         from repro import obs
 
-        ledger = obs.get_tenant_ledger()
+        ledger = obs.plane().tenants
         ledger.record_estimate("cheap", 1.0)
         ledger.record_actual("cheap", 9.0)
         ledger.record_estimate("costly", 99.0)
@@ -868,7 +855,7 @@ class TestTenantsCommand:
 
         journal_path = tmp_path / "j.jsonl"
         journal = obs.EventJournal(journal_path)
-        previous = obs.set_journal(journal)
+        previous = obs.install(obs.ObsPlane(journal=journal))
         try:
             assert (
                 main(
@@ -883,7 +870,7 @@ class TestTenantsCommand:
             )
             journal.close()
         finally:
-            obs.set_journal(previous)
+            obs.install(previous)
         capsys.readouterr()
         assert main(["tenants", "--journal", str(journal_path)]) == 0
         out = capsys.readouterr().out
@@ -896,7 +883,7 @@ class TestTenantsCommand:
 
         journal_path = tmp_path / "j.jsonl"
         journal = obs.EventJournal(journal_path)
-        previous = obs.set_journal(journal)
+        previous = obs.install(obs.ObsPlane(journal=journal))
         try:
             assert main(
                 ["run", "SELECT a1 FROM t1000000_100 WHERE a1 < 700",
@@ -904,7 +891,7 @@ class TestTenantsCommand:
             ) == 0
             journal.close()
         finally:
-            obs.set_journal(previous)
+            obs.install(previous)
         capsys.readouterr()
         assert main(["tenants", "--journal", str(journal_path)]) == 0
         assert "etl" in capsys.readouterr().out
@@ -933,10 +920,6 @@ class TestTenantsCommand:
 
 
 class TestSimulateCommand:
-    @pytest.fixture(autouse=True)
-    def _isolate_obs(self, restore_obs_plane):
-        """The simulator swaps in fresh obs globals; restore after."""
-
     def test_steady_mini_run_exits_zero(self, capsys):
         code = main(["simulate", "--scenario", "steady", "--queries", "60"])
         assert code == 0

@@ -254,18 +254,17 @@ class TestObservability:
 
     def test_invalid_actual_rejected_and_counted(self, trained):
         from repro import obs
-        from repro.obs import MetricsRegistry
 
         module, ledger, estimate = trained
-        previous = obs.set_registry(MetricsRegistry())
+        previous = obs.install(obs.ObsPlane())
         try:
             for bad in (0.0, -1.0, float("nan"), float("inf")):
                 module.record_actual("hive", estimate, bad)
-            invalid = obs.get_registry().get("costing.record_actual_invalid")
+            invalid = obs.plane().registry.get("costing.record_actual_invalid")
             assert invalid is not None and invalid.value == 4
-            assert obs.get_registry().get("costing.record_actual.calls") is None
+            assert obs.plane().registry.get("costing.record_actual.calls") is None
         finally:
-            obs.set_registry(previous)
+            obs.install(previous)
         assert len(ledger) == 0  # nothing poisoned the accuracy window
 
     def test_invalid_actual_skips_logical_feedback(
@@ -315,24 +314,19 @@ class TestTenantAttributionAndIncidents:
         self, trained, small_catalog, tmp_path
     ):
         from repro import obs
-        from repro.obs.context import ExemplarStore
 
         module, plan = trained
         journal = obs.EventJournal(tmp_path / "tenant.jsonl")
-        previous_journal = obs.set_journal(journal)
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
-        previous_store = obs.set_exemplar_store(ExemplarStore())
+        previous = obs.install(obs.ObsPlane(journal=journal))
         obs.reset_query_ids()
         try:
             with obs.query_context(query="SELECT 1", tenant="etl"):
                 estimate = module.estimate_plan("hive", plan, small_catalog)
             journal.close()
-            stats = obs.get_tenant_ledger().snapshot()["etl"]
-            recent = obs.get_exemplar_store().recent("tenant:etl")
+            stats = obs.plane().tenants.snapshot()["etl"]
+            recent = obs.plane().exemplars.recent("tenant:etl")
         finally:
-            obs.set_exemplar_store(previous_store)
-            obs.set_tenant_ledger(previous_ledger)
-            obs.set_journal(previous_journal)
+            obs.install(previous)
         assert stats["estimates"] > 0
         assert stats["estimated_seconds"] > 0.0
         assert stats["estimated_seconds"] >= estimate.seconds
@@ -349,16 +343,14 @@ class TestTenantAttributionAndIncidents:
 
         module, plan = trained
         journal = obs.EventJournal(tmp_path / "plain.jsonl")
-        previous_journal = obs.set_journal(journal)
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane(journal=journal))
         try:
             with obs.query_context(query="SELECT 1"):
                 module.estimate_plan("hive", plan, small_catalog)
             journal.close()
-            snapshot = obs.get_tenant_ledger().snapshot()
+            snapshot = obs.plane().tenants.snapshot()
         finally:
-            obs.set_tenant_ledger(previous_ledger)
-            obs.set_journal(previous_journal)
+            obs.install(previous)
         assert snapshot == {}
         events = obs.read_journal(tmp_path / "plain.jsonl").events
         estimates = [e for e in events if e.type == "estimate"]
@@ -371,14 +363,14 @@ class TestTenantAttributionAndIncidents:
         from repro import obs
 
         module, plan = trained
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane())
         try:
             with obs.query_context(tenant="adhoc"):
                 estimate = module.estimate_plan("hive", plan, small_catalog)
                 module.record_actual("hive", estimate, estimate.seconds * 3.0)
-            stats = obs.get_tenant_ledger().snapshot()["adhoc"]
+            stats = obs.plane().tenants.snapshot()["adhoc"]
         finally:
-            obs.set_tenant_ledger(previous_ledger)
+            obs.install(previous)
         assert stats["actuals"] == 1
         assert stats["mean_q_error"] == pytest.approx(3.0)
 
@@ -389,7 +381,7 @@ class TestTenantAttributionAndIncidents:
 
         module, plan = trained
         recorder = obs.FlightRecorder()
-        previous_recorder = obs.set_flight_recorder(recorder)
+        previous = obs.install(obs.ObsPlane(flight_recorder=recorder))
         try:
             estimate = module.estimate_plan("hive", plan, small_catalog)
             # Establish the drift baseline with faithful actuals, then
@@ -402,7 +394,7 @@ class TestTenantAttributionAndIncidents:
                 )
             incidents = recorder.incidents()
         finally:
-            obs.set_flight_recorder(previous_recorder)
+            obs.install(previous)
         assert len(incidents) == 1  # rising edge only, never re-fired
         trigger = incidents[0].trigger
         assert trigger["kind"] == "drift"

@@ -153,7 +153,7 @@ class TestJournalAttribution:
         from repro import obs
 
         journal = obs.EventJournal(tmp_path / "j.jsonl")
-        previous = obs.set_journal(journal)
+        previous = obs.install(obs.ObsPlane(journal=journal))
         try:
             monitor = DriftMonitor(baseline_window=5, name="hive")
             for _ in range(5):
@@ -164,7 +164,7 @@ class TestJournalAttribution:
                         break
             journal.close()
         finally:
-            obs.set_journal(previous)
+            obs.install(previous)
         events = obs.read_journal(tmp_path / "j.jsonl").events
         drift_events = [e for e in events if e.type == "drift"]
         assert len(drift_events) == 1
@@ -175,7 +175,7 @@ class TestJournalAttribution:
         from repro import obs
 
         journal = obs.EventJournal(tmp_path / "j.jsonl")
-        previous = obs.set_journal(journal)
+        previous = obs.install(obs.ObsPlane(journal=journal))
         try:
             monitor = DriftMonitor(baseline_window=5)
             for _ in range(5):
@@ -185,7 +185,7 @@ class TestJournalAttribution:
                     break
             journal.close()
         finally:
-            obs.set_journal(previous)
+            obs.install(previous)
         events = obs.read_journal(tmp_path / "j.jsonl").events
         drift_events = [e for e in events if e.type == "drift"]
         assert drift_events[0].payload["system"] == ""

@@ -358,11 +358,10 @@ class TestLockContentionTelemetry:
     @pytest.fixture(autouse=True)
     def obs_state(self):
         from repro import obs
-        from repro.obs.metrics import MetricsRegistry
 
-        previous = obs.set_registry(MetricsRegistry())
+        previous = obs.install(obs.ObsPlane())
         yield
-        obs.set_registry(previous)
+        obs.install(previous)
 
     def _estimate(self, seconds):
         from repro.core.estimator import OperatorEstimate
@@ -384,10 +383,10 @@ class TestLockContentionTelemetry:
         cache.put(key, self._estimate(1.0))
         cache.get(key)
         cache.invalidate()
-        assert obs.get_registry().get(
+        assert obs.plane().registry.get(
             "costing.estimate_cache.lock_waits"
         ) is None
-        assert obs.get_registry().get(
+        assert obs.plane().registry.get(
             "costing.estimate_cache.lock_wait_seconds"
         ) is None
 
@@ -419,7 +418,7 @@ class TestLockContentionTelemetry:
         thread.join(timeout=5.0)
         assert result is not None
         assert obs.counter("costing.estimate_cache.lock_waits").value >= 1.0
-        snapshot = obs.get_registry().get(
+        snapshot = obs.plane().registry.get(
             "costing.estimate_cache.lock_wait_seconds"
         ).snapshot()
         assert snapshot["count"] >= 1

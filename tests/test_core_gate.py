@@ -9,7 +9,6 @@ import pytest
 
 from repro import obs
 from repro.core.gate import ReadWriteGate
-from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture()
@@ -19,13 +18,13 @@ def gate():
 
 @pytest.fixture(autouse=True)
 def obs_state():
-    previous = obs.set_registry(MetricsRegistry())
+    previous = obs.install(obs.ObsPlane())
     yield
-    obs.set_registry(previous)
+    obs.install(previous)
 
 
 def histogram_count(name):
-    metric = obs.get_registry().get(name)
+    metric = obs.plane().registry.get(name)
     return 0 if metric is None else metric.snapshot()["count"]
 
 
@@ -176,7 +175,7 @@ class TestSaturationTelemetry:
         assert reader_done.wait(timeout=5.0)
         for thread in (w, r):
             thread.join(timeout=5.0)
-        snapshot = obs.get_registry().get("gate.read_wait_seconds").snapshot()
+        snapshot = obs.plane().registry.get("gate.read_wait_seconds").snapshot()
         assert snapshot["count"] == 1
         assert snapshot["sum"] >= 0.04  # parked for the writer's hold
 
@@ -211,7 +210,7 @@ class TestSaturationTelemetry:
             thread.join(timeout=5.0)
         assert histogram_count("gate.read_wait_seconds") == 1  # late reader
         assert histogram_count("gate.write_wait_seconds") == 1
-        snapshot = obs.get_registry().get("gate.write_wait_seconds").snapshot()
+        snapshot = obs.plane().registry.get("gate.write_wait_seconds").snapshot()
         assert snapshot["sum"] >= 0.04  # waited out reader1's hold
         assert obs.gauge("gate.writers_waiting").value == 0.0
 
@@ -219,14 +218,14 @@ class TestSaturationTelemetry:
         with gate.write():
             time.sleep(0.01)
         assert histogram_count("gate.write_wait_seconds") == 1
-        hold = obs.get_registry().get("gate.write_hold_seconds").snapshot()
+        hold = obs.plane().registry.get("gate.write_hold_seconds").snapshot()
         assert hold["count"] == 1
         assert hold["sum"] >= 0.009
 
     def test_read_hold_covers_outermost_span(self, gate):
         with gate.read():
             time.sleep(0.01)
-        snapshot = obs.get_registry().get("gate.read_hold_seconds").snapshot()
+        snapshot = obs.plane().registry.get("gate.read_hold_seconds").snapshot()
         assert snapshot["count"] == 1
         assert snapshot["sum"] >= 0.009
 

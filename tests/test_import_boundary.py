@@ -245,7 +245,7 @@ def test_flight_dir_records_from_the_first_query(tmp_path):
         with EstimationService(sphere, workers=2) as service:
             for rows in (10_000, 100_000, 10_000, 100_000, 10_000):
                 service.estimate("hive", f"SELECT SUM(a1) FROM t{rows}_100 GROUP BY a20")
-        snapshot = obs.get_flight_recorder().snapshot()
+        snapshot = obs.plane().flight_recorder.snapshot()
         print(json.dumps({
             "loaded_before": loaded_before,
             "records": len(snapshot["records"]),

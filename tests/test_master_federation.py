@@ -113,20 +113,20 @@ class TestQueryContextPropagation:
         from repro import obs
 
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
+        previous = obs.install(obs.ObsPlane(registry=registry))
         obs.reset_query_ids()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 200")
             assert registry.counter("context.queries").value == 2.0
         finally:
-            obs.set_registry(previous)
+            obs.install(previous)
 
     def test_journal_events_carry_federation_query_id(self, sphere, tmp_path):
         from repro import obs
 
         journal = obs.EventJournal(tmp_path / "fed.jsonl")
-        previous_journal = obs.set_journal(journal)
+        previous = obs.install(obs.ObsPlane(journal=journal))
         obs.reset_query_ids()
         try:
             sphere.run(
@@ -135,7 +135,7 @@ class TestQueryContextPropagation:
             )
             journal.close()
         finally:
-            obs.set_journal(previous_journal)
+            obs.install(previous)
         events = obs.read_journal(tmp_path / "fed.jsonl").events
         estimates = [e for e in events if e.type == "estimate"]
         assert estimates
@@ -147,28 +147,28 @@ class TestQueryContextPropagation:
         from repro import obs
         from repro.obs.context import ExemplarStore
 
-        previous_store = obs.set_exemplar_store(ExemplarStore())
+        previous = obs.install(obs.ObsPlane())
         obs.reset_query_ids()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
-            recent = obs.get_exemplar_store().recent("hive")
+            recent = obs.plane().exemplars.recent("hive")
             assert "q-000001" in recent
         finally:
-            obs.set_exemplar_store(previous_store)
+            obs.install(previous)
 
     def test_explain_and_run_mint_distinct_ids(self, sphere):
         from repro import obs
         from repro.obs.context import ExemplarStore
 
-        previous_store = obs.set_exemplar_store(ExemplarStore())
+        previous = obs.install(obs.ObsPlane())
         obs.reset_query_ids()
         try:
             sphere.explain("SELECT a1 FROM t10000_40 WHERE a1 < 100")
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
-            recent = obs.get_exemplar_store().recent("hive")
+            recent = obs.plane().exemplars.recent("hive")
             assert {"q-000001", "q-000002"} <= set(recent)
         finally:
-            obs.set_exemplar_store(previous_store)
+            obs.install(previous)
 
 
 class TestCapabilityRestrictedSystems:
@@ -207,7 +207,7 @@ class TestTelemetryPlane:
         from repro import obs
         from repro.obs.timeseries import ManualClock
 
-        previous = obs.set_timeseries(None)
+        previous = obs.install(obs.ObsPlane())
         try:
             clock = ManualClock()
             aggregator = obs.enable_timeseries(width=10.0, clock=clock)
@@ -222,7 +222,7 @@ class TestTelemetryPlane:
             assert windows[0].counters.get("federation.runs") == 1.0
         finally:
             obs.disable_timeseries()
-            obs.set_timeseries(previous)
+            obs.install(previous)
 
 
 class TestTenantPropagation:
@@ -232,14 +232,14 @@ class TestTenantPropagation:
     def test_run_tenant_feeds_the_tenant_ledger(self, sphere):
         from repro import obs
 
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane())
         obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 311", tenant="etl")
-            snapshot = obs.get_tenant_ledger().snapshot()
+            snapshot = obs.plane().tenants.snapshot()
         finally:
-            obs.set_tenant_ledger(previous_ledger)
+            obs.install(previous)
         stats = snapshot["etl"]
         assert stats["queries"] == 1
         assert stats["estimates"] > 0
@@ -250,16 +250,16 @@ class TestTenantPropagation:
     ):
         from repro import obs
 
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane())
         obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.explain(
                 "SELECT a1 FROM t10000_40 WHERE a1 < 312", tenant="adhoc"
             )
-            snapshot = obs.get_tenant_ledger().snapshot()
+            snapshot = obs.plane().tenants.snapshot()
         finally:
-            obs.set_tenant_ledger(previous_ledger)
+            obs.install(previous)
         stats = snapshot["adhoc"]
         assert stats["queries"] == 1
         assert stats["errors"] == 0
@@ -269,8 +269,7 @@ class TestTenantPropagation:
         from repro import obs
 
         journal = obs.EventJournal(tmp_path / "tenant.jsonl")
-        previous_journal = obs.set_journal(journal)
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane(journal=journal))
         obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
@@ -279,8 +278,7 @@ class TestTenantPropagation:
             )
             journal.close()
         finally:
-            obs.set_tenant_ledger(previous_ledger)
-            obs.set_journal(previous_journal)
+            obs.install(previous)
         events = obs.read_journal(tmp_path / "tenant.jsonl").events
         estimates = [e for e in events if e.type == "estimate"]
         assert estimates
@@ -289,12 +287,12 @@ class TestTenantPropagation:
     def test_untenanted_run_stays_unattributed(self, sphere):
         from repro import obs
 
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane())
         obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
-            snapshot = obs.get_tenant_ledger().snapshot()
+            snapshot = obs.plane().tenants.snapshot()
         finally:
-            obs.set_tenant_ledger(previous_ledger)
+            obs.install(previous)
         assert snapshot == {}

@@ -243,7 +243,7 @@ class TestStateTransitions:
 
     def test_counters_track_transitions(self):
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
+        previous = obs.install(obs.ObsPlane(registry=registry))
         try:
             engine = self._engine()
             bad = make_observation(
@@ -258,7 +258,7 @@ class TestStateTransitions:
             assert registry.counter("alerts.fired").value == 1.0
             assert registry.counter("alerts.resolved").value == 1.0
         finally:
-            obs.set_registry(previous)
+            obs.install(previous)
 
     def test_duplicate_rule_names_rejected(self):
         rule = AlertRule(
@@ -651,7 +651,7 @@ class TestFlightRecorderIntegration:
 
     def test_firing_transition_triggers_one_incident(self):
         recorder = obs.FlightRecorder()
-        previous = obs.set_flight_recorder(recorder)
+        previous = obs.install(obs.ObsPlane(flight_recorder=recorder))
         try:
             engine = AlertEngine()
             engine.evaluate(self._breaching_observation(), emit=False)
@@ -659,25 +659,25 @@ class TestFlightRecorderIntegration:
             # no second bundle.
             engine.evaluate(self._breaching_observation(), emit=False)
         finally:
-            obs.set_flight_recorder(previous)
+            obs.install(previous)
         (bundle,) = recorder.incidents()
         assert bundle.trigger["kind"] == "alert"
         rules = [alert["rule"] for alert in bundle.trigger["alerts"]]
         assert "slo-q-error" in rules
 
     def test_no_recorder_means_no_side_effects(self):
-        previous = obs.set_flight_recorder(None)
+        previous = obs.install(obs.ObsPlane())
         try:
             report = AlertEngine().evaluate(
                 self._breaching_observation(), emit=False
             )
         finally:
-            obs.set_flight_recorder(previous)
+            obs.install(previous)
         assert report.fired  # the evaluation itself is unaffected
 
     def test_emitting_evaluation_journals_the_bundle_group(self, tmp_path):
         recorder = obs.FlightRecorder()
-        previous_recorder = obs.set_flight_recorder(recorder)
+        previous = obs.install(obs.ObsPlane(flight_recorder=recorder))
         journal = obs.EventJournal(tmp_path / "j.jsonl")
         try:
             AlertEngine().evaluate(
@@ -685,7 +685,7 @@ class TestFlightRecorderIntegration:
             )
             journal.close()
         finally:
-            obs.set_flight_recorder(previous_recorder)
+            obs.install(previous)
         types = [
             event.type
             for event in obs.read_journal(tmp_path / "j.jsonl").events

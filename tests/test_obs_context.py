@@ -11,15 +11,11 @@ from repro.obs import context as ctx
 
 @pytest.fixture(autouse=True)
 def _fresh_context_state():
-    """Isolate query ids, sampler, and exemplars per test."""
+    """Isolate query ids and the observability plane per test."""
     obs.reset_query_ids()
-    previous_sampler = obs.set_sampler(ctx.HeadSampler(rate=1.0))
-    previous_store = obs.set_exemplar_store(ctx.ExemplarStore())
-    previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+    previous = obs.install(obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0)))
     yield
-    obs.set_tenant_ledger(previous_ledger)
-    obs.set_sampler(previous_sampler)
-    obs.set_exemplar_store(previous_store)
+    obs.install(previous)
     obs.reset_query_ids()
 
 
@@ -73,7 +69,7 @@ class TestQueryContext:
 
     def test_counts_opened_queries(self):
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
+        previous = obs.install(obs.ObsPlane(registry=registry))
         try:
             with obs.query_context():
                 pass
@@ -81,7 +77,7 @@ class TestQueryContext:
                 pass
             assert registry.counter("context.queries").value == 2.0
         finally:
-            obs.set_registry(previous)
+            obs.install(previous)
 
     def test_context_propagates_across_threads_via_copy_context(self):
         import contextvars
@@ -164,31 +160,23 @@ class TestHeadSampler:
         assert [sampler.decide() for _ in range(4)] == first
 
     def test_env_var_configures_default_sampler(self, monkeypatch):
-        monkeypatch.setenv(ctx.SAMPLE_ENV_VAR, "0.5")
-        obs.set_sampler(None)  # force re-read of the environment
-        try:
-            assert obs.get_sampler().rate == 0.5
-        finally:
-            obs.set_sampler(ctx.HeadSampler(rate=1.0))
+        monkeypatch.setenv(obs.SAMPLE_ENV_VAR, "0.5")
+        obs.install(obs.ObsPlane())  # its head sampler reads the environment
+        assert obs.plane().head_sampler.rate == 0.5
 
     def test_invalid_env_var_falls_back_to_full_sampling(self, monkeypatch):
-        monkeypatch.setenv(ctx.SAMPLE_ENV_VAR, "not-a-number")
-        obs.set_sampler(None)
-        try:
-            assert obs.get_sampler().rate == 1.0
-        finally:
-            obs.set_sampler(ctx.HeadSampler(rate=1.0))
+        monkeypatch.setenv(obs.SAMPLE_ENV_VAR, "not-a-number")
+        obs.install(obs.ObsPlane())
+        assert obs.plane().head_sampler.rate == 1.0
 
     def test_unsampled_queries_counted(self):
         registry = obs.MetricsRegistry()
-        previous = obs.set_registry(registry)
-        obs.set_sampler(ctx.HeadSampler(rate=0.0))
-        try:
-            with obs.query_context():
-                pass
-            assert registry.counter("context.unsampled_queries").value == 1.0
-        finally:
-            obs.set_registry(previous)
+        obs.install(
+            obs.ObsPlane(registry=registry, head_sampler=ctx.HeadSampler(rate=0.0))
+        )
+        with obs.query_context():
+            pass
+        assert registry.counter("context.unsampled_queries").value == 1.0
 
 
 class TestTracerIntegration:
@@ -270,11 +258,11 @@ class TestExemplarStore:
     def test_record_exemplar_uses_active_context(self):
         with obs.query_context() as context:
             obs.record_exemplar("hive")
-        assert obs.get_exemplar_store().recent("hive") == (context.query_id,)
+        assert obs.plane().exemplars.recent("hive") == (context.query_id,)
 
     def test_record_exemplar_noop_outside_context(self):
         obs.record_exemplar("hive")
-        assert obs.get_exemplar_store().recent("hive") == ()
+        assert obs.plane().exemplars.recent("hive") == ()
 
     def test_concurrent_records_stay_consistent(self):
         store = ctx.ExemplarStore(per_key=4)
@@ -343,8 +331,6 @@ class TestCompletionHooks:
         assert len(seen) == 1
 
     def test_raising_hook_is_counted_and_isolated(self):
-        previous_registry = obs.set_registry(obs.MetricsRegistry())
-
         def broken(outcome, decision):
             raise RuntimeError("hook bug")
 
@@ -354,13 +340,12 @@ class TestCompletionHooks:
         try:
             with obs.query_context(query="SELECT 1"):
                 pass
-            errors = obs.get_registry().counter(
+            errors = obs.plane().registry.counter(
                 "context.completion_hook_errors"
             ).value
         finally:
             obs.remove_completion_hook(capture)
             obs.remove_completion_hook(broken)
-            obs.set_registry(previous_registry)
         assert errors == 1.0
         assert len(seen) == 1  # the later hook still ran
 

@@ -264,9 +264,9 @@ class TestTenantExports:
         assert "analytics" in text
 
     def test_live_exposition_defaults_to_process_ledger(self, registry):
-        previous = obs.set_tenant_ledger(self._ledger())
+        previous = obs.install(obs.ObsPlane(tenants=self._ledger()))
         try:
             text = exporters.to_prometheus_text(registry=registry)
         finally:
-            obs.set_tenant_ledger(previous)
+            obs.install(previous)
         assert 'repro_tenant_queries{tenant="analytics"}' in text

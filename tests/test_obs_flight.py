@@ -17,24 +17,18 @@ from repro.obs.journal import EventJournal, JournalEvent
 from repro.obs.tail import QueryOutcome, TailDecision, TailSampler
 
 
+def _plane(**fields):
+    """A fresh plane whose head sampler keeps every query."""
+    return obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0), **fields)
+
+
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    """Isolate ids, registry, samplers, recorder, and tracer per test."""
+    """Isolate ids and the observability plane per test."""
     obs.reset_query_ids()
-    previous_registry = obs.set_registry(obs.MetricsRegistry())
-    previous_sampler = obs.set_sampler(ctx.HeadSampler(rate=1.0))
-    previous_tail = obs.set_tail_sampler(None)
-    previous_recorder = obs.set_flight_recorder(None)
-    tracer = obs.get_tracer()
-    was_enabled = tracer.enabled
-    tracer.clear()
+    previous = obs.install(_plane())
     yield
-    tracer.enabled = was_enabled
-    tracer.clear()
-    obs.set_flight_recorder(previous_recorder)
-    obs.set_tail_sampler(previous_tail)
-    obs.set_sampler(previous_sampler)
-    obs.set_registry(previous_registry)
+    obs.install(previous)
     obs.reset_query_ids()
 
 
@@ -90,16 +84,17 @@ class TestFlightRecorder:
             "q-000003",
             "q-000004",
         ]
-        registry = obs.get_registry()
+        registry = obs.plane().registry
         assert registry.counter("obs.flight.records").value == 5.0
         assert registry.counter("obs.flight.evicted").value == 2.0
 
     def test_kept_query_carries_its_committed_trace(self):
-        tracer = obs.get_tracer()
-        tracer.enable()
-        obs.set_tail_sampler(TailSampler(max_q_error=2.0))
         recorder = obs.FlightRecorder()
-        obs.set_flight_recorder(recorder)
+        obs.install(
+            _plane(tail_sampler=TailSampler(max_q_error=2.0), flight_recorder=recorder)
+        )
+        tracer = obs.plane().tracer
+        tracer.enable()
         with obs.query_context(query="SELECT 1", sampled=False):
             with tracer.span("costing.estimate"):
                 pass
@@ -147,7 +142,7 @@ class TestTriggerIncident:
         second = recorder.trigger_incident("alert")
         assert first.name == "incident-000001-drift-alarm"
         assert second.name == "incident-000002-alert"
-        assert obs.get_registry().counter("obs.flight.incidents").value == 2.0
+        assert obs.plane().registry.counter("obs.flight.incidents").value == 2.0
 
     def test_trigger_freezes_rings_and_carries_info(self):
         recorder = obs.FlightRecorder()
@@ -180,8 +175,7 @@ class TestTriggerIncident:
 
     def test_env_var_installs_dumping_recorder(self, tmp_path, monkeypatch):
         monkeypatch.setenv(obs.FLIGHT_DIR_ENV_VAR, str(tmp_path))
-        obs.set_flight_recorder(None)
-        recorder = obs.get_flight_recorder()
+        recorder = obs.plane().flight_recorder
         assert recorder is not None
         assert recorder.directory == str(tmp_path)
         recorder.trigger_incident("manual")
@@ -309,7 +303,7 @@ class TestJournalReplay:
 class TestCompletionIntegration:
     def test_completion_hook_feeds_installed_recorder(self):
         recorder = obs.FlightRecorder()
-        obs.set_flight_recorder(recorder)
+        obs.install(_plane(flight_recorder=recorder))
         with obs.query_context(query="SELECT 1", tenant="etl"):
             obs.note_estimated_seconds(3.0)
         (record,) = recorder.records()
@@ -320,7 +314,7 @@ class TestCompletionIntegration:
 
     def test_error_exit_recorded(self):
         recorder = obs.FlightRecorder()
-        obs.set_flight_recorder(recorder)
+        obs.install(_plane(flight_recorder=recorder))
         with pytest.raises(RuntimeError):
             with obs.query_context(query="SELECT 1"):
                 raise RuntimeError("boom")
@@ -376,7 +370,7 @@ class TestThreadSafety:
         assert errors == []
         assert len(recorder.records()) <= 64
         assert len(recorder.incidents()) <= 4
-        registry = obs.get_registry()
+        registry = obs.plane().registry
         assert registry.counter("obs.flight.records").value == 5 * 400
         assert registry.counter("obs.flight.incidents").value == 25.0
         kept = registry.counter("obs.tail.kept").value
@@ -402,14 +396,9 @@ class TestProfileInBundles:
         return sampler
 
     def test_trigger_freezes_last_profile_window(self):
-        from repro.obs.sampling import set_stack_sampler
-
-        previous = set_stack_sampler(self._stack_sampler())
-        try:
-            recorder = obs.FlightRecorder()
-            bundle = recorder.trigger_incident("drift")
-        finally:
-            set_stack_sampler(previous)
+        obs.install(_plane(stack_sampler=self._stack_sampler()))
+        recorder = obs.FlightRecorder()
+        bundle = recorder.trigger_incident("drift")
         assert bundle.profile["samples"] == 2
         assert bundle.profile["stacks"] == {"[serve];repro.serve.loop": 2}
         assert bundle.profile["profile_v"] == 1
@@ -423,15 +412,10 @@ class TestProfileInBundles:
         assert "profile" not in bundle.to_jsonl().splitlines()[0]  # header
 
     def test_profiled_bundle_round_trips_byte_for_byte(self, tmp_path):
-        from repro.obs.sampling import set_stack_sampler
-
-        previous = set_stack_sampler(self._stack_sampler())
-        try:
-            recorder = obs.FlightRecorder(directory=tmp_path)
-            recorder.record(outcome(1), KEEP)
-            bundle = recorder.trigger_incident("alert")
-        finally:
-            set_stack_sampler(previous)
+        obs.install(_plane(stack_sampler=self._stack_sampler()))
+        recorder = obs.FlightRecorder(directory=tmp_path)
+        recorder.record(outcome(1), KEEP)
+        bundle = recorder.trigger_incident("alert")
         path = tmp_path / f"{bundle.name}.jsonl"
         loaded = flight.load_bundle(path)
         assert loaded.profile == bundle.profile
@@ -441,17 +425,12 @@ class TestProfileInBundles:
         assert "repro.serve.loop" in html
 
     def test_incidents_from_events_restore_the_profile(self, tmp_path):
-        from repro.obs.sampling import set_stack_sampler
-
         journal = EventJournal(tmp_path / "j.jsonl")
-        previous_journal = obs.set_journal(journal)
-        previous = set_stack_sampler(self._stack_sampler())
+        obs.install(_plane(journal=journal, stack_sampler=self._stack_sampler()))
         try:
             recorder = obs.FlightRecorder()
             bundle = recorder.trigger_incident("drift")
         finally:
-            set_stack_sampler(previous)
-            obs.set_journal(previous_journal)
             journal.close()
         rebuilt = obs.replay(journal.read().events).incidents
         assert len(rebuilt) == 1

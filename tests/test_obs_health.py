@@ -131,9 +131,9 @@ class TestObservationFromJournal:
         for event in self._events():
             journal.append(event.type, **event.payload)
         journal.close()
-        live_before = obs.get_registry().snapshot()
+        live_before = obs.plane().registry.snapshot()
         obs.replay(tmp_path / "j.jsonl").observation()
-        assert obs.get_registry().snapshot() == live_before
+        assert obs.plane().registry.snapshot() == live_before
 
     def test_exemplar_buffer_is_bounded_and_distinct(self):
         events = [
@@ -304,7 +304,7 @@ class TestTimeseriesSlice:
         from repro.obs.timeseries import ManualClock, enable_timeseries
 
         registry = obs.MetricsRegistry()
-        previous = obs.set_timeseries(None)
+        previous = obs.install(obs.ObsPlane())
         try:
             clock = ManualClock()
             aggregator = enable_timeseries(
@@ -320,11 +320,11 @@ class TestTimeseriesSlice:
             assert slice_["closed"] == 1
             assert slice_["windows"][0]["counters"] == {"c": 2.0}
         finally:
-            obs.set_timeseries(previous)
+            obs.install(previous)
             registry.detach_observer()
 
     def test_live_observation_is_empty_when_plane_off(self):
-        previous = obs.set_timeseries(None)
+        previous = obs.install(obs.ObsPlane())
         try:
             observation = obs.build_observation(
                 registry=obs.MetricsRegistry(), ledger=obs.AccuracyLedger()
@@ -333,7 +333,7 @@ class TestTimeseriesSlice:
                 "width": 0.0, "retention": 0, "closed": 0, "windows": [],
             }
         finally:
-            obs.set_timeseries(previous)
+            obs.install(previous)
 
     def test_explicit_slice_wins_over_live_aggregator(self):
         explicit = {"width": 5.0, "retention": 1, "closed": 0, "windows": []}
@@ -376,13 +376,13 @@ class TestTenantsSlice:
     agree on shape so alert rules and the CLI can consume any of them."""
 
     def test_live_observation_carries_tenant_snapshot(self):
-        previous = obs.set_tenant_ledger(obs.TenantLedger())
+        previous = obs.install(obs.ObsPlane())
         try:
-            obs.get_tenant_ledger().record_estimate("etl", 4.0)
+            obs.plane().tenants.record_estimate("etl", 4.0)
             observation = obs.build_observation()
             assert observation["tenants"]["etl"]["estimated_seconds"] == 4.0
         finally:
-            obs.set_tenant_ledger(previous)
+            obs.install(previous)
 
     def test_explicit_tenants_override_sorted(self):
         observation = obs.build_observation(

@@ -11,7 +11,13 @@ import sys
 import pytest
 
 from repro import obs
-from repro.core import ClusterInfo, CostEstimationModule, RemoteSystemProfile
+from repro.core import (
+    ClusterInfo,
+    CostEstimationModule,
+    EstimationRequest,
+    RemoteSystemProfile,
+    derive_operator_stats,
+)
 from repro.data import Catalog, build_paper_corpus
 from repro.engines import HiveEngine
 from repro.obs import journal as jmod
@@ -253,37 +259,39 @@ class TestSequenceResumption:
 
 class TestDefaultJournal:
     def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(jmod.JOURNAL_ENV_VAR, raising=False)
-        obs.set_journal(None)
+        monkeypatch.delenv(obs.JOURNAL_ENV_VAR, raising=False)
+        previous = obs.install(obs.ObsPlane())
         try:
-            journal = obs.get_journal()
+            journal = obs.plane().journal
             assert journal is NOOP_JOURNAL
             assert not journal.enabled
             assert journal.append("estimate", seconds=1.0) is None
         finally:
-            obs.set_journal(None)
+            obs.install(previous)
 
     def test_env_var_resolves_path(self, monkeypatch, tmp_path):
         path = tmp_path / "env.jsonl"
-        monkeypatch.setenv(jmod.JOURNAL_ENV_VAR, str(path))
-        obs.set_journal(None)
+        monkeypatch.setenv(obs.JOURNAL_ENV_VAR, str(path))
+        previous = obs.install(obs.ObsPlane())
         try:
-            journal = obs.get_journal()
+            journal = obs.plane().journal
             assert journal.enabled
             assert journal.path == str(path)
             journal.append("estimate", seconds=1.0)
             journal.close()
         finally:
-            obs.set_journal(None)
+            obs.install(previous)
         assert path.exists()
 
     def test_set_journal_returns_previous(self, tmp_path):
+        """A plane installed with a journal sets the default journal."""
         journal = EventJournal(tmp_path / "j.jsonl")
-        previous = obs.set_journal(journal)
+        installed = obs.ObsPlane(journal=journal)
+        previous = obs.install(installed)
         try:
-            assert obs.get_journal() is journal
+            assert obs.plane().journal is journal
         finally:
-            obs.set_journal(previous)
+            assert obs.install(previous) is installed
             journal.close()
 
 
@@ -303,7 +311,9 @@ class TestReplayUnits:
         result = replay(events)
         registry = result.registry
         assert result.applied == 1
-        assert registry.counter("costing.estimate_plan.calls").value == 1
+        # Live, estimate_plan.calls counts cache hits too; the journal
+        # holds only fresh estimates, so replay leaves that counter out.
+        assert registry.get("costing.estimate_plan.calls") is None
         assert registry.counter("costing.approach.sub_op").value == 1
         assert registry.counter("costing.estimates_remedied").value == 1
 
@@ -443,13 +453,15 @@ class TestReplayUnits:
 # ----------------------------------------------------------------------
 # Live-vs-replay parity (the tentpole acceptance test)
 # ----------------------------------------------------------------------
-def _journaled_workload(tmp_path):
+def _journaled_workload(tmp_path, cached=False):
     """A mixed estimate/actual workload journaled with fresh telemetry.
 
     Drift is deliberately triggered: the first ``baseline_window``
     actuals match the estimates (healthy baseline), then actuals jump to
     3x so the CUSUM crosses its threshold and both drift-flagged actuals
-    and a ``drift`` event land in the journal.
+    and a ``drift`` event land in the journal.  ``cached`` adds two
+    cache hits through ``estimate_plan`` and one ``estimate_batch``
+    miss, which journal one more ``estimate`` event.
 
     Returns ``(journal_path, live_registry, live_ledger)``.
     """
@@ -478,8 +490,7 @@ def _journaled_workload(tmp_path):
 
     path = tmp_path / "workload.jsonl"
     registry = obs.MetricsRegistry()
-    previous_registry = obs.set_registry(registry)
-    previous_journal = obs.set_journal(EventJournal(path))
+    previous = obs.install(obs.ObsPlane(registry=registry, journal=EventJournal(path)))
     try:
         queries = [
             "SELECT r.a1 FROM t1000000_100 r JOIN t100000_100 s ON r.a1 = s.a1",
@@ -490,6 +501,14 @@ def _journaled_workload(tmp_path):
             module.estimate_plan("hive", parse_select(sql), catalog)
             for sql in queries
         ]
+        if cached:
+            for sql in queries[:2]:
+                module.estimate_plan("hive", parse_select(sql), catalog)
+            stats = derive_operator_stats(
+                parse_select("SELECT SUM(a1) FROM t100000_100 GROUP BY a20"),
+                catalog,
+            )
+            module.estimate_batch((EstimationRequest(system="hive", stats=stats),))
         # Healthy baseline, then a sustained 3x slowdown -> drift.
         for index in range(45):
             estimate = estimates[index % len(estimates)]
@@ -497,10 +516,9 @@ def _journaled_workload(tmp_path):
             module.record_actual(
                 "hive", estimate, estimate.seconds * factor
             )
-        obs.get_journal().close()
+        obs.plane().journal.close()
     finally:
-        obs.set_registry(previous_registry)
-        obs.set_journal(previous_journal)
+        obs.install(previous)
     return path, registry, module_ledger
 
 
@@ -515,13 +533,22 @@ def _comparable_metrics(snapshot):
     return cleaned
 
 
-def test_replay_in_process_is_bit_identical(tmp_path):
-    path, live_registry, live_ledger = _journaled_workload(tmp_path)
+#: The parity tests' two workloads: misses only, then cache hits and a
+#: batched miss besides (live counters count calls, the journal only
+#: fresh estimates).
+WORKLOADS = pytest.mark.parametrize(
+    "cached", [False, True], ids=["misses", "hits-and-batch"]
+)
+
+
+@WORKLOADS
+def test_replay_in_process_is_bit_identical(tmp_path, cached):
+    path, live_registry, live_ledger = _journaled_workload(tmp_path, cached)
     result = replay(str(path))
     registry, ledger = result.registry, result.ledger
 
     assert result.corrupt_lines == 0
-    assert result.counts["estimate"] == 3
+    assert result.counts["estimate"] == 3 + cached
     assert result.counts["actual"] == 45
     assert result.counts["drift"] == 1
     # Every rebuilt instrument matches the live one exactly — including
@@ -532,9 +559,10 @@ def test_replay_in_process_is_bit_identical(tmp_path):
     assert ledger.snapshot() == live_ledger.snapshot()
 
 
-def test_replay_in_fresh_process_is_bit_identical(tmp_path):
+@WORKLOADS
+def test_replay_in_fresh_process_is_bit_identical(tmp_path, cached):
     """The acceptance criterion: journal -> new process -> same stats."""
-    path, live_registry, live_ledger = _journaled_workload(tmp_path)
+    path, live_registry, live_ledger = _journaled_workload(tmp_path, cached)
 
     script = (
         "import json, sys\n"
@@ -552,7 +580,7 @@ def test_replay_in_fresh_process_is_bit_identical(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src_dir, env.get("PYTHONPATH")) if part
     )
-    env.pop(jmod.JOURNAL_ENV_VAR, None)
+    env.pop(obs.JOURNAL_ENV_VAR, None)
     proc = subprocess.run(
         [sys.executable, "-c", script, str(path)],
         capture_output=True,
@@ -562,7 +590,8 @@ def test_replay_in_fresh_process_is_bit_identical(tmp_path):
     )
     rebuilt = json.loads(proc.stdout)
 
-    assert rebuilt["applied"] == 49  # 3 estimates + 45 actuals + 1 drift
+    # 3 estimates (4 with the batched miss) + 45 actuals + 1 drift
+    assert rebuilt["applied"] == 49 + cached
     # Ledger statistics — q-error, RMSE%, slope, remedy fraction — must
     # be *bit-identical*: floats round-trip exactly through JSON and the
     # replay applies observations in append order.

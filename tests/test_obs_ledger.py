@@ -142,9 +142,13 @@ class TestConcurrency:
 
 class TestDefaultLedger:
     def test_set_ledger_swaps_and_restores(self):
+        """Installing a plane swaps the default ledger; restoring the
+        previous plane swaps it back."""
         fresh = AccuracyLedger()
-        previous = obs.set_ledger(fresh)
+        installed = obs.ObsPlane(ledger=fresh)
+        previous = obs.install(installed)
         try:
-            assert obs.get_ledger() is fresh
+            assert obs.plane().ledger is fresh
         finally:
-            assert obs.set_ledger(previous) is fresh
+            assert obs.install(previous) is installed
+        assert obs.plane().ledger is not fresh

@@ -127,20 +127,23 @@ class TestRegistry:
 
 class TestDefaultRegistry:
     def test_module_level_helpers_hit_default_registry(self):
-        previous = obs.set_registry(MetricsRegistry())
+        previous = obs.install(obs.ObsPlane())
         try:
             obs.counter("test.helper").inc()
-            assert obs.get_registry().counter("test.helper").value == 1
+            assert obs.plane().registry.counter("test.helper").value == 1
         finally:
-            obs.set_registry(previous)
+            obs.install(previous)
 
     def test_set_registry_returns_previous(self):
+        """Installing a plane sets the default registry; ``install``
+        returns the plane it replaced."""
         fresh = MetricsRegistry()
-        previous = obs.set_registry(fresh)
+        installed = obs.ObsPlane(registry=fresh)
+        previous = obs.install(installed)
         try:
-            assert obs.get_registry() is fresh
+            assert obs.plane().registry is fresh
         finally:
-            assert obs.set_registry(previous) is fresh
+            assert obs.install(previous) is installed
 
 
 class TestPrometheusExport:

@@ -19,7 +19,7 @@ JOIN_SQL = "SELECT r.a1 FROM t8000000_100 r JOIN t100000_100 s ON r.a1 = s.a1"
 @pytest.fixture(scope="module")
 def traced_profile():
     """One sandbox query traced end to end and profiled."""
-    tracer = obs.get_tracer()
+    tracer = obs.plane().tracer
     was_enabled = tracer.enabled
     tracer.enable()
     try:

@@ -11,27 +11,26 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.journal import EventJournal, NOOP_JOURNAL
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampling import (
+from repro.obs.config import (
     DEFAULT_HZ,
     DEFAULT_WINDOW_SECONDS,
-    MAX_STACK_DEPTH,
-    OVERFLOW_KEY,
     PROF_ENV_VAR,
     PROF_WINDOW_ENV_VAR,
+    ObsConfig,
+)
+from repro.obs.journal import EventJournal, NOOP_JOURNAL
+from repro.obs.sampling import (
+    MAX_STACK_DEPTH,
+    OVERFLOW_KEY,
     PROFILE_SCHEMA_VERSION,
     TRUNCATED_FRAME,
     ProfileWindow,
     StackSampler,
-    _env_hz,
     fold_stack,
-    get_stack_sampler,
     maybe_start_sampling,
     merge_stacks,
     register_thread_role,
     role_for_thread,
-    set_stack_sampler,
     start_sampling,
     stop_sampling,
 )
@@ -39,18 +38,11 @@ from repro.obs.sampling import (
 
 @pytest.fixture(autouse=True)
 def obs_state():
-    previous = obs.set_registry(MetricsRegistry())
-    yield
-    obs.set_registry(previous)
-
-
-@pytest.fixture(autouse=True)
-def no_default_sampler():
-    """No process-wide sampler leaks into or out of a test."""
-    previous = set_stack_sampler(None)
+    """A fresh plane per test, so no sampler leaks into or out of it."""
+    previous = obs.install(obs.ObsPlane())
     yield
     stop_sampling()
-    set_stack_sampler(previous)
+    obs.install(previous)
 
 
 def make_sampler(**kwargs):
@@ -140,7 +132,7 @@ class TestEnvParsing:
         ],
     )
     def test_env_hz(self, raw, expected):
-        assert _env_hz(raw) == expected
+        assert ObsConfig.from_env({PROF_ENV_VAR: raw}).prof_hz == expected
 
     def test_constructor_reads_env(self, monkeypatch):
         monkeypatch.setenv(PROF_ENV_VAR, "123")
@@ -320,7 +312,7 @@ class TestProcessWideSampler:
         sampler = start_sampling(hz=200.0, window_seconds=1.0,
                                  journal=NOOP_JOURNAL)
         try:
-            assert get_stack_sampler() is sampler
+            assert obs.plane().stack_sampler is sampler
             assert sampler.running
             assert obs.gauge("obs.sampling.hz").value == 200.0
             # idempotent: a second start returns the installed sampler
@@ -328,7 +320,7 @@ class TestProcessWideSampler:
         finally:
             stopped = stop_sampling()
         assert stopped is sampler
-        assert get_stack_sampler() is None
+        assert obs.plane().stack_sampler is None
         assert not sampler.running
         assert obs.gauge("obs.sampling.hz").value == 0.0
         assert stop_sampling() is None  # no-op when off
@@ -336,7 +328,7 @@ class TestProcessWideSampler:
     def test_maybe_start_sampling_off_by_default(self, monkeypatch):
         monkeypatch.delenv(PROF_ENV_VAR, raising=False)
         assert maybe_start_sampling() is None
-        assert get_stack_sampler() is None
+        assert obs.plane().stack_sampler is None
 
     def test_maybe_start_sampling_env_on(self, monkeypatch):
         monkeypatch.setenv(PROF_ENV_VAR, "150")

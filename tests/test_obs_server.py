@@ -39,18 +39,21 @@ def clock():
 
 @pytest.fixture()
 def obs_state(clock):
-    """Fresh process-wide registry/ledger/timeseries, restored on exit."""
+    """A fresh plane with an aggregator on its registry, restored on exit."""
     registry = MetricsRegistry()
-    previous_registry = obs.set_registry(registry)
-    previous_ledger = obs.set_ledger(obs.AccuracyLedger())
-    previous_timeseries = obs.set_timeseries(None)
-    aggregator = obs.enable_timeseries(
-        width=10.0, retention=50, clock=clock, registry=registry
-    )
+    previous = obs.install(obs.ObsPlane(registry=registry))
+    aggregator = obs.enable_timeseries(width=10.0, retention=50, clock=clock)
     yield registry, aggregator
-    obs.set_timeseries(previous_timeseries)
-    obs.set_ledger(previous_ledger)
-    obs.set_registry(previous_registry)
+    obs.install(previous)
+
+
+def install_over(obs_state, **fields):
+    """Install ``obs_state``'s registry and aggregator plus ``fields`` as
+    a new plane; returns the plane it replaced."""
+    registry, aggregator = obs_state
+    return obs.install(
+        obs.ObsPlane(registry=registry, timeseries=aggregator, **fields)
+    )
 
 
 @pytest.fixture()
@@ -186,9 +189,9 @@ class TestEndpoints:
 
 class TestProfileEndpoints:
     @pytest.fixture()
-    def sampler(self):
+    def sampler(self, obs_state):
         from repro.obs.journal import NOOP_JOURNAL
-        from repro.obs.sampling import StackSampler, set_stack_sampler
+        from repro.obs.sampling import StackSampler
 
         sampler = StackSampler(
             hz=100.0, window_seconds=10.0, journal=NOOP_JOURNAL
@@ -196,18 +199,12 @@ class TestProfileEndpoints:
         sampler.record_sample(0.1, "serve", ("repro.serve.loop",))
         sampler.record_sample(0.2, "serve", ("repro.serve.loop",))
         sampler.record_sample(10.1, "main", ())
-        previous = set_stack_sampler(sampler)
+        previous = install_over(obs_state, stack_sampler=sampler)
         yield sampler
-        set_stack_sampler(previous)
+        obs.install(previous)
 
     def test_profile_json_when_off(self, server):
-        from repro.obs.sampling import set_stack_sampler
-
-        previous = set_stack_sampler(None)
-        try:
-            status, content_type, body = get(f"{server.url}/profile")
-        finally:
-            set_stack_sampler(previous)
+        status, content_type, body = get(f"{server.url}/profile")
         assert status == 200
         assert content_type.startswith("application/json")
         payload = json.loads(body)
@@ -237,13 +234,7 @@ class TestProfileEndpoints:
         assert "100 Hz over 1 closed windows" in body
 
     def test_profile_html_when_off_says_so(self, server):
-        from repro.obs.sampling import set_stack_sampler
-
-        previous = set_stack_sampler(None)
-        try:
-            status, _, body = get(f"{server.url}/profile.html")
-        finally:
-            set_stack_sampler(previous)
+        status, _, body = get(f"{server.url}/profile.html")
         assert status == 200
         assert "profiling off" in body
         assert "no samples" in body
@@ -337,12 +328,11 @@ class TestForensicsEndpoints:
     """/tenants, /flight, and /incidents: the incident-forensics plane."""
 
     @pytest.fixture()
-    def forensics(self):
+    def forensics(self, obs_state):
         from repro.obs.tail import QueryOutcome, TailDecision
 
-        previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
         recorder = obs.FlightRecorder()
-        previous_recorder = obs.set_flight_recorder(recorder)
+        previous = install_over(obs_state, flight_recorder=recorder)
         recorder.record(
             QueryOutcome(
                 query_id="q-000001",
@@ -352,10 +342,9 @@ class TestForensicsEndpoints:
             ),
             TailDecision(keep=True, reasons=("q_error",)),
         )
-        obs.get_tenant_ledger().record_estimate("analytics", 3.0)
+        obs.plane().tenants.record_estimate("analytics", 3.0)
         yield recorder
-        obs.set_flight_recorder(previous_recorder)
-        obs.set_tenant_ledger(previous_ledger)
+        obs.install(previous)
 
     def test_tenants_endpoint_serves_ledger_snapshot(self, server, forensics):
         status, content_type, body = get(f"{server.url}/tenants")
@@ -372,11 +361,7 @@ class TestForensicsEndpoints:
         assert snapshot["records"][0]["query_id"] == "q-000001"
 
     def test_flight_endpoint_reports_disabled_without_recorder(self, server):
-        previous = obs.set_flight_recorder(None)
-        try:
-            status, _, body = get(f"{server.url}/flight")
-        finally:
-            obs.set_flight_recorder(previous)
+        status, _, body = get(f"{server.url}/flight")
         assert status == 200
         snapshot = json.loads(body)
         assert snapshot["enabled"] is False
@@ -605,9 +590,9 @@ class TestFirstUse:
     @pytest.fixture()
     def journal(self, obs_state, tmp_path):
         journal = obs.EventJournal(tmp_path / "journal.jsonl")
-        previous = obs.set_journal(journal)
+        previous = install_over(obs_state, journal=journal)
         yield journal
-        obs.set_journal(previous)
+        obs.install(previous)
         journal.close()
 
     @staticmethod
@@ -688,7 +673,7 @@ class TestFirstUse:
         journal = obs.EventJournal(
             tmp_path / "journal.jsonl", max_bytes=2048, max_files=1
         )
-        previous = obs.set_journal(journal)
+        previous = install_over(obs_state, journal=journal)
         try:
             for index in range(5):
                 self.actual(journal, index, 50.0)
@@ -700,7 +685,7 @@ class TestFirstUse:
             page = server.render_dashboard()
             uncached = ObsServer(port=0).render_dashboard()
         finally:
-            obs.set_journal(previous)
+            obs.install(previous)
             journal.close()
         assert page != first
         assert page == uncached

@@ -10,22 +10,11 @@ from repro.obs import tail
 
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    """Isolate ids, samplers, registry, and the global tracer per test."""
+    """Isolate ids and the observability plane per test."""
     obs.reset_query_ids()
-    previous_registry = obs.set_registry(obs.MetricsRegistry())
-    previous_sampler = obs.set_sampler(ctx.HeadSampler(rate=1.0))
-    previous_store = obs.set_exemplar_store(ctx.ExemplarStore())
-    previous_tail = obs.set_tail_sampler(None)
-    tracer = obs.get_tracer()
-    was_enabled = tracer.enabled
-    tracer.clear()
+    previous = obs.install(obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0)))
     yield
-    tracer.enabled = was_enabled
-    tracer.clear()
-    obs.set_tail_sampler(previous_tail)
-    obs.set_exemplar_store(previous_store)
-    obs.set_sampler(previous_sampler)
-    obs.set_registry(previous_registry)
+    obs.install(previous)
     obs.reset_query_ids()
 
 
@@ -82,7 +71,7 @@ class TestTailSampler:
         assert decision.reasons == ("head", "latency", "q_error", "error")
 
     def test_decisions_counted_by_verdict_and_reason(self):
-        registry = obs.get_registry()
+        registry = obs.plane().registry
         sampler = tail.TailSampler(latency_seconds=1.0, max_q_error=2.0)
         sampler.decide(outcome(wall_seconds=2.0, max_q_error=3.0))
         sampler.decide(outcome())
@@ -95,37 +84,33 @@ class TestTailSampler:
 
 class TestEnvConfiguration:
     def test_unset_environment_means_off(self, monkeypatch):
-        monkeypatch.delenv(tail.TAIL_LATENCY_ENV_VAR, raising=False)
-        monkeypatch.delenv(tail.TAIL_QERROR_ENV_VAR, raising=False)
-        obs.set_tail_sampler(None)
-        assert obs.get_tail_sampler() is None
+        monkeypatch.delenv(obs.TAIL_LATENCY_ENV_VAR, raising=False)
+        monkeypatch.delenv(obs.TAIL_QERROR_ENV_VAR, raising=False)
+        assert obs.plane().tail_sampler is None
 
     def test_latency_env_var_installs_sampler(self, monkeypatch):
-        monkeypatch.setenv(tail.TAIL_LATENCY_ENV_VAR, "2.5")
-        obs.set_tail_sampler(None)
-        sampler = obs.get_tail_sampler()
+        monkeypatch.setenv(obs.TAIL_LATENCY_ENV_VAR, "2.5")
+        sampler = obs.plane().tail_sampler
         assert sampler is not None
         assert sampler.latency_seconds == 2.5
         assert sampler.max_q_error is None
 
     def test_q_error_env_var_clamped_to_valid_range(self, monkeypatch):
-        monkeypatch.setenv(tail.TAIL_QERROR_ENV_VAR, "0.5")
-        obs.set_tail_sampler(None)
-        sampler = obs.get_tail_sampler()
+        monkeypatch.setenv(obs.TAIL_QERROR_ENV_VAR, "0.5")
+        sampler = obs.plane().tail_sampler
         assert sampler is not None
         assert sampler.max_q_error == 1.0
 
     def test_invalid_values_mean_off(self, monkeypatch):
-        monkeypatch.setenv(tail.TAIL_LATENCY_ENV_VAR, "not-a-number")
-        monkeypatch.setenv(tail.TAIL_QERROR_ENV_VAR, "-3")
-        obs.set_tail_sampler(None)
-        assert obs.get_tail_sampler() is None
+        monkeypatch.setenv(obs.TAIL_LATENCY_ENV_VAR, "not-a-number")
+        monkeypatch.setenv(obs.TAIL_QERROR_ENV_VAR, "-3")
+        assert obs.plane().tail_sampler is None
 
     def test_set_sampler_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(tail.TAIL_LATENCY_ENV_VAR, "2.5")
+        monkeypatch.setenv(obs.TAIL_LATENCY_ENV_VAR, "2.5")
         installed = tail.TailSampler(max_q_error=4.0)
-        obs.set_tail_sampler(installed)
-        assert obs.get_tail_sampler() is installed
+        obs.install(obs.ObsPlane(tail_sampler=installed))
+        assert obs.plane().tail_sampler is installed
 
 
 class TestCompletionDispatch:
@@ -148,7 +133,7 @@ class TestCompletionDispatch:
         assert seen[1][1].keep is False
 
     def test_tail_sampler_keeps_breaching_unsampled_query(self):
-        obs.set_tail_sampler(tail.TailSampler(max_q_error=2.0))
+        obs.install(obs.ObsPlane(tail_sampler=tail.TailSampler(max_q_error=2.0)))
         seen = []
         hook = lambda o, d: seen.append((o, d))  # noqa: E731
         obs.add_completion_hook(hook)
@@ -169,12 +154,14 @@ class TestTailRetention:
     while the tail verdict retains 100% of threshold-breaching queries."""
 
     def test_one_percent_head_rate_retains_every_breaching_query(self):
-        tracer = obs.get_tracer()
-        tracer.enable()
-        obs.set_sampler(ctx.HeadSampler(rate=0.01))
-        obs.set_tail_sampler(
-            tail.TailSampler(latency_seconds=30.0, max_q_error=2.0)
+        obs.install(
+            obs.ObsPlane(
+                head_sampler=ctx.HeadSampler(rate=0.01),
+                tail_sampler=tail.TailSampler(latency_seconds=30.0, max_q_error=2.0),
+            )
         )
+        tracer = obs.plane().tracer
+        tracer.enable()
         breaching = []
         total = 200
         for index in range(total):
@@ -192,7 +179,7 @@ class TestTailRetention:
         # The healthy bulk was dropped down to the 1% head floor.
         head_floor = traced - set(breaching)
         assert len(head_floor) == 2  # 1% of 200
-        registry = obs.get_registry()
+        registry = obs.plane().registry
         kept = registry.counter("obs.tail.kept").value
         dropped = registry.counter("obs.tail.dropped").value
         assert kept == len(breaching) + len(head_floor)
@@ -200,10 +187,14 @@ class TestTailRetention:
         assert tracer.pending_count() == 0  # nothing leaks in the buffer
 
     def test_dropped_queries_never_reach_the_trace_ring(self):
-        tracer = obs.get_tracer()
+        obs.install(
+            obs.ObsPlane(
+                head_sampler=ctx.HeadSampler(rate=0.0),
+                tail_sampler=tail.TailSampler(latency_seconds=30.0),
+            )
+        )
+        tracer = obs.plane().tracer
         tracer.enable()
-        obs.set_sampler(ctx.HeadSampler(rate=0.0))
-        obs.set_tail_sampler(tail.TailSampler(latency_seconds=30.0))
         for index in range(10):
             with obs.query_context(query=f"SELECT {index}"):
                 with tracer.span("costing.estimate"):

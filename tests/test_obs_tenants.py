@@ -13,17 +13,11 @@ from repro.obs.tail import QueryOutcome, TailDecision
 
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    """Isolate ids, registry, samplers, and the tenant ledger per test."""
+    """Isolate ids and the observability plane per test."""
     obs.reset_query_ids()
-    previous_registry = obs.set_registry(obs.MetricsRegistry())
-    previous_sampler = obs.set_sampler(ctx.HeadSampler(rate=1.0))
-    previous_tail = obs.set_tail_sampler(None)
-    previous_ledger = obs.set_tenant_ledger(obs.TenantLedger())
+    previous = obs.install(obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0)))
     yield
-    obs.set_tenant_ledger(previous_ledger)
-    obs.set_tail_sampler(previous_tail)
-    obs.set_sampler(previous_sampler)
-    obs.set_registry(previous_registry)
+    obs.install(previous)
     obs.reset_query_ids()
 
 
@@ -149,14 +143,14 @@ class TestCompletionIntegration:
     def test_attributed_scope_feeds_the_default_ledger(self):
         with obs.query_context(query="SELECT 1", tenant="analytics"):
             pass
-        stats = obs.get_tenant_ledger().snapshot()["analytics"]
+        stats = obs.plane().tenants.snapshot()["analytics"]
         assert stats["queries"] == 1
         assert stats["kept_traces"] == 1  # head-sampled scope is tail-kept
 
     def test_unattributed_scope_leaves_ledger_empty(self):
         with obs.query_context(query="SELECT 1"):
             pass
-        assert obs.get_tenant_ledger().snapshot() == {}
+        assert obs.plane().tenants.snapshot() == {}
 
     def test_current_tenant_follows_the_scope(self):
         assert obs.current_tenant() == ""
@@ -173,7 +167,7 @@ class TestCompletionIntegration:
 
     def test_swapped_ledger_receives_the_attribution(self):
         mine = obs.TenantLedger()
-        obs.set_tenant_ledger(mine)
+        obs.install(obs.ObsPlane(tenants=mine))
         with obs.query_context(tenant="etl"):
             pass
         assert mine.snapshot()["etl"]["queries"] == 1
@@ -209,20 +203,15 @@ class TestCostingIntegration:
     SQL = "SELECT r.a1 FROM t1000000_100 r JOIN t10000_100 s ON r.a1 = s.a1"
 
     def test_run_with_tenant_attributes_traffic_and_cost(self, sphere):
-        previous_store = obs.set_exemplar_store(ctx.ExemplarStore())
-        obs.reset_query_ids()
-        try:
-            sphere.run(self.SQL, tenant="analytics")
-            stats = obs.get_tenant_ledger().snapshot()["analytics"]
-            assert stats["queries"] == 1
-            assert stats["estimates"] > 0
-            assert stats["estimated_seconds"] > 0.0
-            assert stats["wall_seconds"] > 0.0
-            # The tenant exemplar ring names the query.
-            recent = obs.get_exemplar_store().recent("tenant:analytics")
-            assert recent == ("q-000001",)
-        finally:
-            obs.set_exemplar_store(previous_store)
+        sphere.run(self.SQL, tenant="analytics")
+        stats = obs.plane().tenants.snapshot()["analytics"]
+        assert stats["queries"] == 1
+        assert stats["estimates"] > 0
+        assert stats["estimated_seconds"] > 0.0
+        assert stats["wall_seconds"] > 0.0
+        # The tenant exemplar ring names the query.
+        recent = obs.plane().exemplars.recent("tenant:analytics")
+        assert recent == ("q-000001",)
 
     def test_feedback_attributes_accuracy_to_the_tenant(self, sphere):
         from repro.sql.parser import parse_select
@@ -233,7 +222,7 @@ class TestCostingIntegration:
             sphere.costing.record_actual("hive", estimate, estimate.seconds * 2.0)
         estimate = sphere.costing.estimate_plan("hive", plan, sphere.catalog)
         sphere.costing.record_actual("hive", estimate, estimate.seconds)
-        stats = obs.get_tenant_ledger().snapshot()["etl"]
+        stats = obs.plane().tenants.snapshot()["etl"]
         assert stats["actuals"] == 1
         assert stats["mean_q_error"] == pytest.approx(2.0)
         assert stats["max_q_error"] == pytest.approx(2.0)

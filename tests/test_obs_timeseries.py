@@ -9,26 +9,26 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs.config import (
+    DEFAULT_WINDOW_RETENTION,
+    DEFAULT_WINDOW_WIDTH,
+    WINDOW_RETENTION_ENV_VAR,
+    WINDOW_WIDTH_ENV_VAR,
+)
 from repro.obs.journal import EventJournal, read_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
-    DEFAULT_WINDOW_RETENTION,
-    DEFAULT_WINDOW_WIDTH,
     HISTOGRAM_STATS,
     WINDOW_BUCKETS,
-    WINDOW_RETENTION_ENV_VAR,
     WINDOW_SCHEMA_VERSION,
-    WINDOW_WIDTH_ENV_VAR,
     HistogramWindow,
     ManualClock,
     TimeSeriesAggregator,
     WindowSummary,
     disable_timeseries,
     enable_timeseries,
-    get_timeseries,
     log_buckets,
     maybe_roll_timeseries,
-    set_timeseries,
 )
 
 
@@ -373,16 +373,16 @@ class TestEnvironmentConfiguration:
 class TestDefaultAggregatorLifecycle:
     @pytest.fixture(autouse=True)
     def isolate(self):
-        previous = set_timeseries(None)
+        previous = obs.install(obs.ObsPlane())
         yield
-        set_timeseries(previous)
+        obs.install(previous)
 
     def test_enable_attaches_and_sets_default(self, clock):
         registry = MetricsRegistry()
         aggregator = enable_timeseries(
             width=10.0, clock=clock, registry=registry
         )
-        assert get_timeseries() is aggregator
+        assert obs.plane().timeseries is aggregator
         assert registry.observer is aggregator
         registry.counter("c").inc()
         clock.advance(10.0)
@@ -396,10 +396,10 @@ class TestDefaultAggregatorLifecycle:
         registry.attach_observer(other)  # someone else took the slot
         disable_timeseries(registry=registry)
         assert registry.observer is other  # not clobbered
-        assert get_timeseries() is None
+        assert obs.plane().timeseries is None
 
     def test_maybe_roll_is_noop_when_disabled(self):
-        assert get_timeseries() is None
+        assert obs.plane().timeseries is None
         assert maybe_roll_timeseries() == 0
 
     def test_snapshot_shape(self, clock):

@@ -172,7 +172,9 @@ class TestTailModePendingBuffer:
 
         from repro import obs
 
-        return obs, obs.set_tail_sampler(TailSampler(latency_seconds=30.0))
+        return obs, obs.install(
+            obs.ObsPlane(tail_sampler=TailSampler(latency_seconds=30.0))
+        )
 
     def test_unsampled_spans_buffer_pending_the_verdict(self):
         obs, previous = self._with_tail()
@@ -185,7 +187,7 @@ class TestTailModePendingBuffer:
             assert tracer.traces() == ()
             assert tracer.pending_count() == 1
         finally:
-            obs.set_tail_sampler(previous)
+            obs.install(previous)
 
     def test_commit_moves_pending_roots_into_the_ring(self):
         obs, previous = self._with_tail()
@@ -203,7 +205,7 @@ class TestTailModePendingBuffer:
             # A second commit finds nothing.
             assert tracer.commit_pending("q-tail-2") == ()
         finally:
-            obs.set_tail_sampler(previous)
+            obs.install(previous)
 
     def test_discard_drops_pending_roots(self):
         obs, previous = self._with_tail()
@@ -216,12 +218,11 @@ class TestTailModePendingBuffer:
             assert tracer.traces() == ()
             assert tracer.pending_count() == 0
         finally:
-            obs.set_tail_sampler(previous)
+            obs.install(previous)
 
     def test_pending_eviction_under_pressure_is_counted(self):
         obs, previous = self._with_tail()
-        registry = obs.MetricsRegistry()
-        previous_registry = obs.set_registry(registry)
+        registry = obs.plane().registry
         try:
             tracer = Tracer(enabled=True, max_pending=2)
             for index in range(4):
@@ -236,8 +237,7 @@ class TestTailModePendingBuffer:
             assert tracer.commit_pending("q-evict-3")
             assert tracer.commit_pending("q-evict-0") == ()
         finally:
-            obs.set_registry(previous_registry)
-            obs.set_tail_sampler(previous)
+            obs.install(previous)
 
     def test_roots_per_query_are_capped(self):
         obs, previous = self._with_tail()
@@ -249,7 +249,7 @@ class TestTailModePendingBuffer:
                         pass
             assert len(tracer.commit_pending("q-cap")) == 2
         finally:
-            obs.set_tail_sampler(previous)
+            obs.install(previous)
 
     def test_clear_also_drops_pending(self):
         obs, previous = self._with_tail()
@@ -262,4 +262,4 @@ class TestTailModePendingBuffer:
             assert tracer.pending_count() == 0
             assert tracer.commit_pending("q-clear") == ()
         finally:
-            obs.set_tail_sampler(previous)
+            obs.install(previous)

@@ -14,7 +14,6 @@ from repro.core import ClusterInfo, RemoteSystemProfile
 from repro.data import build_paper_corpus
 from repro.engines import HiveEngine
 from repro.master.federation import IntelliSphere
-from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     AdmissionQueue,
     AdmissionRejected,
@@ -52,14 +51,10 @@ def sphere():
 
 @pytest.fixture(autouse=True)
 def obs_state():
-    """Fresh process-wide metrics/ledgers per test, restored on exit."""
-    previous_registry = obs.set_registry(MetricsRegistry())
-    previous_ledger = obs.set_ledger(obs.AccuracyLedger())
-    previous_tenants = obs.set_tenant_ledger(obs.TenantLedger())
+    """A fresh observability plane per test, restored on exit."""
+    previous = obs.install(obs.ObsPlane())
     yield
-    obs.set_tenant_ledger(previous_tenants)
-    obs.set_ledger(previous_ledger)
-    obs.set_registry(previous_registry)
+    obs.install(previous)
 
 
 def serial_reference(sphere):
@@ -182,7 +177,7 @@ class TestConcurrentDeterminism:
             service.estimate("hive", QUERIES[2], tenant="etl")
             service.estimate("hive", QUERIES[2], tenant="etl")
             service.estimate("hive", QUERIES[3], tenant="adhoc")
-        snapshot = obs.get_tenant_ledger().snapshot()
+        snapshot = obs.plane().tenants.snapshot()
         assert snapshot["etl"]["queries"] == 2
         assert snapshot["adhoc"]["queries"] == 1
 
@@ -296,7 +291,7 @@ class TestSaturationAndProfiling:
         reference = serial_reference(sphere)
         sphere.costing.invalidate_cache()
         with EstimationService(sphere, workers=8, queue_depth=256) as service:
-            sampler = obs.get_stack_sampler()
+            sampler = obs.plane().stack_sampler
             assert sampler is not None and sampler.running
             results = [[] for _ in range(8)]
             errors = []
@@ -324,7 +319,7 @@ class TestSaturationAndProfiling:
             for sql, payload in slot_results:
                 assert payload["seconds"] == reference[sql]  # bit-identical
         # stop() shut the sampler down and uninstalled it
-        assert obs.get_stack_sampler() is None
+        assert obs.plane().stack_sampler is None
         assert not sampler.running
         assert sampler.sampled > 0  # it really did observe the run
         roles = {s.split(";")[0] for s in sampler.merged_stacks()}
@@ -334,7 +329,7 @@ class TestSaturationAndProfiling:
         monkeypatch.delenv(obs.PROF_ENV_VAR, raising=False)
         with EstimationService(sphere, workers=1) as service:
             service.estimate("hive", QUERIES[2])
-            assert obs.get_stack_sampler() is None
+            assert obs.plane().stack_sampler is None
 
 
 def post(url, payload, headers=None, timeout=30.0):
@@ -380,7 +375,7 @@ class TestHttpEndpoints:
         assert payload["operator"] == "aggregate"
         assert payload["seconds"] > 0
         assert payload["generation"] == sphere.costing.generation("hive")
-        snapshot = obs.get_tenant_ledger().snapshot()
+        snapshot = obs.plane().tenants.snapshot()
         assert snapshot["analytics"]["queries"] == 1
 
     def test_optimize_endpoint(self, daemon):

@@ -9,6 +9,7 @@ seconds.
 
 import pytest
 
+from repro import obs
 from repro.exceptions import ConfigurationError
 from repro.workloads.scenarios import (
     SCENARIOS,
@@ -20,7 +21,8 @@ from repro.workloads.scenarios import (
 
 @pytest.fixture(autouse=True)
 def _isolate_obs(restore_obs_plane):
-    """Simulator runs swap in fresh obs globals; restore after each."""
+    """Building a simulator trains models on the installed plane; keep
+    that telemetry off the process's plane."""
 
 
 class TestRegistry:
@@ -78,6 +80,11 @@ class TestMiniRuns:
         assert report.sim_seconds > 0
         assert journal.exists()
         assert report.replay_consistent, report.replay_detail
+
+    def test_run_restores_the_callers_plane(self):
+        before = obs.plane()
+        run_scenario("steady", queries=50)
+        assert obs.plane() is before
 
     def test_mini_run_health_timeline_ends_at_budget(self, tmp_path):
         result = run_scenario(
