@@ -8,7 +8,7 @@ around that loop:
 * :mod:`repro.obs.config` — the one :class:`~repro.obs.config.ObsPlane`
   every emission site reports to (:func:`~repro.obs.config.plane`,
   swapped whole by :func:`~repro.obs.config.install`) and the one
-  parse of the ten ``REPRO_OBS_*`` variables
+  parse of the nine ``REPRO_OBS_*`` variables
   (:class:`~repro.obs.config.ObsConfig`);
 * :mod:`repro.obs.metrics` — a thread-safe, zero-dependency registry of
   named counters, gauges, and fixed-bucket histograms;
@@ -53,13 +53,15 @@ around that loop:
   dashboard with journal-derived q-error sparklines;
 * :mod:`repro.obs.timeseries` — the live telemetry plane: a windowed
   aggregator (quantile histograms, counter deltas, gauge last-values)
-  fed by a registry observer hook, with a bounded ring of closed
-  windows journaled as ``window`` events;
+  fed by a registry observer hook, over the
+  :class:`~repro.obs.timeseries.WindowRing` both windowed planes share
+  (width ``REPRO_OBS_WINDOW``), journaled as ``window`` events;
 * :mod:`repro.obs.sampling` — the continuous stack-sampling profiler:
   a daemon thread walks ``sys._current_frames()`` at a configurable hz
   (env ``REPRO_OBS_PROF``), tags threads by role, and folds stacks
   into bounded deterministic :class:`~repro.obs.sampling.ProfileWindow`
-  aggregates journaled as ``profile`` events rebuildable offline;
+  aggregates on the same window ring, journaled as ``profile`` events
+  rebuildable offline;
 * :mod:`repro.obs.flamegraph` — flamegraph HTML rendering, flat
   hot-frame tables, and differential profiles over folded stacks
   (``repro flamegraph`` / ``--diff A B``);
@@ -120,7 +122,6 @@ __all__ = lazy_exports(
             "WINDOW_WIDTH_ENV_VAR",
             "WINDOW_RETENTION_ENV_VAR",
             "PROF_ENV_VAR",
-            "PROF_WINDOW_ENV_VAR",
             "DEFAULT_HZ",
         ),
         ".metrics": (
@@ -242,7 +243,6 @@ __all__ = lazy_exports(
             "fold_stack",
             "maybe_start_sampling",
             "merge_stacks",
-            "register_thread_role",
             "role_for_thread",
             "start_sampling",
             "stop_sampling",

@@ -8,7 +8,7 @@ returns the installed plane and :func:`install` swaps in another,
 returning the one it replaced, so a test, the traffic simulator or an
 embedder swaps the whole plane in one call and restores it in one.
 
-:class:`ObsConfig` holds the ten ``REPRO_OBS_*`` variables, parsed in
+:class:`ObsConfig` holds the nine ``REPRO_OBS_*`` variables, parsed in
 one place.  Every value is stripped; a value that does not parse, and
 ``inf``, ``-inf`` or ``nan`` for a numeric variable, means what an
 empty one means (README, "Environment variables").  This module is
@@ -50,9 +50,7 @@ __all__ = [
     "WINDOW_WIDTH_ENV_VAR",
     "WINDOW_RETENTION_ENV_VAR",
     "PROF_ENV_VAR",
-    "PROF_WINDOW_ENV_VAR",
     "DEFAULT_HZ",
-    "DEFAULT_WINDOW_SECONDS",
     "DEFAULT_WINDOW_WIDTH",
     "DEFAULT_WINDOW_RETENTION",
     "ObsConfig",
@@ -73,25 +71,20 @@ TAIL_LATENCY_ENV_VAR = "REPRO_OBS_TAIL_LATENCY"
 TAIL_QERROR_ENV_VAR = "REPRO_OBS_TAIL_QERROR"
 #: Directory incident bundles are dumped into; unset means no recorder.
 FLIGHT_DIR_ENV_VAR = "REPRO_OBS_FLIGHT_DIR"
-#: Telemetry-window width, seconds.
+#: Window width, seconds, of the telemetry and profile windows alike.
 WINDOW_WIDTH_ENV_VAR = "REPRO_OBS_WINDOW"
 #: Closed telemetry windows kept in the ring.
 WINDOW_RETENTION_ENV_VAR = "REPRO_OBS_RETENTION"
 #: The stack sampler's rate: unset/empty/0 = off; a number = hz; a bare
 #: truthy value ("1"/"true"/"on"/"yes") = :data:`DEFAULT_HZ`.
 PROF_ENV_VAR = "REPRO_OBS_PROF"
-#: Profile-window width, seconds.
-PROF_WINDOW_ENV_VAR = "REPRO_OBS_PROF_WINDOW"
 
 #: Default sampling rate.  Prime-ish, like perf's 99 Hz, so the sampler
 #: cannot phase-lock with periodic work (a 10 ms poll loop sampled at
 #: exactly 100 Hz would always land on the same frame).
 DEFAULT_HZ = 97.0
 
-#: Default profile-window width (matches the telemetry plane's windows).
-DEFAULT_WINDOW_SECONDS = 60.0
-
-#: Default telemetry-window width, seconds, and closed windows kept.
+#: Default window width, seconds, and closed telemetry windows kept.
 DEFAULT_WINDOW_WIDTH = 60.0
 DEFAULT_WINDOW_RETENTION = 120
 
@@ -149,7 +142,6 @@ class ObsConfig:
         window_seconds: ``REPRO_OBS_WINDOW`` when positive.
         window_retention: ``REPRO_OBS_RETENTION`` when a positive int.
         prof_hz: ``REPRO_OBS_PROF``'s sampling rate; 0.0 means off.
-        prof_window_seconds: ``REPRO_OBS_PROF_WINDOW`` when positive.
     """
 
     journal_path: str = ""
@@ -161,11 +153,10 @@ class ObsConfig:
     window_seconds: float = DEFAULT_WINDOW_WIDTH
     window_retention: int = DEFAULT_WINDOW_RETENTION
     prof_hz: float = 0.0
-    prof_window_seconds: float = DEFAULT_WINDOW_SECONDS
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] = os.environ) -> "ObsConfig":
-        """Parse the ten variables from ``environ`` (the process's
+        """Parse the nine variables from ``environ`` (the process's
         environment by default)."""
 
         def raw(name: str) -> str:
@@ -185,9 +176,6 @@ class ObsConfig:
             ),
             window_retention=_retention(raw(WINDOW_RETENTION_ENV_VAR)),
             prof_hz=_hz(raw(PROF_ENV_VAR)),
-            prof_window_seconds=(
-                _positive(raw(PROF_WINDOW_ENV_VAR)) or DEFAULT_WINDOW_SECONDS
-            ),
         )
 
 

@@ -26,12 +26,12 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-import html
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.alerts import AlertReport
-from repro.obs.flamegraph import render_flamegraph_fragment
+from repro.obs.flamegraph import FLAME_RULES, render_flamegraph_fragment
 from repro.obs.health import SystemHealth
+from repro.obs.htmlpage import esc, page, style
 from repro.obs.timeseries import WindowSummary
 
 __all__ = ["history_from_windows", "render_dashboard"]
@@ -72,14 +72,9 @@ def history_from_windows(
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-_STYLE = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 64rem; color: #1a2433; }
-h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 1.6rem; }
-code { background: #f2f4f8; padding: .1rem .3rem; border-radius: 3px; }
-table { border-collapse: collapse; width: 100%; margin: .5rem 0; }
-th, td { text-align: left; padding: .25rem .6rem; border-bottom: 1px solid #e3e7ee; }
-td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
+_STYLE = style(
+    "64rem",
+    """
 .muted { color: #68748a; }
 .tiles { display: flex; flex-wrap: wrap; gap: .8rem; margin: .8rem 0; }
 .tile { border: 1px solid #e3e7ee; border-radius: 6px; padding: .7rem .9rem;
@@ -93,28 +88,9 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 .sev-info { color: #4973b8; } .sev-warning { color: #b07818; }
 .sev-critical { color: #9d3030; font-weight: 600; }
 .spark { vertical-align: middle; }
-.flame { position: relative; width: 100%; margin: .75rem 0;
-         border: 1px solid #e3e7ee; border-radius: 3px; overflow: hidden; }
-.flame div { position: absolute; height: 16px; box-sizing: border-box;
-             border: 1px solid rgba(255,255,255,.65); border-radius: 2px;
-             font: 11px/14px ui-monospace, 'SF Mono', Menlo, monospace;
-             white-space: nowrap; overflow: hidden; text-overflow: clip;
-             padding: 0 2px; color: #1a2433; }
-""".strip()
-
-
-def _esc(value: object) -> str:
-    return html.escape(str(value), quote=True)
-
-
-def _page(title: str, body: List[str]) -> str:
-    return (
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{_esc(title)}</title>"
-        f"<style>{_STYLE}</style></head>\n<body>\n"
-        + "\n".join(body)
-        + "\n</body></html>\n"
-    )
+"""
+    + FLAME_RULES,
+)
 
 
 def _sparkline(
@@ -146,10 +122,10 @@ def _health_tile(health: SystemHealth) -> str:
     )
     return (
         '<div class="tile">'
-        f"<h3>{_esc(health.system)}</h3>"
-        f'<span class="grade grade-{_esc(health.grade)}">{_esc(health.grade)}</span> '
+        f"<h3>{esc(health.system)}</h3>"
+        f'<span class="grade grade-{esc(health.grade)}">{esc(health.grade)}</span> '
         f'<strong>{health.score:.2f}</strong>'
-        f'<div class="muted">{_esc(components)}</div>'
+        f'<div class="muted">{esc(components)}</div>'
         f'<div class="muted">{health.observations} ledger observations</div>'
         "</div>"
     )
@@ -200,7 +176,7 @@ def _tenant_rows(
     rows: List[str] = []
     for tenant, stats in ranked:
         rows.append(
-            f"<tr><td><code>{_esc(tenant)}</code></td>"
+            f"<tr><td><code>{esc(tenant)}</code></td>"
             f'<td class="num">{int(_num(stats, "queries"))}</td>'
             f'<td class="num">{int(_num(stats, "errors"))}</td>'
             f'<td class="num">{_num(stats, "estimated_seconds"):.4g}</td>'
@@ -221,7 +197,7 @@ def render_dashboard(
     profile: Optional[Mapping[str, int]] = None,
 ) -> str:
     """The dashboard page as a self-contained HTML string."""
-    body: List[str] = [f"<h1>{_esc(title)}</h1>"]
+    body: List[str] = [f"<h1>{esc(title)}</h1>"]
 
     body.append("<h2>Remote systems</h2>")
     if healths:
@@ -244,14 +220,14 @@ def render_dashboard(
             state = "firing" if alert.firing else "ok"
             exemplars = ", ".join(alert.exemplars) or "—"
             body.append(
-                f"<tr><td>{_esc(alert.rule)}</td>"
-                f"<td>{_esc(alert.instance) or '—'}</td>"
-                f'<td class="sev-{_esc(alert.severity)}">{_esc(alert.severity)}</td>'
+                f"<tr><td>{esc(alert.rule)}</td>"
+                f"<td>{esc(alert.instance) or '—'}</td>"
+                f'<td class="sev-{esc(alert.severity)}">{esc(alert.severity)}</td>'
                 f"<td>{state}</td>"
                 f'<td class="num">{alert.value:.3f}</td>'
                 # The op must be escaped: "<" / "<=" are raw HTML.
-                f'<td class="num">{_esc(alert.op)} {alert.threshold:g}</td>'
-                f"<td><code>{_esc(exemplars)}</code></td></tr>"
+                f'<td class="num">{esc(alert.op)} {alert.threshold:g}</td>'
+                f"<td><code>{esc(exemplars)}</code></td></tr>"
             )
         body.append("</table>")
     else:
@@ -269,7 +245,7 @@ def render_dashboard(
             if not series:
                 continue
             body.append(
-                f"<tr><td>{_esc(system)}</td>"
+                f"<tr><td>{esc(system)}</td>"
                 f"<td>{_sparkline(series)}</td>"
                 f'<td class="num">{series[-1]:.2f}</td>'
                 f'<td class="num">{max(series):.2f}</td>'
@@ -310,8 +286,8 @@ def render_dashboard(
             )
             for name, kind, series in rows:
                 body.append(
-                    f"<tr><td><code>{_esc(name)}</code></td>"
-                    f"<td>{_esc(kind)}</td>"
+                    f"<tr><td><code>{esc(name)}</code></td>"
+                    f"<td>{esc(kind)}</td>"
                     f"<td>{_sparkline(series)}</td>"
                     f'<td class="num">{series[-1]:.4g}</td>'
                     f'<td class="num">{len(series)}</td></tr>'
@@ -338,4 +314,4 @@ def render_dashboard(
                 '<p class="muted">sampler running, no samples yet</p>'
             )
 
-    return _page(title, body)
+    return page(title, body, _STYLE)

@@ -8,8 +8,8 @@ module turns them into something a human can act on:
   node) a flamegraph is drawn from;
 * :func:`render_flamegraph_html` / :func:`render_flamegraph_fragment` —
   a self-contained HTML flamegraph (inline CSS, absolutely-positioned
-  rows, no scripts or external assets; same escaping discipline as
-  :mod:`repro.obs.dashboard`).  Rendering is **byte-deterministic** for
+  rows, no scripts or external assets; the page scaffold of
+  :mod:`repro.obs.htmlpage`).  Rendering is **byte-deterministic** for
   a given stack mapping: children sort by frame name, widths are
   fixed-precision percentages, and colors hash frame names with
   ``zlib.crc32`` (never Python's per-process-randomized ``hash``);
@@ -32,7 +32,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.profiler import _esc
+from repro.obs.htmlpage import esc, page, style
 
 __all__ = [
     "FlameNode",
@@ -161,16 +161,9 @@ def render_top_text(
 # ----------------------------------------------------------------------
 # HTML flamegraph (self-contained: inline CSS, no scripts)
 # ----------------------------------------------------------------------
-_FLAME_STYLE = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 72rem; color: #1a2433; }
-h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 1.6rem; }
-code { background: #f2f4f8; padding: .1rem .3rem; border-radius: 3px; }
-table { border-collapse: collapse; width: 100%; margin: .5rem 0; }
-th, td { text-align: left; padding: .25rem .6rem; border-bottom: 1px solid #e3e7ee; }
-td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
-.delta-pos { color: #9d3030; } .delta-neg { color: #2a7a46; }
-.muted { color: #68748a; }
+#: The rules of a :func:`render_flamegraph_fragment` block, for any
+#: page that embeds one.
+FLAME_RULES = """
 .flame { position: relative; width: 100%; margin: .75rem 0;
          border: 1px solid #e3e7ee; border-radius: 3px; overflow: hidden; }
 .flame div { position: absolute; height: 16px; box-sizing: border-box;
@@ -179,6 +172,15 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
              white-space: nowrap; overflow: hidden; text-overflow: clip;
              padding: 0 2px; color: #1a2433; }
 """.strip()
+
+_FLAME_STYLE = style(
+    "72rem",
+    """
+.delta-pos { color: #9d3030; } .delta-neg { color: #2a7a46; }
+.muted { color: #68748a; }
+"""
+    + FLAME_RULES,
+)
 
 
 def _flame_color(name: str) -> str:
@@ -209,7 +211,7 @@ def _render_node(
     out.append(
         f'<div style="left:{left:.4f}%;top:{depth * ROW_HEIGHT}px;'
         f"width:{width:.4f}%;background:{_flame_color(node.name)}\" "
-        f'title="{_esc(title)}">{_esc(node.name)}</div>'
+        f'title="{esc(title)}">{esc(node.name)}</div>'
     )
     cursor = left
     for child in node.sorted_children():
@@ -234,16 +236,6 @@ def render_flamegraph_fragment(stacks: Mapping[str, int]) -> str:
     )
 
 
-def _flame_page(title: str, body: List[str]) -> str:
-    return (
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{_esc(title)}</title>"
-        f"<style>{_FLAME_STYLE}</style></head>\n<body>\n"
-        + "\n".join(body)
-        + "\n</body></html>\n"
-    )
-
-
 def render_flamegraph_html(
     stacks: Mapping[str, int],
     title: str = "repro — sampled flamegraph",
@@ -252,9 +244,9 @@ def render_flamegraph_html(
     """A self-contained flamegraph page: the graph plus the flat
     hot-frame table.  Byte-deterministic for a given stack mapping."""
     total = sum(int(count) for count in stacks.values())
-    body: List[str] = [f"<h1>{_esc(title)}</h1>"]
+    body: List[str] = [f"<h1>{esc(title)}</h1>"]
     if subtitle:
-        body.append(f'<p class="muted">{_esc(subtitle)}</p>')
+        body.append(f'<p class="muted">{esc(subtitle)}</p>')
     body.append(
         f"<p>{total} samples, {len(stacks)} distinct stacks</p>"
     )
@@ -272,14 +264,14 @@ def render_flamegraph_html(
         )
         for frame, (self_n, total_n) in ranked[:40]:
             body.append(
-                f"<tr><td><code>{_esc(frame)}</code></td>"
+                f"<tr><td><code>{esc(frame)}</code></td>"
                 f'<td class="num">{self_n}</td>'
                 f'<td class="num">{100.0 * self_n / total:.1f}%</td>'
                 f'<td class="num">{total_n}</td>'
                 f'<td class="num">{100.0 * total_n / total:.1f}%</td></tr>'
             )
         body.append("</table>")
-    return _flame_page(title, body)
+    return page(title, body, _FLAME_STYLE)
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +368,12 @@ def render_diff_html(
 ) -> str:
     """The differential profile as a self-contained HTML page."""
     rows = list(deltas)
-    body: List[str] = [f"<h1>{_esc(title)}</h1>"]
+    body: List[str] = [f"<h1>{esc(title)}</h1>"]
     if subtitle:
-        body.append(f'<p class="muted">{_esc(subtitle)}</p>')
+        body.append(f'<p class="muted">{esc(subtitle)}</p>')
     if not rows:
         body.append('<p class="muted">no frames to compare</p>')
-        return _flame_page(title, body)
+        return page(title, body, _FLAME_STYLE)
     body.append("<table>")
     body.append(
         "<tr><th>frame</th><th class=num>self A%</th>"
@@ -392,7 +384,7 @@ def render_diff_html(
         self_css = "delta-pos" if delta.d_self > 0 else "delta-neg"
         total_css = "delta-pos" if delta.d_total > 0 else "delta-neg"
         body.append(
-            f"<tr><td><code>{_esc(delta.frame)}</code></td>"
+            f"<tr><td><code>{esc(delta.frame)}</code></td>"
             f'<td class="num">{delta.self_share_before:.2f}%</td>'
             f'<td class="num">{delta.self_share_after:.2f}%</td>'
             f'<td class="num {self_css}">{delta.d_self:+.2f}pp</td>'
@@ -403,4 +395,4 @@ def render_diff_html(
         body.append(
             f'<p class="muted">{len(rows) - limit} more frames not shown</p>'
         )
-    return _flame_page(title, body)
+    return page(title, body, _FLAME_STYLE)

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.config import plane
+from repro.obs.htmlpage import REPORT_STYLE, esc, page
 from repro.obs.journal import JournalEvent
 from repro.obs.metrics import counter
-from repro.obs.profiler import _esc, _html_page
 from repro.obs.tail import QueryOutcome, TailDecision
 
 __all__ = [
@@ -480,11 +480,11 @@ def _render_trace_lines(node: Dict[str, Any], depth: int = 0) -> List[str]:
 
 def render_bundle_html(bundle: IncidentBundle) -> str:
     """A self-contained HTML report of one incident bundle."""
-    body: List[str] = [f"<h1>Incident {_esc(bundle.name)}</h1>"]
+    body: List[str] = [f"<h1>Incident {esc(bundle.name)}</h1>"]
     body.append(
         "<p>trigger <strong>{}</strong> — {} records, {} events, "
         "schema v{}</p>".format(
-            _esc(bundle.trigger.get("kind", "?")),
+            esc(bundle.trigger.get("kind", "?")),
             len(bundle.records),
             len(bundle.events),
             bundle.version,
@@ -494,7 +494,7 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
     if systems:
         body.append(
             "<p>implicated systems: "
-            + ", ".join(f"<code>{_esc(s)}</code>" for s in systems)
+            + ", ".join(f"<code>{esc(s)}</code>" for s in systems)
             + "</p>"
         )
     alerts = bundle.trigger.get("alerts")
@@ -509,11 +509,11 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
                 continue
             exemplars = alert.get("exemplars") or []
             body.append(
-                f"<tr><td>{_esc(alert.get('rule', '?'))}</td>"
-                f"<td>{_esc(alert.get('severity', ''))}</td>"
-                f"<td><code>{_esc(alert.get('signal', ''))}</code></td>"
-                f'<td class="num">{_esc(alert.get("value", ""))}</td>'
-                f"<td>{_esc(', '.join(str(e) for e in exemplars))}</td></tr>"
+                f"<tr><td>{esc(alert.get('rule', '?'))}</td>"
+                f"<td>{esc(alert.get('severity', ''))}</td>"
+                f"<td><code>{esc(alert.get('signal', ''))}</code></td>"
+                f'<td class="num">{esc(alert.get("value", ""))}</td>'
+                f"<td>{esc(', '.join(str(e) for e in exemplars))}</td></tr>"
             )
         body.append("</table>")
     if bundle.records:
@@ -526,14 +526,14 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
         for record in bundle.records:
             reasons = record.get("reasons") or []
             body.append(
-                f"<tr><td><code>{_esc(record.get('query_id', '?'))}</code></td>"
-                f"<td>{_esc(record.get('tenant', ''))}</td>"
+                f"<tr><td><code>{esc(record.get('query_id', '?'))}</code></td>"
+                f"<td>{esc(record.get('tenant', ''))}</td>"
                 f'<td class="num">{float(record.get("wall_seconds", 0.0)) * 1e3:.2f}ms</td>'
                 f'<td class="num">{float(record.get("max_q_error", 0.0)):.2f}</td>'
                 f'<td class="num">{float(record.get("estimated_seconds", 0.0)):.2f}s</td>'
                 f"<td>{'yes' if record.get('kept') else 'no'}</td>"
-                f"<td>{_esc(', '.join(str(r) for r in reasons))}</td>"
-                f"<td>{_esc(record.get('error', ''))}</td></tr>"
+                f"<td>{esc(', '.join(str(r) for r in reasons))}</td>"
+                f"<td>{esc(record.get('error', ''))}</td></tr>"
             )
         body.append("</table>")
         traced = [r for r in bundle.records if r.get("trace")]
@@ -541,19 +541,19 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
             body.append("<h2>Kept traces</h2>")
             for record in traced:
                 body.append(
-                    f"<h3><code>{_esc(record.get('query_id', '?'))}</code></h3>"
+                    f"<h3><code>{esc(record.get('query_id', '?'))}</code></h3>"
                 )
                 lines: List[str] = []
                 for root in record.get("trace") or ():
                     lines.extend(_render_trace_lines(root))
-                body.append(f"<pre>{_esc(chr(10).join(lines))}</pre>")
+                body.append(f"<pre>{esc(chr(10).join(lines))}</pre>")
     if bundle.profile:
         stacks = bundle.profile.get("stacks", {})
         body.append("<h2>Profile window at trigger</h2>")
         body.append(
             "<p>{} samples in window {} ({:g}s–{:g}s)</p>".format(
-                _esc(bundle.profile.get("samples", 0)),
-                _esc(bundle.profile.get("index", "?")),
+                esc(bundle.profile.get("samples", 0)),
+                esc(bundle.profile.get("index", "?")),
                 float(bundle.profile.get("start", 0.0) or 0.0),
                 float(bundle.profile.get("end", 0.0) or 0.0),
             )
@@ -563,16 +563,16 @@ def render_bundle_html(bundle: IncidentBundle) -> str:
                 f"{folded} {count}"
                 for folded, count in sorted(stacks.items())
             ]
-            body.append(f"<pre>{_esc(chr(10).join(lines))}</pre>")
+            body.append(f"<pre>{esc(chr(10).join(lines))}</pre>")
     if bundle.events:
         body.append("<h2>Recent journal events</h2><table>")
         body.append("<tr><th class=num>seq</th><th>type</th><th>payload</th></tr>")
         for event in bundle.events:
             payload = event.get("payload", {})
             body.append(
-                f'<tr><td class="num">{_esc(event.get("seq", ""))}</td>'
-                f"<td>{_esc(event.get('type', '?'))}</td>"
-                f"<td><code>{_esc(_dumps(payload if isinstance(payload, dict) else {}))}</code></td></tr>"
+                f'<tr><td class="num">{esc(event.get("seq", ""))}</td>'
+                f"<td>{esc(event.get('type', '?'))}</td>"
+                f"<td><code>{esc(_dumps(payload if isinstance(payload, dict) else {}))}</code></td></tr>"
             )
         body.append("</table>")
-    return _html_page(f"Incident {bundle.name}", body)
+    return page(f"Incident {bundle.name}", body, REPORT_STYLE)

@@ -33,9 +33,10 @@ stdlib-only and dependency-free.
 
 from __future__ import annotations
 
-import html
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.obs.htmlpage import REPORT_STYLE, esc, page
 
 __all__ = [
     "StepProfile",
@@ -286,34 +287,6 @@ def render_text(profile: QueryProfile) -> str:
 # ----------------------------------------------------------------------
 # HTML rendering (self-contained: inline CSS, no external assets)
 # ----------------------------------------------------------------------
-_HTML_STYLE = """
-body { font: 14px/1.45 -apple-system, 'Segoe UI', Roboto, sans-serif;
-       margin: 2rem auto; max-width: 60rem; color: #1a2433; }
-h1 { font-size: 1.3rem; } h2 { font-size: 1.05rem; margin-top: 1.6rem; }
-code { background: #f2f4f8; padding: .1rem .3rem; border-radius: 3px; }
-table { border-collapse: collapse; width: 100%; margin: .5rem 0; }
-th, td { text-align: left; padding: .25rem .6rem; border-bottom: 1px solid #e3e7ee; }
-td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
-.bar { background: #e8ecf3; border-radius: 3px; height: .8rem; width: 12rem; }
-.bar > span { display: block; height: 100%; border-radius: 3px; background: #4973b8; }
-.delta-pos { color: #9d3030; } .delta-neg { color: #2a7a46; }
-""".strip()
-
-
-def _esc(value: object) -> str:
-    return html.escape(str(value), quote=True)
-
-
-def _html_page(title: str, body: List[str]) -> str:
-    return (
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{_esc(title)}</title>"
-        f"<style>{_HTML_STYLE}</style></head>\n<body>\n"
-        + "\n".join(body)
-        + "\n</body></html>\n"
-    )
-
-
 def _delta_cell(delta: float) -> str:
     css = "delta-pos" if delta > 0 else "delta-neg"
     return f'<td class="num {css}">{delta:+.2f}s</td>'
@@ -323,11 +296,11 @@ def render_html(profile: QueryProfile) -> str:
     """A self-contained HTML page of one query's cost breakdown."""
     body: List[str] = ["<h1>Query cost profile</h1>"]
     if profile.query:
-        body.append(f"<p><code>{_esc(profile.query)}</code></p>")
+        body.append(f"<p><code>{esc(profile.query)}</code></p>")
     body.append(
         "<p>placement <strong>{}</strong> — estimated {:.2f}s, "
         "observed {:.2f}s, delta <strong>{:+.2f}s</strong></p>".format(
-            _esc(profile.location or "?"),
+            esc(profile.location or "?"),
             profile.estimated_seconds,
             profile.observed_seconds,
             profile.delta_seconds,
@@ -342,8 +315,8 @@ def render_html(profile: QueryProfile) -> str:
         )
         for step in profile.steps:
             body.append(
-                f"<tr><td>{_esc(step.description)}</td>"
-                f"<td>{_esc(step.system)}</td>"
+                f"<tr><td>{esc(step.description)}</td>"
+                f"<td>{esc(step.system)}</td>"
                 f'<td class="num">{step.estimated_seconds:.2f}s</td>'
                 f'<td class="num">{step.observed_seconds:.2f}s</td>'
                 + _delta_cell(step.delta_seconds)
@@ -360,8 +333,8 @@ def render_html(profile: QueryProfile) -> str:
         )
         for op in profile.operators:
             body.append(
-                f"<tr><td>{_esc(op.system)}</td><td>{_esc(op.operator)}</td>"
-                f"<td>{_esc(op.approach)}</td>"
+                f"<tr><td>{esc(op.system)}</td><td>{esc(op.operator)}</td>"
+                f"<td>{esc(op.approach)}</td>"
                 f'<td class="num">{op.estimated_seconds:.2f}s</td>'
                 f'<td class="num">{_fmt_wall(op.wall_seconds)}</td>'
                 f"<td>{'on' if op.remedy_active else ''}</td></tr>"
@@ -380,7 +353,7 @@ def render_html(profile: QueryProfile) -> str:
         ):
             share = seconds / total
             body.append(
-                f"<tr><td>{_esc(name)}</td>"
+                f"<tr><td>{esc(name)}</td>"
                 f'<td class="num">{seconds:.2f}s</td>'
                 f'<td class="num">{100 * share:.1f}%</td>'
                 f'<td><div class="bar"><span style="width:{100 * share:.1f}%">'
@@ -396,9 +369,9 @@ def render_html(profile: QueryProfile) -> str:
         ("whole traced run", profile.total_wall_seconds),
     ):
         body.append(
-            f"<tr><td>{_esc(label)}</td>"
+            f"<tr><td>{esc(label)}</td>"
             f'<td class="num">{_fmt_wall(value)}</td></tr>'
         )
     body.append("</table>")
-    return _html_page("Query cost profile", body)
+    return page("Query cost profile", body, REPORT_STYLE)
 

@@ -215,23 +215,25 @@ def _alert(fold: _Fold, payload: Mapping[str, object]) -> None:
     fold.registry.counter("alerts.replayed").inc()
 
 
-# Window and profile summaries are data, not instrument deltas: their
-# reducers drive no instrument, keeping the rebuilt registry identical.
-# Newer payload versions and malformed payloads are skipped.
-def _window(fold: _Fold, payload: Mapping[str, object]) -> None:
-    try:
-        if int(payload.get("window_v", 0)) <= WINDOW_SCHEMA_VERSION:
-            fold.windows.append(WindowSummary.from_payload(payload))
-    except (TypeError, ValueError):
-        pass
+def _summaries(
+    summary: type, version_key: str, version: int, into: str
+) -> Callable[[_Fold, Mapping[str, object]], None]:
+    """The reducer of one window ring's closed summaries (``window`` and
+    ``profile`` events): each lands in ``fold.<into>``, oldest first.
 
+    Summaries are data, not instrument deltas: the reducer drives no
+    instrument, keeping the rebuilt registry identical.  Newer payload
+    versions and malformed payloads are skipped.
+    """
 
-def _profile(fold: _Fold, payload: Mapping[str, object]) -> None:
-    try:
-        if int(payload.get("profile_v", 0)) <= PROFILE_SCHEMA_VERSION:
-            fold.profiles.append(ProfileWindow.from_payload(payload))
-    except (TypeError, ValueError):
-        pass
+    def reduce(fold: _Fold, payload: Mapping[str, object]) -> None:
+        try:
+            if int(payload.get(version_key, 0)) <= version:
+                getattr(fold, into).append(summary.from_payload(payload))
+        except (TypeError, ValueError):
+            pass
+
+    return reduce
 
 
 # An incident is journaled as one rotation-atomic group: a header
@@ -270,10 +272,14 @@ REDUCERS: Dict[str, Callable[[_Fold, Mapping[str, object]], None]] = {
     "tuning": _tuning,
     "drift": _drift,
     "alert": _alert,
-    "window": _window,
+    "window": _summaries(
+        WindowSummary, "window_v", WINDOW_SCHEMA_VERSION, "windows"
+    ),
     "incident": _incident,
     "incident_record": _incident_record,
-    "profile": _profile,
+    "profile": _summaries(
+        ProfileWindow, "profile_v", PROFILE_SCHEMA_VERSION, "profiles"
+    ),
 }
 
 

@@ -16,20 +16,21 @@ How it works:
   ``REPRO_OBS_PROF`` or :func:`start_sampling`) and walks
   ``sys._current_frames()``;
 * every observed thread is tagged with a **role** from its name
-  (:func:`role_for_thread`: serve worker / http / main / simulator /
+  (:func:`role_for_thread`: serve worker / http / main / profiler /
   other) and its stack is **folded** root-first into a
   ``[role];module.func;module.func`` key — the classic collapsed-stack
   form flamegraph tooling consumes;
-* folded samples accumulate into the open :class:`ProfileWindow` — a
-  fixed-boundary time slice like the telemetry plane's windows — whose
+* folded samples accumulate into the open profile window, whose
   distinct-stack map is **bounded** (:data:`DEFAULT_MAX_STACKS`;
   overflow collapses deterministically into :data:`OVERFLOW_KEY`);
-* when the clock crosses a window boundary the window is closed into a
-  bounded ring and journaled as one schema-versioned ``profile`` event;
-  :func:`repro.obs.rebuild.replay` rebuilds the exact same windows in a
-  fresh process (the payload round-trips JSON bit-identically);
-* per-frame **self/total sample counts** (:meth:`ProfileWindow.
-  frame_stats`) and merged folded stacks feed the flamegraph renderer
+* the windows are the telemetry plane's
+  (:class:`~repro.obs.timeseries.WindowRing`): the same width
+  (``REPRO_OBS_WINDOW``), index rule, bounded ring and close policy.
+  A closed window is journaled as one schema-versioned ``profile``
+  event; :func:`repro.obs.rebuild.replay` rebuilds the exact same
+  windows in a fresh process (the payload round-trips JSON
+  bit-identically);
+* merged folded stacks feed the flamegraph renderer
   (:mod:`repro.obs.flamegraph`), ``repro flamegraph``, the
   ``/profile``/``/profile.html`` endpoints, and incident bundles.
 
@@ -49,20 +50,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.config import DEFAULT_HZ, ObsConfig, plane
 from repro.obs.metrics import counter, gauge
+from repro.obs.timeseries import WindowRing
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -75,7 +68,6 @@ __all__ = [
     "StackSampler",
     "fold_stack",
     "role_for_thread",
-    "register_thread_role",
     "merge_stacks",
     "start_sampling",
     "stop_sampling",
@@ -110,32 +102,13 @@ SAMPLER_THREAD_NAME = "repro-prof-sampler"
 # ----------------------------------------------------------------------
 # Thread roles
 # ----------------------------------------------------------------------
-#: Thread-name prefix -> role, checked in order.  Extendable through
-#: :func:`register_thread_role` (the traffic simulator and embedders tag
-#: their own threads this way).
-_DEFAULT_ROLES: Tuple[Tuple[str, str], ...] = (
+#: Thread-name prefix -> role, checked in order.
+_ROLES: Tuple[Tuple[str, str], ...] = (
     ("repro-serve-worker", "serve"),
     ("repro-obs-server", "http"),
-    ("repro-sim", "simulator"),
     (SAMPLER_THREAD_NAME, "profiler"),
     ("MainThread", "main"),
 )
-
-_role_lock = threading.Lock()
-_extra_roles: List[Tuple[str, str]] = []
-
-
-def register_thread_role(prefix: str, role: str) -> None:
-    """Tag threads whose name starts with ``prefix`` as ``role``.
-
-    Registered prefixes take precedence over the built-in table;
-    re-registering a prefix replaces its role.
-    """
-    if not prefix or not role:
-        raise ValueError("prefix and role must be non-empty")
-    with _role_lock:
-        _extra_roles[:] = [(p, r) for p, r in _extra_roles if p != prefix]
-        _extra_roles.append((prefix, role))
 
 
 def role_for_thread(name: str) -> str:
@@ -144,15 +117,10 @@ def role_for_thread(name: str) -> str:
     ``repro-serve-worker-*`` threads are the estimation pool ("serve"),
     ``repro-obs-server:*`` and the stdlib's per-request
     ``process_request_thread`` threads are the HTTP front ("http"),
-    ``MainThread`` is "main", ``repro-sim*`` the traffic simulator;
+    ``MainThread`` is "main" and the sampler's own thread "profiler";
     anything else is "other".
     """
-    with _role_lock:
-        extra = tuple(_extra_roles)
-    for prefix, role in extra:
-        if name.startswith(prefix):
-            return role
-    for prefix, role in _DEFAULT_ROLES:
+    for prefix, role in _ROLES:
         if name.startswith(prefix):
             return role
     if "process_request_thread" in name:
@@ -191,25 +159,6 @@ class ProfileWindow:
     roles: Dict[str, int] = field(default_factory=dict)
     stacks: Dict[str, int] = field(default_factory=dict)
     truncated: int = 0
-
-    def frame_stats(self) -> Dict[str, Tuple[int, int]]:
-        """Per-frame ``(self, total)`` sample counts, sorted by frame.
-
-        ``self`` counts samples where the frame was the leaf (on-CPU);
-        ``total`` counts samples where it appeared anywhere on the
-        stack (each frame at most once per sample, so recursion cannot
-        inflate totals past the window's sample count).
-        """
-        stats: Dict[str, List[int]] = {}
-        for folded, count in self.stacks.items():
-            frames = folded.split(";")
-            for frame in set(frames):
-                stats.setdefault(frame, [0, 0])[1] += count
-            stats.setdefault(frames[-1], [0, 0])[0] += count
-        return {
-            frame: (int(self_n), int(total_n))
-            for frame, (self_n, total_n) in sorted(stats.items())
-        }
 
     def to_payload(self) -> Dict[str, object]:
         """The ``profile`` journal-event payload (JSON round-trip exact:
@@ -287,15 +236,18 @@ class _OpenProfile:
         )
 
 
-class StackSampler:
+class StackSampler(WindowRing):
     """The sampling profiler: a daemon thread over ``sys._current_frames``.
+
+    A :class:`~repro.obs.timeseries.WindowRing` whose open window folds
+    sampled stacks and closes into a :class:`ProfileWindow` journaled
+    as ``profile``.
 
     Args:
         hz: Sampling rate; defaults to ``REPRO_OBS_PROF``'s rate, then
             :data:`~repro.obs.config.DEFAULT_HZ`.
-        window_seconds: Profile-window width; defaults to
-            ``REPRO_OBS_PROF_WINDOW``, then
-            :data:`~repro.obs.config.DEFAULT_WINDOW_SECONDS`.
+        window_seconds: Profile-window width; defaults to the telemetry
+            windows' ``REPRO_OBS_WINDOW``, then 60s.
         retention: Closed windows kept in the in-memory ring.
         max_stacks: Distinct folded stacks per window before overflow.
         clock: Zero-argument "now" callable (monotonic by default; a
@@ -304,6 +256,9 @@ class StackSampler:
             window close; pass an explicit journal (or
             :data:`~repro.obs.journal.NOOP_JOURNAL`) to pin.
     """
+
+    event = "profile"
+    _accumulator = _OpenProfile
 
     def __init__(
         self,
@@ -318,28 +273,12 @@ class StackSampler:
         resolved_hz = float(hz) if hz is not None else config.prof_hz or DEFAULT_HZ
         if resolved_hz <= 0:
             raise ValueError("sampling hz must be positive")
-        resolved_width = (
-            float(window_seconds)
-            if window_seconds is not None
-            else config.prof_window_seconds
-        )
-        if resolved_width <= 0:
-            raise ValueError("window_seconds must be positive")
-        if retention < 1:
-            raise ValueError("retention must be >= 1")
         if max_stacks < 1:
             raise ValueError("max_stacks must be >= 1")
+        super().__init__(window_seconds, retention, clock, journal)
         self.hz = resolved_hz
         self.interval = 1.0 / resolved_hz
-        self.width = resolved_width
-        self.retention = retention
         self.max_stacks = max_stacks
-        self._clock = clock
-        self._journal = journal
-        self._lock = threading.Lock()
-        self._windows: "deque[ProfileWindow]" = deque(maxlen=retention)
-        self._current: Optional[_OpenProfile] = None
-        self._closed_count = 0
         self._sampled = 0
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -436,19 +375,12 @@ class StackSampler:
         — identical logs produce byte-identical windows.
         """
         folded = fold_stack(role, frames)
-        index = int(now // self.width)
-        closed: Optional[ProfileWindow] = None
         with self._lock:
-            current = self._current
-            if current is not None and index > current.index:
-                closed = self._close_locked(current)
-                current = None
-            if current is None:
-                current = self._current = _OpenProfile(index)
-            current.add(role, folded, self.max_stacks)
+            self._window_at(now).add(role, folded, self.max_stacks)
             self._sampled += 1
-        if closed is not None:
-            self._journal_window(closed)
+
+    def _closed(self, summary: ProfileWindow) -> None:
+        counter("obs.sampling.windows", help="profile windows closed").inc()
 
     def _walk(self, frame) -> List[str]:
         """Frame names of one stack, root-first, depth-bounded."""
@@ -474,46 +406,21 @@ class StackSampler:
         return out
 
     # ------------------------------------------------------------------
-    # Windows
+    # Views
     # ------------------------------------------------------------------
-    def flush(self) -> Optional[ProfileWindow]:
-        """Close the open window (if it holds samples) into the ring."""
-        with self._lock:
-            current = self._current
-            if current is None or current.samples == 0:
-                self._current = None
-                return None
-            closed = self._close_locked(current)
-        self._journal_window(closed)
-        return closed
-
-    def _close_locked(self, window: _OpenProfile) -> ProfileWindow:
-        summary = window.summarize(self.width)
-        self._windows.append(summary)
-        self._closed_count += 1
-        self._current = None
-        return summary
-
-    def _journal_window(self, summary: ProfileWindow) -> None:
-        counter(
-            "obs.sampling.windows", help="profile windows closed"
-        ).inc()
-        journal = self._journal if self._journal is not None else plane().journal
-        if journal.enabled:
-            journal.append("profile", **summary.to_payload())
-
-    def windows(self) -> Tuple[ProfileWindow, ...]:
-        """Closed windows, oldest first (bounded by ``retention``)."""
-        with self._lock:
-            return tuple(self._windows)
+    def _with_open(self) -> List[ProfileWindow]:
+        """The closed windows, then the open one frozen in place (the
+        caller holds the lock)."""
+        windows = list(self._windows)
+        if self._current is not None:
+            windows.append(self._current.summarize(self.width))
+        return windows
 
     def last_window(self) -> Optional[ProfileWindow]:
-        """The newest closed window, or the open one frozen in place."""
+        """The open window frozen in place, or the newest closed one."""
         with self._lock:
-            current = self._current
-            if current is not None and current.samples:
-                return current.summarize(self.width)
-            return self._windows[-1] if self._windows else None
+            windows = self._with_open()
+        return windows[-1] if windows else None
 
     @property
     def sampled(self) -> int:
@@ -521,28 +428,17 @@ class StackSampler:
         with self._lock:
             return self._sampled
 
-    @property
-    def closed_count(self) -> int:
-        with self._lock:
-            return self._closed_count
-
     def merged_stacks(self, include_open: bool = True) -> Dict[str, int]:
         """Folded stacks summed across the ring (and the open window)."""
         with self._lock:
-            windows: List[ProfileWindow] = list(self._windows)
-            current = self._current
-            if include_open and current is not None and current.samples:
-                windows.append(current.summarize(self.width))
+            windows = self._with_open() if include_open else list(self._windows)
         return merge_stacks(windows)
 
     def snapshot(self) -> Dict[str, object]:
         """The JSON shape served by ``/profile``."""
         with self._lock:
-            windows = [summary.to_payload() for summary in self._windows]
-            current = self._current
-            if current is not None and current.samples:
-                windows.append(current.summarize(self.width).to_payload())
-            closed = self._closed_count
+            windows = [summary.to_payload() for summary in self._with_open()]
+            closed = self.closed_count
             sampled = self._sampled
         return {
             "v": PROFILE_SCHEMA_VERSION,

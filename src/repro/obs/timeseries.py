@@ -14,13 +14,17 @@ time slice ``[index * width, (index + 1) * width)``:
 * gauge writes keep the per-window **last value**.
 
 When the clock crosses a window boundary the current window is closed
-into a bounded ring (``deque(maxlen=retention)``) and — when the
-plane's journal is enabled — persisted as one schema-versioned
-``window`` event whose payload round-trips **bit-identically** through
-JSON: :func:`repro.obs.rebuild.replay` rebuilds the exact same summaries
-in a fresh process.  Idle gaps never flood the journal: skipping many
+into a bounded ring and — when the plane's journal is enabled —
+persisted as one schema-versioned ``window`` event whose payload
+round-trips **bit-identically** through JSON:
+:func:`repro.obs.rebuild.replay` rebuilds the exact same summaries in a
+fresh process.  Idle gaps never flood the journal: skipping many
 boundaries closes exactly one window (indices in the ring may
 therefore be non-consecutive).
+
+The windowing itself is :class:`WindowRing`, which the stack sampler
+(:mod:`repro.obs.sampling`) shares: one index rule, one open window,
+one bounded ring and one close policy for both planes.
 
 The clock is injectable (wall clock by default, :class:`ManualClock`
 for tests/CI and for simulated time), and nothing here touches the
@@ -35,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.config import ObsConfig, plane
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
@@ -46,6 +50,7 @@ __all__ = [
     "log_buckets",
     "HistogramWindow",
     "WindowSummary",
+    "WindowRing",
     "TimeSeriesAggregator",
     "ManualClock",
     "enable_timeseries",
@@ -337,8 +342,24 @@ class ManualClock:
         return self._now
 
 
-class TimeSeriesAggregator(MetricsObserver):
-    """Thread-safe windowed aggregation over a registry's update stream.
+class WindowRing:
+    """Fixed-boundary windows over one clock: the open window and a
+    bounded ring of closed summaries.
+
+    The windowing both planes share — the telemetry aggregator below
+    and the stack sampler (:class:`repro.obs.sampling.StackSampler`).
+    Window ``index`` covers ``[index * width, (index + 1) * width)``,
+    and an instant ``now`` falls in window ``math.floor(now / width)``:
+    the one index rule of :mod:`repro.obs`.  A subclass supplies the
+    open window's accumulator type (:attr:`_accumulator`, built from
+    the index, with an ``index`` and a ``summarize(width)``) and the
+    journal event type of its summaries (:attr:`event`).
+
+    Closing a window puts its summary into the ring and then the
+    journal, both under the ring's lock, so journal order is ring
+    order.  The lock is an ``RLock``: a journal append, or an
+    instrument fired while it is held, may re-enter the aggregator's
+    observer callbacks.
 
     Args:
         width: Window width in clock seconds (defaults to the
@@ -351,11 +372,12 @@ class TimeSeriesAggregator(MetricsObserver):
         journal: ``None`` (the default) late-binds the plane's
             journal on every close; pass an explicit journal (or
             ``False``-y :data:`~repro.obs.journal.NOOP_JOURNAL`) to pin.
-
-    The lock is an ``RLock``: closing a window appends a journal event,
-    and journal internals (or any observer-driven instrumentation that
-    fires while we hold the lock) may re-enter ``on_counter``.
     """
+
+    #: Journal event type a closed summary is appended as.
+    event: str
+    #: The open window's type, built as ``_accumulator(index)``.
+    _accumulator: Callable[[int], Any]
 
     def __init__(
         self,
@@ -380,12 +402,76 @@ class TimeSeriesAggregator(MetricsObserver):
         self._clock = clock
         self._journal = journal
         self._lock = threading.RLock()
-        self._windows: "deque[WindowSummary]" = deque(maxlen=resolved_retention)
-        self._current: Optional[_OpenWindow] = None
-        #: End of the current window — per-update staleness checks are a
-        #: clock read plus one compare, not a floor division.
+        self._windows: deque = deque(maxlen=resolved_retention)
+        self._current: Any = None
+        #: End of the open window — "is it stale?" is one compare, not
+        #: a floor division.
         self._deadline = -math.inf
         self._closed_count = 0
+
+    def _window_at(self, now: float) -> Any:
+        """The open window for ``now``, closing a stale one first.
+
+        Called with the lock held.  Only a later index closes the open
+        window: skipping many boundaries closes exactly one window.
+        """
+        current = self._current
+        if current is not None and now < self._deadline:
+            return current
+        index = math.floor(now / self.width)
+        if current is not None and index > current.index:
+            self._close(current)
+            current = None
+        if current is None:
+            current = self._current = self._accumulator(index)
+            self._deadline = (index + 1) * self.width
+        return current
+
+    def _close(self, window: Any) -> Any:
+        summary = window.summarize(self.width)
+        self._windows.append(summary)
+        self._closed_count += 1
+        self._current = None
+        self._closed(summary)
+        journal = self._journal if self._journal is not None else plane().journal
+        if journal.enabled:
+            journal.append(self.event, **summary.to_payload())
+        return summary
+
+    def _closed(self, summary: Any) -> None:
+        """Called under the lock as ``summary`` enters the ring, before
+        its journal append: a subclass's own instruments go here."""
+
+    def flush(self) -> Any:
+        """Close the open window into the ring now; returns its summary,
+        or ``None`` when no window is open."""
+        with self._lock:
+            current = self._current
+            return self._close(current) if current is not None else None
+
+    def windows(self) -> Tuple[Any, ...]:
+        """Closed windows, oldest first (bounded by ``retention``)."""
+        with self._lock:
+            return tuple(self._windows)
+
+    @property
+    def closed_count(self) -> int:
+        """Windows closed over the ring's lifetime (the ring may hold
+        fewer)."""
+        with self._lock:
+            return self._closed_count
+
+
+class TimeSeriesAggregator(WindowRing, MetricsObserver):
+    """Thread-safe windowed aggregation over a registry's update stream.
+
+    A :class:`WindowRing` (same arguments) whose open window folds
+    counter deltas, gauge last-values and histogram observations, and
+    closes into a :class:`WindowSummary` journaled as ``window``.
+    """
+
+    event = "window"
+    _accumulator = _OpenWindow
 
     # ------------------------------------------------------------------
     # MetricsObserver protocol
@@ -397,7 +483,7 @@ class TimeSeriesAggregator(MetricsObserver):
         with self._lock:
             window = self._current
             if window is None or self._clock() >= self._deadline:
-                window = self._rolled_window()
+                window = self._window_at(self._clock())
             counters = window.counters
             counters[name] = counters.get(name, 0.0) + amount
 
@@ -405,22 +491,19 @@ class TimeSeriesAggregator(MetricsObserver):
         with self._lock:
             window = self._current
             if window is None or self._clock() >= self._deadline:
-                window = self._rolled_window()
+                window = self._window_at(self._clock())
             window.gauges[name] = value
 
     def on_histogram(self, name: str, value: float) -> None:
         with self._lock:
             window = self._current
             if window is None or self._clock() >= self._deadline:
-                window = self._rolled_window()
+                window = self._window_at(self._clock())
             accumulator = window.histograms.get(name)
             if accumulator is None:
                 accumulator = window.histograms[name] = _HistogramAccumulator()
             accumulator.observe(value)
 
-    # ------------------------------------------------------------------
-    # Rolling
-    # ------------------------------------------------------------------
     def maybe_roll(self) -> int:
         """Close the current window if the clock crossed its boundary.
 
@@ -429,46 +512,8 @@ class TimeSeriesAggregator(MetricsObserver):
         """
         with self._lock:
             before = self._closed_count
-            self._rolled_window()
+            self._window_at(self._clock())
             return self._closed_count - before
-
-    def _rolled_window(self) -> _OpenWindow:
-        """The open window for "now", closing a stale one first."""
-        now = self._clock()
-        current = self._current
-        if current is not None and now < self._deadline:
-            return current
-        index = math.floor(now / self.width)
-        if current is not None and index > current.index:
-            self._close(current)
-            current = None
-        if current is None:
-            current = self._current = _OpenWindow(index)
-            self._deadline = (index + 1) * self.width
-        return current
-
-    def _close(self, window: _OpenWindow) -> None:
-        summary = window.summarize(self.width)
-        self._windows.append(summary)
-        self._closed_count += 1
-        journal = self._journal if self._journal is not None else plane().journal
-        if journal.enabled:
-            journal.append("window", **summary.to_payload())
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def windows(self) -> Tuple[WindowSummary, ...]:
-        """Closed windows, oldest first (bounded by ``retention``)."""
-        with self._lock:
-            return tuple(self._windows)
-
-    @property
-    def closed_count(self) -> int:
-        """Windows closed over the aggregator's lifetime (ring may hold
-        fewer)."""
-        with self._lock:
-            return self._closed_count
 
     def snapshot(self) -> Dict[str, object]:
         """The JSON shape served by ``/timeseries`` and embedded in

@@ -508,7 +508,6 @@ class ServeDaemon:
         workers: int = DEFAULT_WORKERS,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         tenant_header: str = TENANT_HEADER,
         rules: Optional[Sequence[obs.AlertRule]] = None,
         title: str = "Cost estimation service",
@@ -520,7 +519,6 @@ class ServeDaemon:
             queue_depth=queue_depth,
             retry_after=retry_after,
         )
-        self.request_timeout = request_timeout
         self.tenant_header = tenant_header
         self.server = ObsServer(
             host=host,

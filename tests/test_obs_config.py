@@ -13,7 +13,6 @@ from repro import obs
 from repro.obs.config import (
     DEFAULT_HZ,
     DEFAULT_WINDOW_RETENTION,
-    DEFAULT_WINDOW_SECONDS,
     DEFAULT_WINDOW_WIDTH,
     ObsConfig,
     ObsPlane,
@@ -29,7 +28,6 @@ NUMERIC = {
     obs.WINDOW_WIDTH_ENV_VAR: "15",
     obs.WINDOW_RETENTION_ENV_VAR: "7",
     obs.PROF_ENV_VAR: "250",
-    obs.PROF_WINDOW_ENV_VAR: "7.5",
 }
 
 #: Every variable, with a valid value for it.
@@ -54,7 +52,6 @@ class TestObsConfig:
             window_seconds=DEFAULT_WINDOW_WIDTH,
             window_retention=DEFAULT_WINDOW_RETENTION,
             prof_hz=0.0,
-            prof_window_seconds=DEFAULT_WINDOW_SECONDS,
         )
 
     def test_valid_values(self):
@@ -69,7 +66,6 @@ class TestObsConfig:
             window_seconds=15.0,
             window_retention=7,
             prof_hz=250.0,
-            prof_window_seconds=7.5,
         )
 
     @pytest.mark.parametrize("name", sorted(VALID))
@@ -93,8 +89,11 @@ class TestObsConfig:
         assert config.window_seconds == DEFAULT_WINDOW_WIDTH
         assert config.window_retention == DEFAULT_WINDOW_RETENTION
         assert config.prof_hz == DEFAULT_HZ
-        assert config.prof_window_seconds == DEFAULT_WINDOW_SECONDS
         assert not config.trace
+
+    def test_retired_profile_window_variable_is_ignored(self):
+        # Profile windows take REPRO_OBS_WINDOW's width.
+        assert ObsConfig.from_env({"REPRO_OBS_PROF_WINDOW": "7.5"}) == ObsConfig()
 
     def test_from_env_reads_the_process_environment(self, monkeypatch):
         monkeypatch.setenv(obs.WINDOW_RETENTION_ENV_VAR, "9")

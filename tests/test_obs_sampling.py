@@ -3,8 +3,10 @@ bounded profile windows, role tagging, journal round-trips and offline
 reconstruction, the process-wide sampler lifecycle, and live sampling
 over real threads."""
 
+import itertools
 import json
 import os
+import sys
 import threading
 import time
 
@@ -13,12 +15,13 @@ import pytest
 from repro import obs
 from repro.obs.config import (
     DEFAULT_HZ,
-    DEFAULT_WINDOW_SECONDS,
+    DEFAULT_WINDOW_WIDTH,
     PROF_ENV_VAR,
-    PROF_WINDOW_ENV_VAR,
+    WINDOW_WIDTH_ENV_VAR,
     ObsConfig,
 )
-from repro.obs.journal import EventJournal, NOOP_JOURNAL
+from repro.obs.flamegraph import frame_stats
+from repro.obs.journal import EventJournal, NOOP_JOURNAL, read_journal
 from repro.obs.sampling import (
     MAX_STACK_DEPTH,
     OVERFLOW_KEY,
@@ -29,11 +32,11 @@ from repro.obs.sampling import (
     fold_stack,
     maybe_start_sampling,
     merge_stacks,
-    register_thread_role,
     role_for_thread,
     start_sampling,
     stop_sampling,
 )
+from repro.obs.timeseries import ManualClock, TimeSeriesAggregator
 
 
 @pytest.fixture(autouse=True)
@@ -84,7 +87,7 @@ class TestRoles:
         [
             ("repro-serve-worker-3", "serve"),
             ("repro-obs-server:9177", "http"),
-            ("repro-sim-tenant-a", "simulator"),
+            ("repro-sim-tenant-a", "other"),
             ("repro-prof-sampler", "profiler"),
             ("MainThread", "main"),
             ("Thread-7 (process_request_thread)", "http"),
@@ -94,21 +97,6 @@ class TestRoles:
     )
     def test_builtin_table(self, name, role):
         assert role_for_thread(name) == role
-
-    def test_register_thread_role_takes_precedence(self):
-        try:
-            register_thread_role("repro-serve-worker", "custom")
-            assert role_for_thread("repro-serve-worker-0") == "custom"
-        finally:
-            # restore the builtin mapping for other tests
-            register_thread_role("repro-serve-worker", "serve")
-            assert role_for_thread("repro-serve-worker-0") == "serve"
-
-    def test_register_rejects_empty(self):
-        with pytest.raises(ValueError):
-            register_thread_role("", "role")
-        with pytest.raises(ValueError):
-            register_thread_role("prefix", "")
 
 
 class TestEnvParsing:
@@ -136,24 +124,29 @@ class TestEnvParsing:
 
     def test_constructor_reads_env(self, monkeypatch):
         monkeypatch.setenv(PROF_ENV_VAR, "123")
-        monkeypatch.setenv(PROF_WINDOW_ENV_VAR, "7.5")
+        monkeypatch.setenv(WINDOW_WIDTH_ENV_VAR, "7.5")
         sampler = StackSampler(journal=NOOP_JOURNAL)
         assert sampler.hz == 123.0
         assert sampler.width == 7.5
+
+    def test_width_is_the_telemetry_window_width(self, monkeypatch):
+        monkeypatch.setenv(WINDOW_WIDTH_ENV_VAR, "7.5")
+        assert StackSampler().width == 7.5
+        assert TimeSeriesAggregator().width == 7.5
 
     def test_env_off_still_builds_with_default_hz(self, monkeypatch):
         # Explicit construction ignores an "off" env (that gate lives in
         # maybe_start_sampling); hz falls back to the default.
         monkeypatch.setenv(PROF_ENV_VAR, "0")
-        monkeypatch.delenv(PROF_WINDOW_ENV_VAR, raising=False)
+        monkeypatch.delenv(WINDOW_WIDTH_ENV_VAR, raising=False)
         sampler = StackSampler(journal=NOOP_JOURNAL)
         assert sampler.hz == DEFAULT_HZ
-        assert sampler.width == DEFAULT_WINDOW_SECONDS
+        assert sampler.width == DEFAULT_WINDOW_WIDTH
 
     def test_bad_window_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(PROF_WINDOW_ENV_VAR, "soon")
+        monkeypatch.setenv(WINDOW_WIDTH_ENV_VAR, "soon")
         sampler = StackSampler(hz=10.0, journal=NOOP_JOURNAL)
-        assert sampler.width == DEFAULT_WINDOW_SECONDS
+        assert sampler.width == DEFAULT_WINDOW_WIDTH
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +226,19 @@ class TestWindows:
         assert window.truncated == 2
         assert window.samples == 5
 
+    def test_boundary_sample_lands_in_the_window_containing_it(self):
+        # 0.1 is not exact in binary, so 1.0 // 0.1 is 9.0 while
+        # math.floor(1.0 / 0.1) is 10: only window 10 contains 1.0.
+        sampler = make_sampler(window_seconds=0.1)
+        sampler.record_sample(1.0, "main", ("f.g",))
+        window = sampler.flush()
+        assert window.start <= 1.0 < window.end
+        aggregator = TimeSeriesAggregator(
+            width=0.1, clock=ManualClock(1.0), journal=NOOP_JOURNAL
+        )
+        aggregator.on_counter("probe", 1.0)
+        assert aggregator.flush().index == window.index
+
     def test_frame_stats_self_total(self):
         window = ProfileWindow(
             index=0,
@@ -241,7 +247,7 @@ class TestWindows:
             samples=4,
             stacks={"[s];a;b": 3, "[s];a": 1},
         )
-        stats = window.frame_stats()
+        stats = frame_stats(window.stacks)
         assert stats["b"] == (3, 3)
         assert stats["a"] == (1, 4)
         assert stats["[s]"] == (0, 4)
@@ -250,7 +256,7 @@ class TestWindows:
         window = ProfileWindow(
             index=0, start=0.0, end=1.0, samples=5, stacks={"[s];a;a;a": 5}
         )
-        assert window.frame_stats()["a"] == (5, 5)
+        assert frame_stats(window.stacks)["a"] == (5, 5)
 
     def test_merged_stacks_and_merge_stacks(self):
         sampler = make_sampler()
@@ -301,6 +307,68 @@ class TestJournalRoundTrip:
         assert len(rebuilt) == 1
         assert rebuilt[0].index == 0
 
+    def test_concurrent_closes_journal_in_ring_order(self, tmp_path):
+        path = tmp_path / "prof.jsonl"
+        journal = EventJournal(path)
+        sampler = make_sampler(
+            window_seconds=0.5, retention=1_000, journal=journal
+        )
+        ticks = itertools.count()
+        threads, per_thread = 8, 100
+
+        def work():
+            for _ in range(per_thread):
+                sampler.record_sample(next(ticks) * 0.25, "serve", ("f.g",))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        sampler.flush()
+        journal.close()
+        windows = sampler.windows()
+        assert sum(window.samples for window in windows) == threads * per_thread
+        indices = [window.index for window in windows]
+        assert indices == sorted(set(indices))
+        assert [w.to_payload() for w in obs.replay(path).profiles] == [
+            w.to_payload() for w in windows
+        ]
+
+    def test_interleaved_journal_replays_to_both_rings(self, tmp_path):
+        path = tmp_path / "both.jsonl"
+        journal = EventJournal(path)
+        clock = ManualClock()
+        aggregator = obs.enable_timeseries(
+            width=1.0, clock=clock, journal=journal
+        )
+        sampler = make_sampler(window_seconds=0.5, journal=journal)
+        for now, role, frames in SAMPLE_LOG:
+            clock.set(now)
+            obs.counter("test.requests").inc()
+            sampler.record_sample(now, role, frames)
+        sampler.flush()
+        aggregator.flush()
+        journal.close()
+        types = [event.type for event in read_journal(path).events]
+        assert types == [
+            "profile", "window", "profile", "window", "profile",
+            "profile", "window",
+        ]
+        rebuilt = obs.replay(path)
+        assert [w.to_payload() for w in rebuilt.windows] == [
+            w.to_payload() for w in aggregator.windows()
+        ]
+        assert [w.to_payload() for w in rebuilt.profiles] == [
+            w.to_payload() for w in sampler.windows()
+        ]
+
     def test_noop_journal_writes_nothing(self):
         sampler = make_sampler()
         drive(sampler)
@@ -332,7 +400,7 @@ class TestProcessWideSampler:
 
     def test_maybe_start_sampling_env_on(self, monkeypatch):
         monkeypatch.setenv(PROF_ENV_VAR, "150")
-        monkeypatch.delenv(PROF_WINDOW_ENV_VAR, raising=False)
+        monkeypatch.delenv(WINDOW_WIDTH_ENV_VAR, raising=False)
         sampler = maybe_start_sampling()
         try:
             assert sampler is not None
