@@ -1,7 +1,7 @@
 """The HTTP serving plane: a route registry + the observability server.
 
-A thin, stdlib-only (:mod:`http.server`) serving plane over everything
-:mod:`repro.obs` already computes:
+A thin, stdlib-only serving plane over everything :mod:`repro.obs`
+already computes:
 
 ====================  ==================================================
 endpoint              payload
@@ -43,14 +43,48 @@ endpoints (single-port deployments).  A handler is a callable from
 per method, with optional prefix routes (``/incidents/<name>``).
 Unknown paths get a 404, known paths with the wrong method a 405.
 
+**The HTTP front** is a :class:`socketserver.ThreadingTCPServer`, one
+daemon thread per connection, whose handler parses each request's head
+itself.  The module imports no :mod:`http.server` (only
+:class:`http.HTTPStatus` from the ``http`` package), so a serving
+process never loads ``http.client``, ``email`` or ``ssl``.  Every
+response leaves in one ``sendall`` — status line, ``Server``,
+``Date``, ``Content-Type``, ``Content-Length``, the handler's extra
+headers and the body — on a ``TCP_NODELAY`` socket, so no part of a
+reply waits for the client's delayed ACK.  The protocol subset served:
+
+* ``GET`` and ``POST`` over HTTP/1.0 and HTTP/1.1; any other method
+  gets a 501, HTTP/2 and later a 505;
+* HTTP/1.1 connections stay open until ``Connection: close``; HTTP/1.0
+  ones close after the response unless the request asked for
+  ``Connection: keep-alive``;
+* ``Expect: 100-continue`` is answered with ``100 Continue`` before
+  the body is read;
+* a request line that is not ``METHOD TARGET HTTP/x.y``, or a header
+  line without a colon (or with whitespace in its name, which covers
+  folded lines), gets a 400; a request line over 65,536 bytes a 414;
+  a header line over 65,536 bytes, or more than 100 headers, a 431;
+* a request whose body length cannot be known — a
+  ``Transfer-Encoding`` header, or a ``Content-Length`` that is not
+  one non-negative integer — gets a 400 without reaching a route: its
+  body bytes must not be read as the next request on a keep-alive
+  connection.
+
+Every refusal above closes the connection.  Repeated headers are joined
+with ``", "``, so conflicting ``Content-Length`` values are caught.
+
 Design points:
 
-* **non-blocking** — ``ThreadingHTTPServer`` with daemon threads behind
+* **non-blocking** — the accept loop runs on a daemon thread behind
   ``start()``; the caller's thread never serves requests;
-* **bounded request logging** — the default handler's stderr spam is
-  redirected into a fixed-size ring (:attr:`ObsServer.request_log`);
-* **clean shutdown** — ``stop()`` unwinds ``serve_forever`` and joins
-  the serving thread; ``with ObsServer(...) as server:`` does both;
+* **bounded request logging** — one line per request (and one per
+  refusal) in a fixed-size ring (:attr:`ObsServer.request_log`),
+  never on stderr;
+* **clean shutdown** — ``stop()`` closes the listener, lets a request
+  already being handled finish (its reply says ``Connection: close``),
+  wakes idle keep-alive connections with ``shutdown(SHUT_RD)`` and
+  joins every connection thread within its ``timeout``; ``with
+  ObsServer(...) as server:`` starts and stops;
 * **embeddable** — the ``repro serve`` daemon mounts this same object
   beside its estimation endpoints; ``ObsServer(port=0)`` embeds it
   anywhere else.
@@ -63,11 +97,6 @@ called, and the default alert engine is built on the first evaluation:
 a server that only carries estimation traffic never loads the alert
 engine, dashboard, flamegraphs, exporters or journal fold.
 
-A request whose body length cannot be known — a ``Transfer-Encoding``
-header, or a ``Content-Length`` that is not one non-negative integer —
-gets a 400 and the connection is closed: its body bytes must not be
-read as the next request on a keep-alive connection.
-
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages —
 live drift/cache views are injected by the caller as an ``observe``
@@ -77,10 +106,13 @@ callable, and request handlers are injected through :meth:`register`.
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -90,6 +122,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -115,6 +148,18 @@ _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 _HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
+#: Longest request line or header line read, in bytes, and most header
+#: lines accepted in one request.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
 
 @dataclass(frozen=True)
 class HttpRequest:
@@ -125,8 +170,10 @@ class HttpRequest:
         path: Normalized path — query string stripped, trailing slash
             removed (``/`` for the root).
         query: The raw query string ("" when absent).
-        headers: Case-insensitive request headers (the stdlib message
-            object).
+        headers: Request headers keyed by lower-case name; a header
+            sent more than once holds its values joined with ``", "``.
+            Read them through :meth:`header`, which lower-cases the
+            name it looks up.
         body: The raw request body (b"" for GET).
     """
 
@@ -137,8 +184,8 @@ class HttpRequest:
     body: bytes = b""
 
     def header(self, name: str, default: str = "") -> str:
-        value = self.headers.get(name) if self.headers is not None else None
-        return value if value is not None else default
+        """The value of header ``name`` in any case, or ``default``."""
+        return self.headers.get(name.lower(), default)
 
     def json(self) -> object:
         """The body parsed as JSON; raises ``ValueError`` when invalid."""
@@ -181,28 +228,119 @@ def json_response(
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Parses one request and routes it; all state lives on ``server.obs``."""
+def _http_date(now: float) -> str:
+    """``now`` as an HTTP ``Date`` value (IMF-fixdate, always GMT)."""
+    t = time.gmtime(now)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+        f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
-    server_version = "repro-obs"
-    protocol_version = "HTTP/1.1"
+
+class _Refused(Exception):
+    """A request the front answers itself with ``status``, then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _version(text: str) -> Tuple[int, int]:
+    """``(major, minor)`` of an ``HTTP/x.y`` version; :class:`_Refused`
+    (400) when it is not one."""
+    major, dot, minor = text[5:].partition(".")
+    if not (
+        text.startswith("HTTP/")
+        and dot
+        and all(
+            part.isascii() and part.isdigit() and len(part) <= 10
+            for part in (major, minor)
+        )
+    ):
+        raise _Refused(400, f"bad request version {text!r}")
+    return int(major), int(minor)
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: parses each request's head, then :meth:`_handle`
+    reads the body, routes and replies; all state lives on
+    ``server.obs``."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                line = self.server.next_request_line(self)  # type: ignore[attr-defined]
+                if not line.strip():
+                    return  # the client closed, or the server is stopping
+                try:
+                    self._handle(self._parse_head(line))
+                except _Refused as refusal:
+                    self._log(f"code {refusal.status}, message {refusal}")
+                    self.close_connection = True
+                    self._reply(
+                        json_response({"error": str(refusal)}, status=refusal.status)
+                    )
+        except OSError:
+            pass  # the client went away
+
+    def _parse_head(self, line: bytes) -> str:
+        """Parse the request line and headers; return the method."""
+        self.requestline = ""
+        if len(line) > _MAX_LINE:
+            raise _Refused(414, "request line too long")
+        self.requestline = line.decode("iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise _Refused(400, f"bad request line {self.requestline!r}")
+        method, self.path, version_text = words
+        version = _version(version_text)
+        if version >= (2, 0):
+            raise _Refused(505, f"HTTP version {version_text[5:]} not supported")
+        self.headers = self._read_headers()
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version < (1, 1) and connection != "keep-alive"
+        )
+        self.expect_continue = (
+            version >= (1, 1)
+            and self.headers.get("expect", "").lower() == "100-continue"
+        )
+        if method not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {method!r}")
+        return method
+
+    def _read_headers(self) -> Dict[str, str]:
+        headers: Dict[str, str] = {}
+        count = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Refused(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _Refused(431, f"more than {_MAX_HEADERS} headers")
+            name, colon, value = line.decode("iso-8859-1").partition(":")
+            # A name is one token: no whitespace around or inside it, so
+            # a folded continuation line is refused too.
+            if not colon or name.split() != [name]:
+                raise _Refused(400, f"bad header line {line[:80]!r}")
+            key, value = name.lower(), value.strip()
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
 
     def _handle(self, method: str) -> None:
+        """Read the body of the request whose head was parsed, route it
+        and reply."""
         obs: "ObsServer" = self.server.obs  # type: ignore[attr-defined]
         raw_path, _, query = self.path.partition("?")
         path = raw_path.rstrip("/") or "/"
         length = self._body_length()
-        if length is None:
-            # Where the body ends is unknown, so nothing after it can be
-            # parsed as the next request: refuse, and close.
-            self._reply(
-                json_response(
-                    {"error": "malformed request framing"},
-                    status=400,
-                    headers=(("Connection", "close"),),
-                )
-            )
-            return
+        if self.expect_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = self.rfile.read(length) if length > 0 else b""
         request = HttpRequest(
             method=method,
@@ -217,56 +355,114 @@ class _Handler(BaseHTTPRequestHandler):
             response = json_response({"error": str(exc)}, status=500)
         self._reply(response)
 
-    def _body_length(self) -> Optional[int]:
-        """The body's byte count (0 without ``Content-Length``), or
-        ``None`` when the framing cannot be trusted."""
-        if "Transfer-Encoding" in self.headers:
-            return None
-        values = self.headers.get_all("Content-Length") or []
-        if not values:
-            return 0
-        lengths = {value.strip() for value in values}
-        if len(lengths) != 1:
-            return None
-        (raw,) = lengths
-        if not (raw.isascii() and raw.isdigit()):
-            return None
+    def _body_length(self) -> int:
+        """The body's byte count (0 without ``Content-Length``).
+
+        Raises :class:`_Refused` (400) when the framing cannot be
+        trusted: where the body ends is unknown, so nothing after it may
+        be parsed as the next request.
+        """
+        joined = self.headers.get("content-length", "0")
+        raw, *conflicting = {value.strip() for value in joined.split(",")}
+        if (
+            "transfer-encoding" in self.headers
+            or conflicting
+            or not (raw.isascii() and raw.isdigit())
+        ):
+            raise _Refused(400, "malformed request framing")
         return int(raw)
 
     def _reply(self, response: HttpResponse) -> None:
-        try:
-            self._respond(response)
-        except OSError:
-            pass  # client went away mid-response
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle("POST")
-
-    def _respond(self, response: HttpResponse) -> None:
+        """Send ``response`` in one ``sendall``; it says ``Connection:
+        close`` whenever the connection closes after it."""
         payload = response.body.encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.server.stopping:  # type: ignore[attr-defined]
+            self.close_connection = True
+        lines = [
+            f"HTTP/1.1 {response.status} {_PHRASES.get(response.status, '')}",
+            "Server: repro-obs",
+            f"Date: {_http_date(time.time())}",
+            f"Content-Type: {response.content_type}",
+            f"Content-Length: {len(payload)}",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in response.headers)
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self._log(f'"{self.requestline}" {response.status} -')
+        try:
+            self.wfile.write(head.encode("latin-1") + payload)
+        except OSError:
+            self.close_connection = True  # client went away mid-response
 
-    # ------------------------------------------------------------------
-    # Logging: bounded ring instead of stderr
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
+    def _log(self, line: str) -> None:
         obs: "ObsServer" = self.server.obs  # type: ignore[attr-defined]
-        obs.request_log.append(
-            f"{self.address_string()} {format % args}"
+        obs.request_log.append(f"{self.client_address[0]} {line}")
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """The accept loop: one daemon thread per connection, each tracked so
+    :meth:`close_connections` can stop and join them."""
+
+    allow_reuse_address = True
+
+    def __init__(self, address: Tuple[str, int], obs: "ObsServer") -> None:
+        super().__init__(address, _Handler)
+        self.obs = obs
+        self.stopping = False
+        self._lock = threading.Lock()
+        self._idle: Set[socket.socket] = set()
+        self._connection_threads: List[threading.Thread] = []
+
+    def process_request(self, request, client_address) -> None:  # type: ignore[override]
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
         )
+        with self._lock:
+            self._connection_threads = [
+                alive for alive in self._connection_threads if alive.is_alive()
+            ]
+            self._connection_threads.append(thread)
+        thread.start()
+
+    def next_request_line(self, handler: _Handler) -> bytes:
+        """The connection's next request line; ``b""`` when the client
+        closed it or the server is stopping."""
+        connection = handler.connection
+        with self._lock:
+            if self.stopping:
+                return b""
+            self._idle.add(connection)
+        try:
+            line = handler.rfile.readline(_MAX_LINE + 1)
+        finally:
+            with self._lock:
+                self._idle.discard(connection)
+                stopping = self.stopping
+        return b"" if stopping else line
+
+    def close_connections(self, timeout: float) -> None:
+        """Stop serving the open connections: wake the idle ones, let a
+        request being handled finish, and join every connection thread
+        within ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            self.stopping = True
+            idle, threads = list(self._idle), list(self._connection_threads)
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client closed it first
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class ObsServer:
-    """The embeddable HTTP server: a route registry over a thread pool.
+    """The embeddable HTTP server: a route registry behind a
+    thread-per-connection front.
 
     Args:
         host: Bind address (loopback by default — this is an internal
@@ -306,7 +502,7 @@ class ObsServer:
         self._history: Optional[
             Tuple[JournalCursor, Dict[str, List[float]]]
         ] = None
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._routes: Dict[Tuple[str, str], Handler] = {}
         self._prefix_routes: Dict[Tuple[str, str], Handler] = {}
@@ -459,9 +655,7 @@ class ObsServer:
         """Bind and serve on a daemon thread; returns self."""
         if self._httpd is not None:
             raise RuntimeError("server already started")
-        httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
-        httpd.daemon_threads = True
-        httpd.obs = self  # type: ignore[attr-defined]
+        httpd = _Server((self.host, self.port), self)
         self._httpd = httpd
         self.port = httpd.server_address[1]
         self._thread = threading.Thread(
@@ -474,12 +668,17 @@ class ObsServer:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Unwind ``serve_forever`` and join the serving thread."""
+        """Close the listener, then the open connections: a request being
+        handled still gets its reply (with ``Connection: close``), idle
+        keep-alive connections are closed, and every connection thread
+        and the serving thread are joined within ``timeout`` seconds
+        each."""
         httpd, thread = self._httpd, self._thread
         self._httpd, self._thread = None, None
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
+            httpd.close_connections(timeout)
         if thread is not None:
             thread.join(timeout=timeout)
 

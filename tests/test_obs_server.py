@@ -1,9 +1,13 @@
 """HTTP observability server: endpoint routing and content types,
 concurrent scrapes, the firing→resolved trend-alert loop over a manual
-clock, bounded request logging, and clean lifecycle semantics."""
+clock, bounded request logging, the HTTP protocol subset the front
+serves, and clean lifecycle semantics."""
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -30,6 +34,44 @@ def get(url, timeout=5.0):
             error.headers.get("Content-Type", ""),
             error.read().decode("utf-8"),
         )
+
+
+def read_until_closed(sock, timeout=2.0):
+    """(bytes received, whether the server closed the connection): EOF
+    and a reset both count as closed, a timeout does not."""
+    sock.settimeout(timeout)
+    received = b""
+    try:
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received, True
+            received += chunk
+    except socket.timeout:
+        return received, False
+    except ConnectionResetError:
+        return received, True
+
+
+def read_response(sock, timeout=5.0):
+    """One complete response (head plus ``Content-Length`` body)."""
+    sock.settimeout(timeout)
+    received = b""
+    while b"\r\n\r\n" not in received:
+        chunk = sock.recv(65536)
+        assert chunk, received
+        received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, received
+        body += chunk
+    return head, body
 
 
 @pytest.fixture()
@@ -96,6 +138,72 @@ class TestLifecycle:
         assert "stopped" in repr(server)
         with server:
             assert "running" in repr(server)
+
+    def test_stop_closes_idle_keep_alive_connections(self, obs_state):
+        server = ObsServer(port=0).start()
+        try:
+            sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            head, _ = read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+        finally:
+            server.stop()
+        with sock:
+            received, closed = read_until_closed(sock)
+        assert (received, closed) == (b"", True)
+
+    def test_no_connection_thread_outlives_stop(self, obs_state):
+        before = set(threading.enumerate())
+        server = ObsServer(port=0).start()
+        connections = [
+            http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+            for _ in range(3)
+        ]
+        try:
+            for connection in connections:
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            # The clients keep their connections open across the stop.
+            server.stop()
+            assert [t for t in threading.enumerate() if t not in before] == []
+        finally:
+            server.stop()
+            for connection in connections:
+                connection.close()
+
+    def test_post_in_flight_at_stop_still_gets_its_reply(self, obs_state):
+        from repro.obs.server import json_response
+
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(request):
+            entered.set()
+            release.wait(10.0)
+            return json_response({"done": True})
+
+        server = ObsServer(port=0).register("/slow", slow, method="POST").start()
+        httpd = server._httpd
+        stopper = threading.Thread(target=server.stop)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /slow HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 2\r\n\r\n{}"
+            )
+            assert entered.wait(10.0)
+            stopper.start()
+            deadline = time.monotonic() + 10.0
+            while not httpd.stopping and time.monotonic() < deadline:
+                time.sleep(0.01)
+            release.set()
+            received, closed = read_until_closed(sock, timeout=10.0)
+        stopper.join(10.0)
+        assert not stopper.is_alive()
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in received
+        assert received.endswith(b'{"done":true}')
+        assert closed
 
 
 class TestEndpoints:
@@ -439,6 +547,32 @@ class TestHandlerRegistration:
                 assert json.loads(response.read()) == {"echo": {"a": 1}}
         assert seen == {"payload": {"a": 1}, "tenant": "etl"}
 
+    def test_headers_are_keyed_by_lower_case_name(self, obs_state):
+        from repro.obs.server import json_response
+
+        seen = {}
+
+        def handler(request):
+            seen.update(request.headers)
+            seen["lookup"] = request.header("X-REPRO-TENANT")
+            return json_response({})
+
+        server = ObsServer(port=0).register("/seen", handler)
+        with server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(
+                    b"GET /seen HTTP/1.1\r\nHost: x\r\nX-Repro-Tenant: etl\r\n"
+                    b"X-Trace:  a \r\nx-trace: b\r\n\r\n"
+                )
+                head, _ = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert seen == {
+            "host": "x",
+            "x-repro-tenant": "etl",
+            "x-trace": "a, b",
+            "lookup": "etl",
+        }
+
     def test_wrong_method_is_405_with_allow(self, obs_state):
         from repro.obs.server import json_response
 
@@ -502,7 +636,10 @@ class TestHandlerRegistration:
 
 class TestRequestFraming:
     """A body whose length is unknown must not be read as the next
-    request on a keep-alive connection: 400, then the server closes."""
+    request on a keep-alive connection: 400, then the server closes.
+    The same holds for every request the front refuses, and for one
+    that asks to close; keep-alive, ``Expect: 100-continue`` and one
+    send per reply are pinned here too."""
 
     SMUGGLED = b"GET /metrics.json HTTP/1.1\r\nHost: localhost\r\n\r\n"
 
@@ -550,9 +687,135 @@ class TestRequestFraming:
         assert closed
         assert calls == []
 
-    def test_well_framed_requests_share_a_keep_alive_connection(self, obs_state):
-        import http.client
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\nHost: x\r\n\r\n", 414),
+            (b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", 431),
+            (
+                b"GET /health HTTP/1.1\r\n"
+                + b"".join(b"X-Header-%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                431,
+            ),
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /health HTTP/1.1 extra\r\n\r\n", 400),
+            (
+                b"POST /echo HTTP/1.1\r\nNoColonHere\r\n"
+                b"Content-Length: 2\r\n\r\n{}",
+                400,
+            ),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"PUT /echo HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501),
+            (b"HEAD /health HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        ],
+        ids=[
+            "request-line-too-long",
+            "header-line-too-long",
+            "too-many-headers",
+            "malformed-request-line",
+            "request-line-with-four-words",
+            "header-without-colon",
+            "http-2",
+            "put",
+            "head",
+        ],
+    )
+    def test_refused_request_gets_its_status_then_eof(self, obs_state, head, status):
+        from repro.obs.server import json_response
 
+        calls = []
+        server = ObsServer(port=0).register(
+            "/echo",
+            lambda request: calls.append(request) or json_response({}),
+            method="POST",
+        )
+        with server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as sock:
+                sock.sendall(head + self.SMUGGLED)
+                received, closed = read_until_closed(sock)
+        lines = received.split(b"\r\n")
+        assert sum(line.startswith(b"HTTP/1.1 ") for line in lines) == 1, received
+        assert received.startswith(b"HTTP/1.1 %d " % status), received[:80]
+        assert b"Connection: close" in received
+        assert closed
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /health HTTP/1.0\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_request_that_closes_gets_its_response_then_eof(self, obs_state, head):
+        with ObsServer(port=0) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=2.0) as sock:
+                sock.sendall(head + self.SMUGGLED)
+                received, closed = read_until_closed(sock)
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert closed
+
+    def test_http_1_0_keep_alive_stays_open(self, obs_state):
+        with ObsServer(port=0) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                for _ in range(2):
+                    sock.sendall(
+                        b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                    )
+                    head, _ = read_response(sock)
+                    assert head.startswith(b"HTTP/1.1 200 ")
+
+    def test_expect_continue_gets_100_before_the_final_reply(self, obs_state):
+        from repro.obs.server import json_response
+
+        server = ObsServer(port=0).register(
+            "/echo", lambda request: json_response(request.json()), method="POST"
+        )
+        with server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+                sock.sendall(
+                    b"POST /echo HTTP/1.1\r\nHost: x\r\n"
+                    b"Expect: 100-continue\r\nContent-Length: 8\r\n\r\n"
+                )
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    chunk = sock.recv(1)
+                    assert chunk, interim
+                    interim += chunk
+                assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+                sock.sendall(b'{"a": 1}')
+                head, body = read_response(sock)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body) == {"a": 1}
+
+    def test_keep_alive_posts_do_not_wait_for_delayed_acks(self, obs_state):
+        """Each reply leaves in one send on a TCP_NODELAY socket: with
+        the head and the body in two sends, every request on a
+        keep-alive connection waited ~40 ms for the client's delayed
+        ACK."""
+        from repro.obs.server import json_response
+
+        server = ObsServer(port=0).register(
+            "/echo", lambda request: json_response({"n": len(request.body)}), method="POST"
+        )
+        with server:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                started = time.perf_counter()
+                for _ in range(20):
+                    connection.request("POST", "/echo", body=b'{"a": 1}')
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - started
+            finally:
+                connection.close()
+        assert elapsed < 20 * 0.040 / 2, f"20 POSTs took {elapsed:.3f} s"
+
+    def test_well_framed_requests_share_a_keep_alive_connection(self, obs_state):
         from repro.obs.server import json_response
 
         server = ObsServer(port=0).register(

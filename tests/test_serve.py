@@ -413,6 +413,25 @@ class TestHttpEndpoints:
         for path in ("/metrics", "/health", "/tenants", "/dashboard"):
             assert get(daemon.url + path)[0] == 200
 
+    def test_stop_closes_open_keep_alive_connections(self, sphere):
+        import http.client
+
+        daemon = ServeDaemon(sphere, port=0, workers=2).start()
+        connection = http.client.HTTPConnection("127.0.0.1", daemon.server.port, timeout=10)
+        body = json.dumps({"system": "hive", "sql": QUERIES[2]})
+        try:
+            connection.request("POST", "/estimate", body=body)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            daemon.stop()
+        # Opened before the stop: the daemon no longer admits on it.
+        with pytest.raises(ConnectionError):
+            connection.request("POST", "/estimate", body=body)
+            connection.getresponse().read()
+        connection.close()
+
     def test_backpressure_maps_to_503_with_retry_after(self, sphere):
         with ServeDaemon(sphere, port=0, workers=1, queue_depth=1) as daemon:
             release = threading.Event()
