@@ -5,31 +5,36 @@ Measures a fresh snapshot of the estimate path's hot-path latencies, the
 concurrent serving plane's closed-loop p50/p99/throughput, and a
 deterministic counter workload, then gates it against the committed
 ``benchmarks/BENCH_baseline.json`` using
-:mod:`repro.obs.regress`.  Latencies are stored *normalized* against a
-pure-Python calibration loop timed in the same run, which cancels most
-machine-speed differences so the committed baseline stays meaningful
-across machines; per-metric slack for jitter-prone nanosecond
+:mod:`repro.obs.regress`.  Every timed repeat runs inside one
+``speed.Stopwatch`` (``benchmarks/e2e/speed.py``, the end-to-end
+benchmark's host-speed probe), which scales its wall time to seconds at
+the reference speed.  A latency is stored as the median of its repeats
+twice: raw (``seconds``) and scaled (``normalized``); the gate compares
+the scaled one, so a host running slower for a stretch does not read as
+a slower program.  Per-metric slack for jitter-prone nanosecond
 primitives lives in the baseline's ``thresholds`` section.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/regress.py              # gate
-    PYTHONPATH=src python benchmarks/regress.py --update     # re-pin
+    PYTHONPATH=src python benchmarks/regress.py --fast --update  # re-pin
     PYTHONPATH=src python benchmarks/regress.py --fast       # quick gate
     PYTHONPATH=src python benchmarks/regress.py --inject-slowdown 2.0
 
 Exit codes: 0 = within budget, 1 = regression (or changed counter, or
-missing metric), 2 = usage error (missing/corrupt baseline).
+missing metric), 2 = usage error (missing/corrupt baseline, or an
+``--inject-slowdown`` that is not a finite number > 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import statistics
 import sys
 import tempfile
-import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Tuple
 
 from repro import obs
 from repro.core.gate import ReadWriteGate
@@ -52,6 +57,11 @@ from repro.obs.journal import EventJournal
 from repro.obs.sampling import StackSampler
 from repro.obs.timeseries import ManualClock, TimeSeriesAggregator
 from repro.sql.parser import parse_select
+
+try:
+    from benchmarks.e2e import speed
+except ImportError:  # running as a script: sys.path[0] is benchmarks/
+    from e2e import speed
 
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_baseline.json"
@@ -111,23 +121,25 @@ THRESHOLDS: Dict[str, float] = {
 }
 
 
-def _per_call_seconds(fn: Callable, inner: int, repeats: int) -> float:
-    """Min-of-repeats per-call wall time (robust against scheduler noise)."""
-    best = float("inf")
+def _per_call_seconds(fn: Callable, inner: int, repeats: int) -> Dict[str, float]:
+    """Per-call time of ``fn``: median wall and reference seconds.
+
+    Each repeat runs inside one ``speed.Stopwatch``, which scales it by
+    the host speed probed right before and right after it.  The median
+    of the scaled repeats (``normalized``) is not moved by one repeat
+    whose probe or work caught a flicker of the host's speed.
+    """
+    walls, scaled = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return best
-
-
-def _calibration_workload() -> int:
-    """The pure-Python unit of work latencies are normalized against."""
-    total = 0
-    for i in range(1_000):
-        total += i * i
-    return total
+        with speed.Stopwatch() as watch:
+            for _ in range(inner):
+                fn()
+        walls.append(watch.wall / inner)
+        scaled.append(watch.seconds / inner)
+    return {
+        "seconds": statistics.median(walls),
+        "normalized": statistics.median(scaled),
+    }
 
 
 def _build_module():
@@ -174,7 +186,7 @@ def _build_module():
 def measure_latencies(
     module, catalog, optimizer, fast: bool
 ) -> Dict[str, Dict[str, float]]:
-    """Hot-path per-call wall times, raw and calibration-normalized."""
+    """Hot-path per-call times, in wall and in reference seconds."""
     repeats = 3 if fast else 7
     scale = 1 if fast else 4
 
@@ -182,12 +194,8 @@ def measure_latencies(
     was_enabled = tracer.enabled
     tracer.disable()
     try:
-        calibration = _per_call_seconds(
-            _calibration_workload, inner=50 * scale, repeats=repeats
-        )
-
         plan = parse_select(JOIN_SQL)
-        timings: Dict[str, float] = {}
+        timings: Dict[str, Dict[str, float]] = {}
         module.estimate_plan("hive", plan, catalog)  # warm the cache
         timings["estimate_plan_subop"] = _per_call_seconds(
             lambda: module.estimate_plan("hive", plan, catalog),
@@ -414,22 +422,19 @@ def measure_latencies(
         if was_enabled:
             tracer.enable()
 
-    latencies = {
-        name: {"seconds": seconds, "normalized": seconds / calibration}
-        for name, seconds in timings.items()
-    }
     # Machine-independent cache effectiveness: warm optimize() over cold.
     # Stored as a "normalized" value like every other entry so the gate's
     # ratio maths apply unchanged; lower is better, and the committed
     # baseline doubles as the >=2x-speedup acceptance record (<= 0.5).
-    latencies["optimize_warm_over_cold"] = {
-        "seconds": timings["optimize_multisystem_warm"],
+    warm = timings["optimize_multisystem_warm"]
+    timings["optimize_warm_over_cold"] = {
+        "seconds": warm["seconds"],
         "normalized": (
-            timings["optimize_multisystem_warm"]
-            / timings["optimize_multisystem_cold"]
+            warm["normalized"]
+            / timings["optimize_multisystem_cold"]["normalized"]
         ),
     }
-    return {"calibration_seconds": calibration, "latencies": latencies}
+    return timings
 
 
 def measure_counters(module, engine, catalog) -> Dict[str, float]:
@@ -464,32 +469,33 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
     }
 
 
-def measure_serve(fast: bool) -> Dict[str, float]:
-    """Concurrent serving latencies from one closed-loop load run.
+def measure_serve(fast: bool) -> Dict[str, Dict[str, float]]:
+    """Concurrent serving latencies from closed-loop load runs.
 
     Eight clients through the 8-worker pool (see
     ``benchmarks/bench_serve.py``); the run must complete cleanly and
     bit-identically or the gate errors out rather than pinning garbage.
     ``serve_throughput`` is stored as overall seconds-per-request so the
-    gate's lower-is-better ratio maths apply unchanged.
+    gate's lower-is-better ratio maths apply unchanged.  Each run is
+    scaled by one ``speed.Stopwatch`` around it, and each entry is the
+    median over an odd number of runs, like :func:`_per_call_seconds`.
     """
     try:
         from benchmarks.bench_serve import build_sphere, run_load
     except ImportError:  # running as a script: sys.path[0] is benchmarks/
         from bench_serve import build_sphere, run_load
 
+    # The sphere (training) is built once; only the cheap load runs repeat.
     sphere = build_sphere()
-    # Min-of-repeats, like _per_call_seconds: one closed-loop run has no
-    # robustness against a scheduler hiccup landing mid-flight.  The
-    # sphere (training) is built once; only the cheap load runs repeat.
-    best: Dict[str, float] = {}
-    for _ in range(2 if fast else 3):
-        summary = run_load(
-            sphere,
-            clients=8,
-            requests_per_client=10 if fast else 25,
-            workers=8,
-        )
+    runs: List[Tuple[Dict[str, float], float]] = []
+    for _ in range(3 if fast else 5):
+        with speed.Stopwatch() as watch:
+            summary = run_load(
+                sphere,
+                clients=8,
+                requests_per_client=10 if fast else 25,
+                workers=8,
+            )
         if summary["errors"] or not summary["bit_identical"]:
             raise RuntimeError(f"serve load run failed: {summary}")
         sample = {
@@ -497,26 +503,28 @@ def measure_serve(fast: bool) -> Dict[str, float]:
             "serve_request_p99": summary["p99_seconds"],
             "serve_throughput": summary["wall_seconds"] / summary["completed"],
         }
-        for name, seconds in sample.items():
-            best[name] = min(best.get(name, float("inf")), seconds)
-    return best
+        runs.append((sample, watch.scale))
+    return {
+        name: {
+            "seconds": statistics.median(s[name] for s, _ in runs),
+            "normalized": statistics.median(s[name] * k for s, k in runs),
+        }
+        for name in runs[0][0]
+    }
 
 
 def build_current_snapshot(fast: bool, inject_slowdown: float) -> Dict[str, object]:
     module, engine, catalog, optimizer = _build_module()
-    snapshot = measure_latencies(module, catalog, optimizer, fast=fast)
-    calibration = snapshot["calibration_seconds"]
-    for name, seconds in measure_serve(fast=fast).items():
-        snapshot["latencies"][name] = {
-            "seconds": seconds,
-            "normalized": seconds / calibration,
-        }
+    latencies = measure_latencies(module, catalog, optimizer, fast=fast)
+    latencies.update(measure_serve(fast=fast))
     if inject_slowdown != 1.0:
-        for entry in snapshot["latencies"].values():
+        for entry in latencies.values():
             entry["seconds"] *= inject_slowdown
             entry["normalized"] *= inject_slowdown
-    snapshot["counters"] = measure_counters(module, engine, catalog)
-    return snapshot
+    return {
+        "latencies": latencies,
+        "counters": measure_counters(module, engine, catalog),
+    }
 
 
 def main(argv=None) -> int:
@@ -552,16 +560,24 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.inject_slowdown <= 0:
-        print("error: --inject-slowdown must be > 0", file=sys.stderr)
+    if not (math.isfinite(args.inject_slowdown) and args.inject_slowdown > 0):
+        print("error: --inject-slowdown must be finite and > 0", file=sys.stderr)
         return 2
-    if not args.update and not os.path.exists(args.baseline):
-        print(
-            f"error: baseline not found: {args.baseline} "
-            "(create one with --update)",
-            file=sys.stderr,
-        )
-        return 2
+    # Load the baseline before measuring: a missing or corrupt one is a
+    # usage error, reported without waiting for the measurement.
+    if not args.update:
+        if not os.path.exists(args.baseline):
+            print(
+                f"error: baseline not found: {args.baseline} "
+                "(create one with --update)",
+                file=sys.stderr,
+            )
+            return 2
+        try:
+            baseline = regress.load_baseline(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     current = build_current_snapshot(
         fast=args.fast, inject_slowdown=args.inject_slowdown
@@ -580,11 +596,6 @@ def main(argv=None) -> int:
         print(f"baseline re-pinned: {args.baseline}")
         return 0
 
-    try:
-        baseline = regress.load_baseline(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = regress.compare_snapshots(baseline, current)
     print(regress.render_gate_report(report))
     return 0 if report.ok else 1

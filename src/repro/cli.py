@@ -31,6 +31,7 @@ file (not ``dashboard``), a ``--journal`` file, the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -687,6 +688,38 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+def _checked(kind, valid, rule: str):
+    """An argparse ``type=``: parse with ``kind``, then require ``valid``.
+
+    A bad value is a usage error (exit 2) naming the option, not a
+    traceback or a silently odd run.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_PORT = _checked(int, lambda v: 0 <= v <= 65535, "a port in 0-65535")
+_POSITIVE = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"
+)
+_DURATION = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"
+)
+
+
 def _add_source_args(cmd: argparse.ArgumentParser, snapshot: bool = True) -> None:
     """The telemetry-source flags :func:`_telemetry_source` resolves."""
     cmd.add_argument(
@@ -725,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     demo = sub.add_parser("demo", help="train costing and compare with actuals")
-    demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--seed", type=_SEED, default=0)
     demo.set_defaults(func=cmd_demo)
 
     for name, func, help_text in (
@@ -735,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("query", help="SQL SELECT over the sandbox corpus")
         cmd.add_argument("--spark", action="store_true", help="add a Spark system")
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=_SEED, default=0)
         cmd.add_argument(
             "--tenant",
             default="",
@@ -755,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SQL SELECT over the sandbox corpus (default: a demo join)",
     )
     trace.add_argument("--spark", action="store_true", help="add a Spark system")
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--seed", type=_SEED, default=0)
     trace.add_argument("--json", metavar="FILE", help="also export the trace JSON")
     trace.add_argument(
         "--html", metavar="FILE", help="also write the profile as self-contained HTML"
@@ -775,16 +808,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: a demo join; ignored with --journal/--diff)",
     )
     flame.add_argument("--spark", action="store_true", help="add a Spark system")
-    flame.add_argument("--seed", type=int, default=0)
+    flame.add_argument("--seed", type=_SEED, default=0)
     flame.add_argument(
         "--hz",
-        type=float,
+        type=_POSITIVE,
         default=250.0,
         help="live-burst sampling rate (default: 250)",
     )
     flame.add_argument(
         "--queries",
-        type=int,
+        type=_COUNT,
         default=2000,
         help="placements the live burst runs (default: 2000, ~a second "
         "of optimizer work)",
@@ -811,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flame.add_argument(
         "--limit",
-        type=int,
+        type=_COUNT,
         default=25,
         help="rows in the printed frame table (default: 25)",
     )
@@ -888,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=8322,
         help="TCP port; 0 binds an ephemeral port (default: 8322)",
     )
@@ -919,7 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--window",
-        type=float,
+        type=_POSITIVE,
         default=None,
         metavar="SECONDS",
         help=f"telemetry window width (default: ${obs.WINDOW_WIDTH_ENV_VAR} "
@@ -931,12 +964,12 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument(
         "--for",
         dest="for_seconds",
-        type=float,
+        type=_DURATION,
         default=0.0,
         metavar="SECONDS",
         help="serve for a fixed duration then exit (default: until Ctrl-C)",
     )
-    daemon.add_argument("--seed", type=int, default=0)
+    daemon.add_argument("--seed", type=_SEED, default=0)
     daemon.set_defaults(func=cmd_serve)
 
     from repro.workloads.scenarios import scenario_names
@@ -952,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered scenario to run",
     )
     simulate.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
+        "--seed", type=_SEED, default=None, help="override the scenario seed"
     )
     simulate.add_argument(
         "--queries",

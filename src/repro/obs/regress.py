@@ -4,14 +4,14 @@ The ROADMAP's "fast as the hardware allows" goal needs something that
 *fails* when a hot path gets slower.  The gate works on two sections of
 a benchmark snapshot (produced by ``benchmarks/regress.py``):
 
-* **latencies** — per-metric wall times, stored both raw
-  (``seconds``) and *normalized* against a pure-Python calibration
-  loop measured in the same run (``normalized``).  The comparison uses
-  the normalized ratio, which cancels most machine-speed differences,
-  so a baseline committed from one machine remains meaningful on
-  another.  A metric regresses when its normalized value exceeds the
-  baseline by more than its threshold (default
-  :data:`DEFAULT_THRESHOLD`, 15%).
+* **latencies** — per-metric times, stored both raw (``seconds``, wall
+  time) and *normalized* (``normalized``, the same work in seconds at
+  the reference host speed of ``benchmarks/e2e/speed.py``).  The
+  comparison uses the normalized value, which cancels most host-speed
+  differences, so a baseline committed from one run or machine remains
+  meaningful on another.  A metric regresses when its normalized value
+  exceeds the baseline by more than its threshold (default
+  :data:`DEFAULT_THRESHOLD`, 15%), or is not a finite number.
 * **counters** — deterministic metric counters captured from a fixed,
   noise-seeded workload.  These are compared *exactly*: a changed
   counter means the estimate path's behaviour changed (different
@@ -29,6 +29,7 @@ Stdlib-only, like the rest of :mod:`repro.obs`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -133,7 +134,10 @@ def compare_snapshots(
             current=cur_norm,
             threshold=threshold,
         )
-        if base_norm > 0 and cur_norm > base_norm * (1.0 + threshold):
+        # A NaN compares false against any budget: fail it explicitly.
+        if not math.isfinite(cur_norm) or (
+            base_norm > 0 and cur_norm > base_norm * (1.0 + threshold)
+        ):
             regressions.append(record)
         elif base_norm > 0 and cur_norm < base_norm * (1.0 - threshold):
             improvements.append(record)
@@ -169,7 +173,23 @@ def compare_snapshots(
 # ----------------------------------------------------------------------
 # Baseline persistence (deterministic, diff-friendly JSON)
 # ----------------------------------------------------------------------
+def _is_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _section(baseline: Dict[str, object], name: str, path) -> Dict[str, object]:
+    section = baseline.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: {name!r} is not a mapping")
+    return section
+
+
 def load_baseline(path) -> Dict[str, object]:
+    """Read a committed baseline; ``ValueError`` names a corrupt entry."""
     with open(path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
     if not isinstance(baseline, dict) or "latencies" not in baseline:
@@ -180,6 +200,20 @@ def load_baseline(path) -> Dict[str, object]:
             f"{path}: baseline version {version} is newer than supported "
             f"{BASELINE_VERSION}"
         )
+    for name, entry in _section(baseline, "latencies", path).items():
+        value = entry.get("normalized") if isinstance(entry, dict) else None
+        if not (_is_number(value) and value > 0):
+            raise ValueError(
+                f"{path}: latency {name!r} needs a finite 'normalized' > 0"
+            )
+    for name, value in _section(baseline, "counters", path).items():
+        if not _is_number(value):
+            raise ValueError(f"{path}: counter {name!r} is not a finite number")
+    for name, value in _section(baseline, "thresholds", path).items():
+        if not (_is_number(value) and value >= 0):
+            raise ValueError(
+                f"{path}: threshold {name!r} must be a finite number >= 0"
+            )
     return baseline
 
 

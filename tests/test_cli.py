@@ -8,6 +8,27 @@ from repro.cli import build_parser, build_sandbox, main
 #: DEMO_TENANTS); each test gets a fresh one, restored after.
 pytestmark = pytest.mark.usefixtures("restore_obs_plane")
 
+#: Out-of-range numeric options, the bad one last: each must be a usage
+#: error (exit 2) naming the option, not a traceback or an odd run.
+BAD_NUMERIC_OPTIONS = [
+    ["demo", "--seed", "-1"],
+    ["explain", "SELECT a1 FROM t10000_100", "--seed", "-1"],
+    ["run", "SELECT a1 FROM t10000_100", "--seed", "-1"],
+    ["trace", "--seed", "-1"],
+    ["flamegraph", "--queries", "1", "--seed", "-1"],
+    ["serve", "--port", "0", "--for", "0.1", "--seed", "-1"],
+    ["simulate", "--scenario", "steady", "--seed", "-1"],
+    ["serve", "--port", "99999"],
+    ["flamegraph", "--queries", "1", "--hz", "-5"],
+    ["flamegraph", "--queries", "1", "--hz", "nan"],
+    ["flamegraph", "--queries", "-1"],
+    ["flamegraph", "--queries", "1", "--limit", "0"],
+    ["serve", "--port", "0", "--for", "0.1", "--window", "-1"],
+    ["serve", "--port", "0", "--for", "0.1", "--window", "nan"],
+    ["serve", "--port", "0", "--for", "-1"],
+    ["serve", "--port", "0", "--for", "nan"],
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -24,6 +45,19 @@ class TestParser:
             main([command])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        BAD_NUMERIC_OPTIONS,
+        ids=[f"{argv[0]} {argv[-2]} {argv[-1]}" for argv in BAD_NUMERIC_OPTIONS],
+    )
+    def test_bad_numeric_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}:" in err
+        assert "Traceback" not in err
 
     def test_help_lists_fourteen_subcommands(self, capsys):
         import re

@@ -7,11 +7,15 @@ import sys
 
 import pytest
 
+from benchmarks import regress as gate_script
 from repro.obs import regress
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GATE_SCRIPT = os.path.join(REPO_ROOT, "benchmarks", "regress.py")
 COMMITTED_BASELINE = os.path.join(REPO_ROOT, "benchmarks", "BENCH_baseline.json")
+#: Every top-level key of a baseline: host-speed correction lives in
+#: benchmarks/e2e/speed.py, not in a per-run field.
+BASELINE_SECTIONS = {"counters", "latencies", "thresholds", "version"}
 
 
 def _snapshot(latencies=None, counters=None, thresholds=None):
@@ -82,6 +86,14 @@ class TestCompareSnapshots:
         cur = _snapshot(latencies={"a": 1.0, "new": 99.0})
         assert regress.compare_snapshots(base, cur).ok
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reading_fails(self, value):
+        base = _snapshot(latencies={"a": 1.0})
+        cur = _snapshot(latencies={"a": value})
+        report = regress.compare_snapshots(base, cur)
+        assert not report.ok
+        assert report.regressions[0].name == "a"
+
 
 class TestBaselineFiles:
     def test_write_and_load_round_trip(self, tmp_path):
@@ -100,9 +112,30 @@ class TestBaselineFiles:
 
     def test_load_rejects_junk(self, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"not": "a baseline"}))
-        with pytest.raises(ValueError):
-            regress.load_baseline(path)
+
+        def parse_select(entry):
+            return {"latencies": {"parse_select": entry}}
+
+        for payload, named in (
+            ({"not": "a baseline"}, "not a benchmark baseline"),
+            ({"latencies": []}, "'latencies'"),
+            (parse_select(1.0), "'parse_select'"),
+            (parse_select({}), "'parse_select'"),
+            (parse_select({"normalized": "x"}), "'parse_select'"),
+            (parse_select({"normalized": 0.0}), "'parse_select'"),
+            (parse_select({"normalized": float("nan")}), "'parse_select'"),
+            ({"latencies": {}, "counters": {"calls": "9"}}, "'calls'"),
+            ({"latencies": {}, "counters": {"calls": True}}, "'calls'"),
+            ({"latencies": {}, "thresholds": {"a": -0.1}}, "'a'"),
+            ({"latencies": {}, "thresholds": {"a": float("inf")}}, "'a'"),
+        ):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match=named):
+                regress.load_baseline(path)
+
+    def test_committed_baseline_has_only_the_gate_sections(self):
+        with open(COMMITTED_BASELINE, encoding="utf-8") as fh:
+            assert set(json.load(fh)) == BASELINE_SECTIONS
 
     def test_load_rejects_newer_version(self, tmp_path):
         path = tmp_path / "future.json"
@@ -129,6 +162,41 @@ class TestRenderGateReport:
         base = _snapshot(latencies={"a": 1.0})
         text = regress.render_gate_report(regress.compare_snapshots(base, base))
         assert "regression gate OK" in text
+
+
+# ----------------------------------------------------------------------
+# The gate script's timer: repeats scaled by benchmarks/e2e/speed.py
+# ----------------------------------------------------------------------
+class _Ticks:
+    """A ``time`` stand-in whose clock advances one second per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestPerCallTimer:
+    def test_slow_host_is_scaled_to_reference_seconds(self, monkeypatch):
+        speed = gate_script.speed
+        monkeypatch.setattr(speed, "probe", lambda: 2 * speed.REFERENCE_S)
+        timed = gate_script._per_call_seconds(lambda: None, inner=10, repeats=3)
+        assert timed["normalized"] == pytest.approx(timed["seconds"] / 2)
+
+    def test_one_aberrant_probe_does_not_move_the_median(self, monkeypatch):
+        speed = gate_script.speed
+        # Two probes per repeat; the third repeat's pair reads a host
+        # 100x slower than the others.
+        readings = iter([1.0] * 4 + [100.0] * 2 + [1.0] * 4)
+        monkeypatch.setattr(
+            speed, "probe", lambda: next(readings) * speed.REFERENCE_S
+        )
+        monkeypatch.setattr(speed, "time", _Ticks())
+        timed = gate_script._per_call_seconds(lambda: None, inner=4, repeats=5)
+        assert timed["seconds"] == pytest.approx(0.25)
+        assert timed["normalized"] == pytest.approx(0.25)
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +257,32 @@ class TestGateScript:
         assert proc.returncode == 2
         assert "baseline not found" in proc.stderr
 
+    def test_non_finite_slowdown_is_usage_error(self, tmp_path):
+        output = tmp_path / "current.json"
+        proc = _run_gate(
+            "--fast", "--inject-slowdown", "nan", "--output", str(output)
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "--inject-slowdown" in proc.stderr
+        assert not output.exists()  # rejected before any measuring
+
+    def test_corrupt_baseline_is_usage_error(self, tmp_path):
+        baseline = tmp_path / "BENCH_baseline.json"
+        baseline.write_text(json.dumps({"latencies": {"parse_select": {}}}))
+        output = tmp_path / "current.json"
+        proc = _run_gate(
+            "--fast", "--baseline", str(baseline), "--output", str(output)
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "error:" in proc.stderr and "'parse_select'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not output.exists()  # rejected before any measuring
+
     def test_update_writes_baseline_and_gate_passes(self, tmp_path):
         baseline = tmp_path / "BENCH_baseline.json"
         update = _run_gate("--fast", "--update", "--baseline", str(baseline))
         assert update.returncode == 0, update.stdout + update.stderr
-        assert baseline.exists()
+        assert set(json.loads(baseline.read_text())) == BASELINE_SECTIONS
         gate = _run_gate_retrying(
             "--fast",
             "--baseline",
