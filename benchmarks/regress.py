@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """The performance-regression gate (CI's ``benchmark-smoke`` job).
 
-Measures a fresh snapshot of the estimate path's hot-path latencies, the
-concurrent serving plane's closed-loop p50/p99/throughput, and a
-deterministic counter workload, then gates it against the committed
-``benchmarks/BENCH_baseline.json`` using
-:mod:`repro.obs.regress`.  Every timed repeat runs inside one
+Measures a fresh snapshot of the estimate path's hot-path latencies,
+the telemetry planes' per-event costs, the concurrent serving plane's
+closed-loop p50/p99/throughput, and a deterministic counter workload,
+then gates it against the committed ``benchmarks/BENCH_baseline.json``
+using :mod:`repro.obs.regress`.  Every timed repeat runs inside one
 ``speed.Stopwatch`` (``benchmarks/e2e/speed.py``, the end-to-end
 benchmark's host-speed probe), which scales its wall time to seconds at
 the reference speed.  A latency is stored as the median of its repeats
@@ -13,6 +13,13 @@ twice: raw (``seconds``) and scaled (``normalized``); the gate compares
 the scaled one, so a host running slower for a stretch does not read as
 a slower program.  Per-metric slack for jitter-prone nanosecond
 primitives lives in the baseline's ``thresholds`` section.
+
+``--update`` pins from three fresh measuring processes: each latency at
+the median of the three, each counter only where all three agree.
+:data:`BUDGETS` states the telemetry budget (tracing off, instruments
+and forensics under 5% of the estimation work, spans under 1 µs) as
+formulas over a snapshot's entries; the tier-1 suite holds the
+committed baseline to it.
 
 Usage::
 
@@ -22,18 +29,23 @@ Usage::
     PYTHONPATH=src python benchmarks/regress.py --inject-slowdown 2.0
 
 Exit codes: 0 = within budget, 1 = regression (or changed counter, or
-missing metric), 2 = usage error (missing/corrupt baseline, or an
-``--inject-slowdown`` that is not a finite number > 0).
+missing metric; under ``--update``, runs that disagree on a counter),
+2 = usage error (missing/corrupt baseline, or an ``--inject-slowdown``
+that is not a finite number > 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
+import threading
+import time
 from typing import Callable, Dict, List, Tuple
 
 from repro import obs
@@ -49,13 +61,15 @@ from repro.core.costing import derive_operator_stats
 from repro.data import Catalog, TableSpec, build_paper_corpus
 from repro.data.schema import paper_schema
 from repro.engines import HiveEngine, SparkEngine
+from repro.master.federation import IntelliSphere
 from repro.master.optimizer import PlacementOptimizer
 from repro.master.querygrid import QueryGrid
 from repro.obs import regress
 from repro.obs.alerts import AlertEngine
 from repro.obs.journal import EventJournal
-from repro.obs.sampling import StackSampler
+from repro.obs.sampling import DEFAULT_HZ, StackSampler
 from repro.obs.timeseries import ManualClock, TimeSeriesAggregator
+from repro.serve import EstimationService
 from repro.sql.parser import parse_select
 
 try:
@@ -63,9 +77,10 @@ try:
 except ImportError:  # running as a script: sys.path[0] is benchmarks/
     from e2e import speed
 
-DEFAULT_BASELINE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_baseline.json"
-)
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+DEFAULT_BASELINE = os.path.join(BENCH_DIR, "BENCH_baseline.json")
+#: ``--update`` pins from this many fresh measuring processes.
+PIN_RUNS = 3
 
 #: Corpus slice for the gate workload: enough shape coverage to exercise
 #: the sub-op path, small enough to train in a couple of seconds.
@@ -81,6 +96,15 @@ SCAN_SQL = "SELECT a1 FROM t100000_100 WHERE a1 = 1"
 MULTI_JOIN_SQL = (
     "SELECT SUM(a1) FROM t8000000_100 r JOIN sp_dim s "
     "ON r.a1 = s.a1 GROUP BY a20"
+)
+#: The serve probes' mix: joins, aggregates and scans over distinct
+#: tables, so the cache sees several keys, not one.
+SERVE_QUERIES = (
+    JOIN_SQL,
+    AGG_SQL,
+    SCAN_SQL,
+    "SELECT r.a1 FROM t1000000_100 r JOIN t10000_100 s ON r.a1 = s.a1",
+    "SELECT SUM(a2) FROM t8000000_100 GROUP BY a5",
 )
 
 #: Per-metric slowdown budgets written into the baseline on ``--update``.
@@ -102,8 +126,11 @@ THRESHOLDS: Dict[str, float] = {
     "ledger_record": 0.40,
     "journal_append": 0.50,
     "noop_span": 0.60,
+    "unsampled_span": 0.60,
     "counter_inc": 0.50,
     "histogram_observe": 0.50,
+    "counter_inc_observed": 0.50,
+    "histogram_observe_observed": 0.50,
     "timeseries_record": 0.50,
     "window_rollover": 0.50,
     "query_context": 0.50,
@@ -111,13 +138,74 @@ THRESHOLDS: Dict[str, float] = {
     "flight_record": 0.50,
     "alert_evaluate": 0.50,
     "profile_fold": 0.50,
+    "sample_pass": 0.50,
     "gate_wait": 0.60,
-    # The concurrent serving plane (benchmarks/bench_serve.py): 8-way
-    # closed-loop latencies swing with scheduler load, so the slack is
-    # the widest in the file; a genuine 2x still blows through.
+    # The concurrent serving plane (measure_serve): 8-way closed-loop
+    # latencies swing with scheduler load, so the slack is the widest
+    # in the file; a genuine 2x still blows through.
     "serve_request_p50": 0.80,
     "serve_request_p99": 0.80,
     "serve_throughput": 0.80,
+}
+
+#: Instrumented sites of one sub-op ``estimate_plan`` with tracing off,
+#: counted pessimistically across its cold paths: one span, six counter
+#: increments, two histogram observations.
+SPANS_PER_CALL, COUNTERS_PER_CALL, HISTOGRAMS_PER_CALL = 1, 6, 2
+#: ``estimate_plan`` calls one federated query makes at least: the
+#: optimizer prices the remote and the master placement.
+ESTIMATES_PER_QUERY = 2
+#: Exact counter entries: the instrument updates one warm
+#: ``estimate_plan`` notifies a registry observer of (measure_census).
+COUNTER_UPDATES = "obs.counter_updates_per_warm_estimate"
+HISTOGRAM_UPDATES = "obs.histogram_updates_per_warm_estimate"
+
+#: The telemetry budget: per entry, a formula over a snapshot and the
+#: bound its reading must stay under.  ``v(name)`` reads a latency's
+#: ``normalized`` reference seconds, or a counter.
+BUDGETS: Dict[str, Tuple[Callable[[Callable[[str], float]], float], float]] = {
+    # Tracing off: every instrumented site of one estimate_plan.
+    "overhead_disabled": (
+        lambda v: (
+            SPANS_PER_CALL * v("noop_span")
+            + COUNTERS_PER_CALL * v("counter_inc")
+            + HISTOGRAMS_PER_CALL * v("histogram_observe")
+        )
+        / v("estimate_plan_subop"),
+        0.05,
+    ),
+    # One query context per query (id mint + head-sampling decision)
+    # against the query's minimum estimation work.
+    "overhead_context": (
+        lambda v: v("query_context")
+        / (ESTIMATES_PER_QUERY * v("estimate_plan_subop")),
+        0.05,
+    ),
+    # A window aggregator attached to the registry: the extra cost of
+    # each update one warm estimate_plan makes.
+    "overhead_observed": (
+        lambda v: (
+            v(COUNTER_UPDATES) * (v("counter_inc_observed") - v("counter_inc"))
+            + v(HISTOGRAM_UPDATES)
+            * (v("histogram_observe_observed") - v("histogram_observe"))
+        )
+        / v("estimate_plan_subop"),
+        0.05,
+    ),
+    # Forensics per query: the tail sampler's keep/drop decision plus
+    # the flight recorder's dropped-path record.
+    "overhead_tail": (
+        lambda v: (v("tail_decide") + v("flight_record"))
+        / (ESTIMATES_PER_QUERY * v("estimate_plan_subop")),
+        0.05,
+    ),
+    # The stack sampler's duty cycle at the default rate: the share of
+    # one core (and, under the GIL, of the estimate path) it takes.
+    "overhead_sampling": (lambda v: v("sample_pass") * DEFAULT_HZ, 0.05),
+    # The shared no-op span, and a span under an unsampled context with
+    # tracing on (a context read, not a recording): each under 1 µs.
+    "noop_span_seconds": (lambda v: v("noop_span"), 1e-6),
+    "unsampled_span_seconds": (lambda v: v("unsampled_span"), 1e-6),
 }
 
 
@@ -275,6 +363,18 @@ def measure_latencies(
             inner=5_000 * scale,
             repeats=repeats,
         )
+        # Tracing on, but the query unsampled: span() must fall back to
+        # the shared no-op span after one context read.
+        traced = obs.Tracer(enabled=True)
+        previous = obs.install(obs.ObsPlane(tracer=traced, tail_sampler=None))
+        with obs.query_context(sampled=False):
+            timings["unsampled_span"] = _per_call_seconds(
+                lambda: traced.span("costing.estimate_plan", system="hive"),
+                inner=5_000 * scale,
+                repeats=repeats,
+            )
+        obs.install(previous)
+
         registry = obs.MetricsRegistry()
         counter = registry.counter("regress.probe")
         timings["counter_inc"] = _per_call_seconds(
@@ -286,6 +386,20 @@ def measure_latencies(
         timings["histogram_observe"] = _per_call_seconds(
             lambda: histogram.observe(1.0), inner=5_000 * scale, repeats=repeats
         )
+        # The same updates with a window aggregator notified after each
+        # one; its huge width keeps rollovers (window_rollover) out.
+        registry.attach_observer(
+            TimeSeriesAggregator(
+                width=1e9, clock=ManualClock(), journal=obs.NOOP_JOURNAL
+            )
+        )
+        timings["counter_inc_observed"] = _per_call_seconds(
+            counter.inc, inner=5_000 * scale, repeats=repeats
+        )
+        timings["histogram_observe_observed"] = _per_call_seconds(
+            lambda: histogram.observe(1.0), inner=5_000 * scale, repeats=repeats
+        )
+        registry.detach_observer()
 
         # The live telemetry plane: folding one observation into the
         # current window, and closing a window at a boundary crossing.
@@ -353,11 +467,11 @@ def measure_latencies(
 
         # The continuous profiling plane: folding one pre-walked sample
         # into the open profile window — the stack sampler's per-sample
-        # hot-loop cost (the walk itself is priced by
-        # bench_obs_overhead's sample_pass probe) — and one uncontended
-        # gate read round-trip, the estimate path's per-request
-        # synchronization cost now that the gate carries saturation
-        # telemetry (uncontended reads must stay histogram-free).
+        # hot-loop cost (sample_pass below prices the walk too) — and
+        # one uncontended gate read round-trip, the estimate path's
+        # per-request synchronization cost now that the gate carries
+        # saturation telemetry (uncontended reads must stay
+        # histogram-free).
         previous = obs.install(obs.ObsPlane())
         profile_sampler = StackSampler(
             hz=100.0, window_seconds=1e9, journal=obs.NOOP_JOURNAL
@@ -383,6 +497,35 @@ def measure_latencies(
         timings["gate_wait"] = _per_call_seconds(
             _gate_round_trip, inner=5_000 * scale, repeats=repeats
         )
+
+        # One sampling pass (walk and fold every thread's stack) over
+        # four parked threads named like serve-pool workers; the
+        # sampler's rate turns it into a duty cycle.
+        release = threading.Event()
+        parked = [
+            threading.Thread(
+                target=release.wait,
+                args=(60.0,),
+                name=f"repro-serve-worker-{index}",
+                daemon=True,
+            )
+            for index in range(4)
+        ]
+        for thread in parked:
+            thread.start()
+        pass_sampler = StackSampler(
+            hz=DEFAULT_HZ, window_seconds=1e9, journal=obs.NOOP_JOURNAL
+        )
+        try:
+            timings["sample_pass"] = _per_call_seconds(
+                lambda: pass_sampler.sample_once(now=0.0),
+                inner=500 * scale,
+                repeats=repeats,
+            )
+        finally:
+            release.set()
+            for thread in parked:
+                thread.join(timeout=5.0)
         obs.install(previous)
 
         # One alert-engine pass over a realistic observation (default
@@ -469,40 +612,143 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
     }
 
 
+class _Census(obs.MetricsObserver):
+    """Counts the counter and histogram updates a registry sees."""
+
+    def __init__(self) -> None:
+        self.counters = 0
+        self.histograms = 0
+
+    def on_counter(self, name: str, amount: float) -> None:
+        self.counters += 1
+
+    def on_histogram(self, name: str, value: float) -> None:
+        self.histograms += 1
+
+
+def measure_census(module, catalog) -> Dict[str, float]:
+    """Instrument updates per warm sub-op ``estimate_plan``, tracing off.
+
+    Exact counter entries: the observer budget (:data:`BUDGETS`) prices
+    the window aggregator per update, so it needs this count.
+    """
+    census = _Census()
+    registry = obs.MetricsRegistry()
+    registry.attach_observer(census)
+    previous = obs.install(
+        obs.ObsPlane(registry=registry, tracer=obs.Tracer(), journal=obs.NOOP_JOURNAL)
+    )
+    calls = 10
+    try:
+        plan = parse_select(JOIN_SQL)
+        module.estimate_plan("hive", plan, catalog)  # warm the cache
+        census.counters = census.histograms = 0
+        for _ in range(calls):
+            module.estimate_plan("hive", plan, catalog)
+    finally:
+        obs.install(previous)
+    return {
+        COUNTER_UPDATES: census.counters / calls,
+        HISTOGRAM_UPDATES: census.histograms / calls,
+    }
+
+
+def _build_serve_sphere() -> IntelliSphere:
+    """A hive-only federation over the gate's corpus, sub-op trained."""
+    sphere = IntelliSphere(seed=2020)
+    info = ClusterInfo(
+        num_data_nodes=3, cores_per_node=2, dfs_block_size=128 * 1024 * 1024
+    )
+    sphere.add_remote_system(
+        HiveEngine(seed=2020, noise_sigma=0.0),
+        RemoteSystemProfile(name="hive", cluster=info),
+    )
+    for spec in build_paper_corpus(row_counts=GATE_COUNTS, row_sizes=GATE_SIZES):
+        sphere.add_table(spec)
+    sphere.costing.train_sub_op("hive")
+    return sphere
+
+
+def _percentile(sorted_values: List[float], q: float) -> float:
+    return sorted_values[min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1)))]
+
+
+def _serve_load(
+    sphere: IntelliSphere, clients: int, requests_per_client: int, workers: int
+) -> Dict[str, float]:
+    """One closed-loop run through an ``EstimationService`` pool.
+
+    Each client thread sends its next request when the previous answer
+    lands.  Raises ``RuntimeError`` on any error and on any answer that
+    is not bit-identical to a serial cold-cache reference.
+    """
+    sphere.costing.invalidate_cache()
+    reference = {
+        sql: sphere.costing.estimate_plan(
+            "hive", parse_select(sql), sphere.catalog
+        ).seconds
+        for sql in SERVE_QUERIES
+    }
+    sphere.costing.invalidate_cache()
+    latencies: List[float] = []
+    failures: List[str] = []
+
+    def client(service: EstimationService, slot: int) -> None:
+        for index in range(requests_per_client):
+            sql = SERVE_QUERIES[(slot + index) % len(SERVE_QUERIES)]
+            started = time.perf_counter()
+            try:
+                seconds = service.estimate("hive", sql)["seconds"]
+            except Exception as exc:  # noqa: BLE001 — tallied, then raised
+                failures.append(f"{type(exc).__name__}: {exc}")
+                continue
+            latencies.append(time.perf_counter() - started)
+            if seconds != reference[sql]:
+                failures.append(f"{sql!r}: {seconds!r} != {reference[sql]!r}")
+
+    with EstimationService(sphere, workers=workers, queue_depth=1024) as service:
+        threads = [
+            threading.Thread(target=client, args=(service, slot), daemon=True)
+            for slot in range(clients)
+        ]
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wall = time.perf_counter() - started
+    if failures:
+        raise RuntimeError(
+            f"serve load run failed: {len(failures)} of "
+            f"{clients * requests_per_client} requests: {failures[:5]}"
+        )
+    latencies.sort()
+    return {
+        "serve_request_p50": _percentile(latencies, 0.50),
+        "serve_request_p99": _percentile(latencies, 0.99),
+        "serve_throughput": wall / len(latencies),
+    }
+
+
 def measure_serve(fast: bool) -> Dict[str, Dict[str, float]]:
     """Concurrent serving latencies from closed-loop load runs.
 
-    Eight clients through the 8-worker pool (see
-    ``benchmarks/bench_serve.py``); the run must complete cleanly and
-    bit-identically or the gate errors out rather than pinning garbage.
-    ``serve_throughput`` is stored as overall seconds-per-request so the
-    gate's lower-is-better ratio maths apply unchanged.  Each run is
-    scaled by one ``speed.Stopwatch`` around it, and each entry is the
-    median over an odd number of runs, like :func:`_per_call_seconds`.
+    Eight clients through an 8-worker pool; the run must complete
+    cleanly and bit-identically or the gate errors out rather than
+    pinning garbage.  ``serve_throughput`` is stored as overall
+    seconds-per-request so the gate's lower-is-better ratio maths apply
+    unchanged.  Each run is scaled by one ``speed.Stopwatch`` around
+    it, and each entry is the median over an odd number of runs, like
+    :func:`_per_call_seconds`.
     """
-    try:
-        from benchmarks.bench_serve import build_sphere, run_load
-    except ImportError:  # running as a script: sys.path[0] is benchmarks/
-        from bench_serve import build_sphere, run_load
-
     # The sphere (training) is built once; only the cheap load runs repeat.
-    sphere = build_sphere()
+    sphere = _build_serve_sphere()
     runs: List[Tuple[Dict[str, float], float]] = []
     for _ in range(3 if fast else 5):
         with speed.Stopwatch() as watch:
-            summary = run_load(
-                sphere,
-                clients=8,
-                requests_per_client=10 if fast else 25,
-                workers=8,
+            sample = _serve_load(
+                sphere, clients=8, requests_per_client=10 if fast else 25, workers=8
             )
-        if summary["errors"] or not summary["bit_identical"]:
-            raise RuntimeError(f"serve load run failed: {summary}")
-        sample = {
-            "serve_request_p50": summary["p50_seconds"],
-            "serve_request_p99": summary["p99_seconds"],
-            "serve_throughput": summary["wall_seconds"] / summary["completed"],
-        }
         runs.append((sample, watch.scale))
     return {
         name: {
@@ -521,10 +767,84 @@ def build_current_snapshot(fast: bool, inject_slowdown: float) -> Dict[str, obje
         for entry in latencies.values():
             entry["seconds"] *= inject_slowdown
             entry["normalized"] *= inject_slowdown
-    return {
-        "latencies": latencies,
-        "counters": measure_counters(module, engine, catalog),
+    counters = measure_counters(module, engine, catalog)
+    counters.update(measure_census(module, catalog))
+    return {"latencies": latencies, "counters": counters}
+
+
+# ----------------------------------------------------------------------
+# Pinning and the telemetry budget
+# ----------------------------------------------------------------------
+_MEASURE_IN_CHILD = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from benchmarks.regress import build_current_snapshot\n"
+    "snapshot = build_current_snapshot(sys.argv[2] == 'fast', float(sys.argv[3]))\n"
+    "with open(sys.argv[4], 'w', encoding='utf-8') as fh:\n"
+    "    json.dump(snapshot, fh)\n"
+)
+
+
+def _fresh_snapshot(fast: bool, inject_slowdown: float) -> Dict[str, object]:
+    """:func:`build_current_snapshot` in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snapshot.json")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _MEASURE_IN_CHILD,
+                os.path.dirname(BENCH_DIR),
+                "fast" if fast else "full",
+                repr(inject_slowdown),
+                path,
+            ]
+        )
+        if proc.returncode:
+            raise RuntimeError(f"measuring process exited {proc.returncode}")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def pin_snapshot(runs: List[Dict[str, object]]) -> Dict[str, object]:
+    """One pin from several runs: each latency at the median of the
+    runs, each counter only where every run agrees (``ValueError``
+    names one that does not)."""
+    latencies = {
+        name: {
+            field: statistics.median(run["latencies"][name][field] for run in runs)
+            for field in ("seconds", "normalized")
+        }
+        for name in runs[0]["latencies"]
     }
+    counters: Dict[str, float] = {}
+    for name in sorted(set().union(*(run["counters"] for run in runs))):
+        values = [run["counters"].get(name) for run in runs]
+        if any(value != values[0] for value in values):
+            raise ValueError(f"counter {name!r} differs between runs: {values}")
+        counters[name] = values[0]
+    return {"latencies": latencies, "counters": counters}
+
+
+def budget_readings(snapshot: Dict[str, object]) -> Dict[str, Tuple[float, float]]:
+    """Each :data:`BUDGETS` entry's reading over ``snapshot``, and its bound."""
+    latencies, counters = snapshot["latencies"], snapshot["counters"]
+
+    def value(name: str) -> float:
+        if name in latencies:
+            return float(latencies[name]["normalized"])
+        return float(counters[name])
+
+    return {name: (formula(value), bound) for name, (formula, bound) in BUDGETS.items()}
+
+
+def broken_budgets(snapshot: Dict[str, object]) -> List[str]:
+    """Names of the budgets ``snapshot`` does not stay under."""
+    return [
+        name
+        for name, (reading, bound) in budget_readings(snapshot).items()
+        if not reading < bound  # a NaN reading breaks its budget too
+    ]
 
 
 def main(argv=None) -> int:
@@ -539,7 +859,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="re-pin the baseline from this run instead of gating",
+        help=f"re-pin the baseline from {PIN_RUNS} fresh measuring processes "
+        "instead of gating",
     )
     parser.add_argument(
         "--fast",
@@ -579,12 +900,24 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    current = build_current_snapshot(
-        fast=args.fast, inject_slowdown=args.inject_slowdown
-    )
+    if args.update:
+        # Fresh processes: a pin caught at one process's low reading
+        # would fail every later gate run against it.
+        try:
+            current = pin_snapshot(
+                [
+                    _fresh_snapshot(args.fast, args.inject_slowdown)
+                    for _ in range(PIN_RUNS)
+                ]
+            )
+        except (RuntimeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    else:
+        current = build_current_snapshot(
+            fast=args.fast, inject_slowdown=args.inject_slowdown
+        )
     if args.output:
-        import json
-
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(current, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -593,7 +926,10 @@ def main(argv=None) -> int:
         baseline = dict(current)
         baseline["thresholds"] = dict(THRESHOLDS)
         regress.write_baseline(args.baseline, baseline)
-        print(f"baseline re-pinned: {args.baseline}")
+        print(f"baseline re-pinned from {PIN_RUNS} runs: {args.baseline}")
+        for name, (reading, bound) in budget_readings(current).items():
+            verdict = "ok" if reading < bound else "BROKEN"
+            print(f"  budget {name}: {reading:.3g} (bound {bound:g}) {verdict}")
         return 0
 
     report = regress.compare_snapshots(baseline, current)

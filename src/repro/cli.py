@@ -927,13 +927,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--workers",
-        type=int,
+        type=_COUNT,
         default=4,
         help="estimation worker threads (default: 4)",
     )
     daemon.add_argument(
         "--queue-depth",
-        type=int,
+        type=_COUNT,
         default=64,
         help="admission-queue bound; beyond it requests get 503 + "
         "Retry-After (default: 64)",
@@ -972,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--seed", type=_SEED, default=0)
     daemon.set_defaults(func=cmd_serve)
 
-    from repro.workloads.scenarios import scenario_names
+    from repro.workloads.scenarios import MIN_QUERIES, scenario_names
 
     simulate = sub.add_parser(
         "simulate",
@@ -989,13 +989,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--queries",
-        type=int,
+        type=_checked(
+            int, lambda v: v >= MIN_QUERIES, f"an integer >= {MIN_QUERIES}"
+        ),
         default=None,
         help="override the scenario's traffic volume",
     )
     simulate.add_argument(
         "--tenants",
-        type=int,
+        type=_COUNT,
         default=None,
         help="override the scenario's tenant population",
     )

@@ -12,7 +12,7 @@ strictly apart:
 Tracing is **off by default**.  The disabled fast path hands back one
 shared no-op span object — no allocation, no clock reads, a single
 attribute check — so instrumented hot paths stay essentially free
-(``benchmarks/bench_obs_overhead.py`` enforces <5%).  Set the
+(the ``BUDGETS`` of ``benchmarks/regress.py`` hold them under 5%).  Set the
 ``REPRO_OBS_TRACE`` environment variable (or call
 ``obs.plane().tracer.enable()``) to record.
 

@@ -42,7 +42,11 @@ __all__ = [
     "scenario_names",
     "get_scenario",
     "run_scenario",
+    "MIN_QUERIES",
 ]
+
+#: The smallest traffic volume a scenario may be rescaled to.
+MIN_QUERIES = 50
 
 _GRADE_ORDER = {"critical": 0, "degraded": 1, "healthy": 2}
 
@@ -231,8 +235,10 @@ class ScenarioSpec:
         config = self.config
         overrides: Dict[str, object] = {}
         if queries is not None and queries != config.queries:
-            if queries < 50:
-                raise ConfigurationError("scenario needs at least 50 queries")
+            if queries < MIN_QUERIES:
+                raise ConfigurationError(
+                    f"scenario needs at least {MIN_QUERIES} queries"
+                )
             factor = queries / config.queries
             overrides["queries"] = queries
             overrides["recovery_lag"] = max(8, int(config.recovery_lag * factor))

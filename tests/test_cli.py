@@ -27,6 +27,11 @@ BAD_NUMERIC_OPTIONS = [
     ["serve", "--port", "0", "--for", "0.1", "--window", "nan"],
     ["serve", "--port", "0", "--for", "-1"],
     ["serve", "--port", "0", "--for", "nan"],
+    ["serve", "--port", "0", "--for", "0.1", "--workers", "0"],
+    ["serve", "--port", "0", "--for", "0.1", "--queue-depth", "0"],
+    ["simulate", "--scenario", "steady", "--queries", "-5"],
+    ["simulate", "--scenario", "steady", "--queries", "49"],
+    ["simulate", "--scenario", "steady", "--tenants", "0"],
 ]
 
 

@@ -1,6 +1,7 @@
 """Regression gate: comparison logic and the benchmarks/regress.py CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from benchmarks import regress as gate_script
 from repro.obs import regress
+from repro.serve import EstimationService
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GATE_SCRIPT = os.path.join(REPO_ROOT, "benchmarks", "regress.py")
@@ -197,6 +199,124 @@ class TestPerCallTimer:
         timed = gate_script._per_call_seconds(lambda: None, inner=4, repeats=5)
         assert timed["seconds"] == pytest.approx(0.25)
         assert timed["normalized"] == pytest.approx(0.25)
+
+
+# ----------------------------------------------------------------------
+# The serve probes' closed loop
+# ----------------------------------------------------------------------
+@pytest.mark.usefixtures("restore_obs_plane")
+class TestServeLoad:
+    @pytest.fixture(scope="class")
+    def sphere(self):
+        return gate_script._build_serve_sphere()
+
+    def _load(self, sphere):
+        return gate_script._serve_load(
+            sphere, clients=3, requests_per_client=5, workers=2
+        )
+
+    def test_clean_run_reads_the_three_probes(self, sphere):
+        sample = self._load(sphere)
+        assert set(sample) == {
+            "serve_request_p50",
+            "serve_request_p99",
+            "serve_throughput",
+        }
+        assert 0 < sample["serve_request_p50"] <= sample["serve_request_p99"]
+
+    @pytest.mark.parametrize("fault", ["last-bit", "raised"])
+    def test_wrong_or_failed_answer_fails_the_run(self, sphere, monkeypatch, fault):
+        answer = EstimationService.estimate
+
+        def estimate(service, system, sql, tenant=""):
+            result = answer(service, system, sql, tenant)
+            if sql == gate_script.AGG_SQL:
+                if fault == "raised":
+                    raise RuntimeError("estimator failed")
+                result["seconds"] = math.nextafter(result["seconds"], math.inf)
+            return result
+
+        monkeypatch.setattr(EstimationService, "estimate", estimate)
+        with pytest.raises(RuntimeError, match="serve load run failed"):
+            self._load(sphere)
+
+
+# ----------------------------------------------------------------------
+# Pinning from several runs, and the telemetry budget
+# ----------------------------------------------------------------------
+class TestPinSnapshot:
+    def test_latency_is_pinned_at_the_median_run(self):
+        runs = [
+            _snapshot(latencies={"a": value}, counters={"c": 9})
+            for value in (3.0, 1.0, 2.0)
+        ]
+        pinned = gate_script.pin_snapshot(runs)
+        assert pinned["latencies"]["a"] == {"seconds": 2.0, "normalized": 2.0}
+        assert pinned["counters"] == {"c": 9}
+
+    @pytest.mark.parametrize("third", [{"c": 10}, {}], ids=["changed", "missing"])
+    def test_counter_the_runs_disagree_on_is_not_pinned(self, third):
+        runs = [_snapshot(counters={"c": 9}), _snapshot(counters={"c": 9})]
+        runs.append(_snapshot(counters=third))
+        with pytest.raises(ValueError, match="'c'"):
+            gate_script.pin_snapshot(runs)
+
+
+#: Readings well inside every budget; each case below breaks one.
+WITHIN_BUDGET = _snapshot(
+    latencies={
+        "estimate_plan_subop": 100e-6,
+        "noop_span": 0.2e-6,
+        "unsampled_span": 0.3e-6,
+        "counter_inc": 0.3e-6,
+        "histogram_observe": 0.5e-6,
+        "counter_inc_observed": 0.9e-6,
+        "histogram_observe_observed": 1.2e-6,
+        "query_context": 6e-6,
+        "tail_decide": 1.6e-6,
+        "flight_record": 4.6e-6,
+        "sample_pass": 20e-6,
+    },
+    counters={gate_script.COUNTER_UPDATES: 2, gate_script.HISTOGRAM_UPDATES: 2},
+)
+BREAK_ONE_BUDGET = {
+    "overhead_disabled": ("histogram_observe", 5e-6),
+    "overhead_context": ("query_context", 20e-6),
+    "overhead_observed": ("counter_inc_observed", 5e-6),
+    "overhead_tail": ("flight_record", 20e-6),
+    "overhead_sampling": ("sample_pass", 1e-3),
+    "noop_span_seconds": ("noop_span", 1.5e-6),
+    "unsampled_span_seconds": ("unsampled_span", 1.5e-6),
+}
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("budget", sorted(gate_script.BUDGETS))
+    def test_committed_baseline_holds_the_budget(self, budget):
+        baseline = regress.load_baseline(COMMITTED_BASELINE)
+        reading, bound = gate_script.budget_readings(baseline)[budget]
+        assert reading < bound
+
+    def test_warm_estimate_updates_are_exact_counters(self):
+        counters = regress.load_baseline(COMMITTED_BASELINE)["counters"]
+        for name in (gate_script.COUNTER_UPDATES, gate_script.HISTOGRAM_UPDATES):
+            assert counters[name] >= 1 and counters[name] == int(counters[name])
+
+    def test_every_budget_is_exercised(self):
+        assert set(BREAK_ONE_BUDGET) == set(gate_script.BUDGETS)
+        assert gate_script.broken_budgets(WITHIN_BUDGET) == []
+
+    @pytest.mark.parametrize("budget", sorted(BREAK_ONE_BUDGET))
+    def test_snapshot_breaking_one_budget_fails_it(self, budget):
+        entry, value = BREAK_ONE_BUDGET[budget]
+        snapshot = json.loads(json.dumps(WITHIN_BUDGET))
+        snapshot["latencies"][entry]["normalized"] = value
+        assert gate_script.broken_budgets(snapshot) == [budget]
+
+    def test_nan_reading_breaks_its_budget(self):
+        snapshot = json.loads(json.dumps(WITHIN_BUDGET))
+        snapshot["latencies"]["sample_pass"]["normalized"] = float("nan")
+        assert gate_script.broken_budgets(snapshot) == ["overhead_sampling"]
 
 
 # ----------------------------------------------------------------------
