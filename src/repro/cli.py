@@ -527,11 +527,9 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     if source is None:
         return 2
     kind, path = source
-    history = {}
     if kind == "journal":
         replayed = obs.replay(path)
         observation = replayed.observation()
-        history = replayed.history
         windows = replayed.windows
     else:
         observation = health.build_observation()
@@ -542,8 +540,8 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         observation, emit=False
     )
     html = dashboard.render_dashboard(
-        healths, report=report, history=history, windows=windows,
-        tenants=observation["tenants"],
+        healths, report=report, history=observation["history"],
+        windows=windows, tenants=observation["tenants"],
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(html)

@@ -134,18 +134,12 @@ class DriftMonitor:
                     "drift.alarms",
                     help="drift monitors that crossed the CUSUM threshold",
                 ).inc()
-                journal = obs.plane().journal
-                if journal.enabled:
-                    payload = {
-                        "direction": self._direction,
-                        "statistic": max(self._cusum_high, self._cusum_low),
-                        "observations": self._count,
-                        "system": self.name,
-                    }
-                    query_id = obs.current_query_id()
-                    if query_id is not None:
-                        payload["query_id"] = query_id
-                    journal.append("drift", **payload)
+                self._journal(
+                    "drift",
+                    direction=self._direction,
+                    statistic=max(self._cusum_high, self._cusum_low),
+                    observations=self._count,
+                )
                 logger.warning(
                     "drift detected after %d observations: remote runs %s "
                     "than modeled (statistic %.2f)",
@@ -166,7 +160,13 @@ class DriftMonitor:
         )
 
     def reset(self) -> None:
-        """Forget everything — call after the models were retrained."""
+        """Forget everything — call after the models were retrained.
+
+        Clearing a raised alarm is journaled as ``drift_reset``, so a
+        replayed journal stops reporting the system drifted too.
+        """
+        if self._drifted:
+            self._journal("drift_reset")
         self._baseline.clear()
         self._cusum_high = 0.0
         self._cusum_low = 0.0
@@ -178,6 +178,16 @@ class DriftMonitor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _journal(self, event_type: str, **payload: object) -> None:
+        """Journal one event about this monitor's system, with the
+        current query id when there is one."""
+        journal = obs.plane().journal
+        if journal.enabled:
+            query_id = obs.current_query_id()
+            if query_id is not None:
+                payload["query_id"] = query_id
+            journal.append(event_type, system=self.name, **payload)
+
     def _fit_baseline(self) -> None:
         n = len(self._baseline)
         mean = sum(self._baseline) / n

@@ -50,7 +50,7 @@ around that loop:
 * :mod:`repro.obs.health` — observation snapshots and the
   per-remote-system composite health score;
 * :mod:`repro.obs.dashboard` — the self-contained HTML health
-  dashboard with journal-derived q-error sparklines;
+  dashboard with the ledger's q-error sparklines;
 * :mod:`repro.obs.timeseries` — the live telemetry plane: a windowed
   aggregator (quantile histograms, counter deltas, gauge last-values)
   fed by a registry observer hook, over the
@@ -224,7 +224,7 @@ __all__ = lazy_exports(
             "observation_from_snapshot",
             "worst_grade",
         ),
-        ".dashboard": ("history_from_windows", "render_dashboard"),
+        ".dashboard": ("render_dashboard",),
         ".timeseries": (
             "WINDOW_SCHEMA_VERSION",
             "HistogramWindow",

@@ -9,10 +9,11 @@ inputs the CLI's ``health``/``alerts`` commands use:
   component breakdown from :mod:`repro.obs.health`);
 * the **alert table** from the latest :class:`~repro.obs.alerts.AlertReport`,
   firing rows first, with exemplar query ids attached;
-* a **q-error sparkline** per system, built from the journal's
-  ``actual`` events (:attr:`repro.obs.rebuild.ReplayResult.history`),
-  so the page shows the accuracy *trajectory*, not just the final
-  number;
+* a **q-error sparkline** per system, the observation's ``history``
+  slice (:meth:`repro.obs.ledger.AccuracyLedger.history`): the same
+  ledger the health tiles and alerts read, live or replayed from a
+  journal, so the page shows the accuracy *trajectory*, not just the
+  final number;
 * a **tenant ranking** (when attribution ran) ordered by estimated
   cost, so the most expensive tenants surface first;
 * a **continuous profiling** section (when the stack sampler ran): the
@@ -34,44 +35,8 @@ from repro.obs.health import SystemHealth
 from repro.obs.htmlpage import esc, page, style
 from repro.obs.timeseries import WindowSummary
 
-__all__ = ["history_from_windows", "render_dashboard"]
+__all__ = ["render_dashboard"]
 
-#: Points kept per system sparkline (newest win; enough for a trend).
-HISTORY_POINTS = 120
-
-#: Metric prefix the telemetry plane records per-system q-errors under.
-_Q_ERROR_PREFIX = "accuracy.q_error."
-
-
-def history_from_windows(
-    windows: Sequence[WindowSummary],
-    max_points: int = HISTORY_POINTS,
-) -> Dict[str, List[float]]:
-    """Per-system q-error history from closed telemetry windows.
-
-    One point per window: the mean of the window's
-    ``accuracy.q_error.<system>`` histogram.  This is the live-server
-    counterpart of the journal replay's per-``actual`` history — real
-    windowed history even when no journal is configured.
-    """
-    history: Dict[str, List[float]] = {}
-    for summary in windows:
-        for name, histogram in summary.histograms.items():
-            if not name.startswith(_Q_ERROR_PREFIX) or histogram.count == 0:
-                continue
-            system = name[len(_Q_ERROR_PREFIX):]
-            if not system:
-                continue
-            series = history.setdefault(system, [])
-            series.append(histogram.mean)
-            if len(series) > max_points:
-                del series[: len(series) - max_points]
-    return history
-
-
-# ----------------------------------------------------------------------
-# Rendering
-# ----------------------------------------------------------------------
 _STYLE = style(
     "64rem",
     """
@@ -253,10 +218,7 @@ def render_dashboard(
             )
         body.append("</table>")
     else:
-        body.append(
-            '<p class="muted">no journaled actuals to chart '
-            "(set <code>REPRO_OBS_JOURNAL</code>)</p>"
-        )
+        body.append('<p class="muted">no recorded actuals to chart yet</p>')
 
     if tenants is not None:
         body.append("<h2>Tenants</h2>")

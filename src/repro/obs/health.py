@@ -21,6 +21,7 @@ observability stack produces:
                        "windows": [window payloads]},   # telemetry plane
         "tenants":   {tenant: {"queries", "estimated_seconds",
                                "mean_q_error", ...}},   # attribution
+        "history":   {system: [newest q-errors]},       # ledger
     }
 
 Observations can be built **live** (:func:`build_observation`, from the
@@ -120,6 +121,8 @@ def build_observation(
             empty when the telemetry plane is off.
         tenants: Per-tenant attribution slice; the plane's tenant
             ledger's snapshot by default.
+
+    The ``history`` slice is ``ledger``'s per-system q-error history.
     """
     current = plane()
     registry = registry if registry is not None else current.registry
@@ -153,6 +156,7 @@ def build_observation(
             str(tenant): dict(stats)
             for tenant, stats in sorted((tenants or {}).items())
         },
+        "history": ledger.history(),
     }
 
 
@@ -163,8 +167,8 @@ def observation_from_snapshot(
 
     Snapshot files (``repro stats --format json``, the benchmark
     ``*.metrics.json`` siblings) carry metrics + ledger (+ tenants when
-    attributed traffic ran); the drift/cache/exemplar slices stay
-    empty, so only rules over the carried sources can evaluate.
+    attributed traffic ran); the drift/cache/exemplar/history slices
+    stay empty, so only rules over the carried sources can evaluate.
     """
     metrics = snapshot.get("metrics")
     ledger = snapshot.get("ledger")
@@ -182,6 +186,7 @@ def observation_from_snapshot(
             if isinstance(tenants, Mapping)
             else {}
         ),
+        "history": {},
     }
 
 

@@ -4,10 +4,11 @@ Everything PR 1's telemetry keeps (metrics registry, accuracy ledger)
 is in-memory and dies with the process.  The journal makes the
 feedback stream *durable*: every significant event on the estimate
 path — an estimate issued, an actual recorded, the online remedy
-firing, an offline-tuning fold-in, a drift alarm — is appended as one
-JSON line to an append-only file, and :func:`replay` deterministically
-rebuilds the accuracy ledger and the journal-backed metrics counters
-from that file in a fresh process.
+firing, an offline-tuning fold-in, a drift alarm and its reset — is
+appended as one JSON line to an append-only file, and
+:func:`repro.obs.rebuild.replay` deterministically rebuilds the accuracy
+ledger and the journal-backed metrics counters from that file in a
+fresh process.
 
 Design points, in order of importance:
 
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -59,7 +59,6 @@ __all__ = [
     "NoopJournal",
     "NOOP_JOURNAL",
     "ReadResult",
-    "JournalCursor",
     "read_journal",
     "iter_journal_lines",
     "add_journal_listener",
@@ -70,13 +69,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 #: The journaled feedback-loop event kinds (DESIGN §6); each has one
-#: reducer in :data:`repro.obs.rebuild.REDUCERS`.
+#: reducer in :data:`repro.obs.rebuild.REDUCERS`.  Readers skip types
+#: they do not know, so a new kind needs no schema bump.
 EVENT_TYPES: Tuple[str, ...] = (
     "estimate",         # an operator estimate was issued
     "actual",           # an actual execution time was recorded (validated)
     "remedy",           # the online remedy fired / alpha recalibrated
     "tuning",           # an offline-tuning batch was folded into a model
     "drift",            # a drift monitor raised its alarm
+    "drift_reset",      # a raised drift alarm was cleared (models retrained)
     "alert",            # an SLO alert transitioned firing/resolved
     "window",           # a telemetry window closed (repro.obs.timeseries)
     "incident",         # a flight-recorder incident bundle header
@@ -134,24 +135,6 @@ class ReadResult:
     events: Tuple[JournalEvent, ...]
     corrupt_lines: int = 0
     skipped_versions: int = 0
-
-
-@dataclass(frozen=True)
-class JournalCursor:
-    """Where :meth:`EventJournal.read_since` stopped.
-
-    Attributes:
-        generations: Path, size and mtime of every journal file, taken
-            before the read.
-        offset: Bytes of the active file read, through its last
-            newline-terminated line.
-        last_line: That line, which must still end at ``offset`` for
-            the next read to carry on from there.
-    """
-
-    generations: Tuple[Tuple[str, int, int], ...]
-    offset: int = 0
-    last_line: bytes = b""
 
 
 class NoopJournal:
@@ -347,60 +330,9 @@ class EventJournal:
         self.flush()
         return read_journal(self.path, max_files=self.max_files)
 
-    def read_since(
-        self, cursor: Optional[JournalCursor] = None
-    ) -> Tuple[ReadResult, JournalCursor, bool]:
-        """The events written since ``cursor``, a previous call's.
-
-        Returns ``(result, cursor, appended)``.  When ``appended`` is
-        true, ``result`` holds only the events appended to the active
-        file since ``cursor`` — none, and no file is read, when no
-        journal file changed.  Otherwise it holds the whole journal:
-        there was no cursor, or the files were rotated or rewritten
-        since.  Of the active file only newline-terminated lines are
-        read, so an event still being written is returned once it is
-        complete.
-        """
-        generations = self._generations()
-        rotated = _rotated(generations, self.path)
-        if cursor is not None:
-            if generations == cursor.generations:
-                return ReadResult(events=()), cursor, True
-            if rotated == _rotated(cursor.generations, self.path):
-                tail = _lines_after(self.path, cursor.offset, cursor.last_line)
-                if tail is not None:
-                    lines, offset, last_line = tail
-                    return (
-                        _parse_lines(lines),
-                        JournalCursor(generations, offset, last_line),
-                        True,
-                    )
-        lines = list(_file_lines(path for path, _, _ in rotated))
-        active, offset, last_line = (
-            _lines_after(self.path, 0, b"") or ([], 0, b"")
-        )
-        return (
-            _parse_lines(lines + active),
-            JournalCursor(generations, offset, last_line),
-            False,
-        )
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _generations(self) -> Tuple[Tuple[str, int, int], ...]:
-        """``(path, size, mtime_ns)`` of every journal file, oldest
-        first: any append or rotation changes it."""
-        self.flush()
-        state = []
-        for path in _generation_paths(self.path, self.max_files):
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            state.append((path, stat.st_size, stat.st_mtime_ns))
-        return tuple(state)
-
     def _open(self) -> None:
         directory = os.path.dirname(self.path)
         if directory:
@@ -506,66 +438,6 @@ def _parse_line(line: str) -> Optional[JournalEvent]:
     return JournalEvent(seq=seq, type=event_type, payload=payload, version=version)
 
 
-def _parse_lines(lines: Iterable[str]) -> ReadResult:
-    events: List[JournalEvent] = []
-    corrupt = 0
-    skipped = 0
-    for line in lines:
-        event = _parse_line(line)
-        if event is None:
-            corrupt += 1
-        elif event.version > SCHEMA_VERSION:
-            skipped += 1
-        else:
-            events.append(event)
-    return ReadResult(
-        events=tuple(events), corrupt_lines=corrupt, skipped_versions=skipped
-    )
-
-
-def _file_lines(paths: Iterable[str]) -> Iterator[str]:
-    """The lines of each journal file in turn; an unreadable file is
-    skipped whole."""
-    for path in paths:
-        try:
-            lines = list(iter_journal_lines(path))
-        except OSError:
-            continue
-        yield from lines
-
-
-def _rotated(
-    generations: Tuple[Tuple[str, int, int], ...], path: str
-) -> Tuple[Tuple[str, int, int], ...]:
-    return tuple(state for state in generations if state[0] != path)
-
-
-def _lines_after(
-    path: str, offset: int, last_line: bytes
-) -> Optional[Tuple[List[str], int, bytes]]:
-    """The newline-terminated lines of journal file ``path`` after byte
-    ``offset``, the offset after them and the last of them as bytes
-    (``offset`` and ``last_line`` again if there are none); ``None``
-    when the file is gone or ``last_line`` no longer ends at ``offset``.
-    Lines split and decode as :func:`iter_journal_lines` splits them."""
-    start = offset - len(last_line)
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            data = fh.read()
-    except OSError:
-        return None
-    if not data.startswith(last_line):
-        return None
-    end = data.rfind(b"\n") + 1
-    if end <= len(last_line):
-        return [], offset, last_line
-    text = data[len(last_line):end].decode("utf-8", errors="replace")
-    lines = [line.strip() for line in io.StringIO(text, newline=None)]
-    begin = data.rfind(b"\n", 0, end - 1) + 1
-    return [line for line in lines if line], start + end, data[begin:end]
-
-
 def read_journal(
     path: Union[str, os.PathLike],
     max_files: int = DEFAULT_MAX_FILES,
@@ -573,7 +445,25 @@ def read_journal(
     """Read a journal (rotated generations + active file), tolerantly.
 
     Unparseable lines are counted, not fatal; events written under a
-    newer schema version are skipped and counted separately.
+    newer schema version are skipped and counted separately; an
+    unreadable file is skipped whole.
     """
-    paths = _generation_paths(os.fspath(path), max_files)
-    return _parse_lines(_file_lines(paths))
+    events: List[JournalEvent] = []
+    corrupt = 0
+    skipped = 0
+    for file_path in _generation_paths(os.fspath(path), max_files):
+        try:
+            lines = list(iter_journal_lines(file_path))
+        except OSError:
+            continue
+        for line in lines:
+            event = _parse_line(line)
+            if event is None:
+                corrupt += 1
+            elif event.version > SCHEMA_VERSION:
+                skipped += 1
+            else:
+                events.append(event)
+    return ReadResult(
+        events=tuple(events), corrupt_lines=corrupt, skipped_versions=skipped
+    )

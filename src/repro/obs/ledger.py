@@ -11,7 +11,9 @@ the paper's feedback loop (Fig. 3) raises but never surfaces:
 * rolling **RMSE%** (the paper's §7 headline metric);
 * rolling **slope** of actual-vs-estimate through the origin (the
   paper's scatter-fit slope, Figs. 11(c)/12(c));
-* the **remedy fraction** — how often the out-of-range path fired.
+* the **remedy fraction** — how often the out-of-range path fired;
+* each system's **q-error history**, its newest :data:`HISTORY_POINTS`
+  q-errors in record order: the dashboard's accuracy sparklines.
 
 The ledger is accuracy *accounting* only; sustained behaviour shifts
 remain the job of :class:`repro.core.drift.DriftMonitor`, which the
@@ -27,10 +29,14 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
+    "HISTORY_POINTS",
     "LedgerEntry",
     "AccuracyStats",
     "AccuracyLedger",
 ]
+
+#: Q-errors kept per system history (newest win; enough for a trend).
+HISTORY_POINTS = 120
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,7 @@ class AccuracyLedger:
         self.window = window
         self._lock = threading.Lock()
         self._windows: Dict[Tuple[str, str], Deque[LedgerEntry]] = {}
+        self._recent: Dict[str, Deque[LedgerEntry]] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -153,6 +160,12 @@ class AccuracyLedger:
                 window = deque(maxlen=self.window)
                 self._windows[key] = window
             window.append(entry)
+            if system:
+                recent = self._recent.get(system)
+                if recent is None:
+                    recent = deque(maxlen=HISTORY_POINTS)
+                    self._recent[system] = recent
+                recent.append(entry)
         return entry
 
     # ------------------------------------------------------------------
@@ -179,6 +192,15 @@ class AccuracyLedger:
                     if tenant is None or entry.tenant == tenant
                 )
         return tuple(selected)
+
+    def history(self) -> Dict[str, List[float]]:
+        """Each named system's newest :data:`HISTORY_POINTS` q-errors,
+        oldest first, across operators in record order."""
+        with self._lock:
+            return {
+                system: [entry.q_error for entry in series]
+                for system, series in sorted(self._recent.items())
+            }
 
     def keys(self) -> Tuple[Tuple[str, str], ...]:
         with self._lock:
@@ -244,3 +266,4 @@ class AccuracyLedger:
     def reset(self) -> None:
         with self._lock:
             self._windows.clear()
+            self._recent.clear()

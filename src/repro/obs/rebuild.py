@@ -4,22 +4,24 @@
 in :data:`REDUCERS`, one row per :data:`~repro.obs.journal.EVENT_TYPES`
 entry.  Floats round-trip JSON exactly and events apply in append
 order, so the :class:`ReplayResult` every offline reader shares is
-bit-identical to the live run that wrote the journal.  The module sits
+bit-identical to the live run that wrote the journal; its ledger carries
+the per-system q-error history the dashboard charts.  The module sits
 above ``journal``, ``timeseries``, ``sampling`` and ``flight`` because
-it parses their payloads; like the rest of :mod:`repro.obs` it depends
-only on the standard library.
+it parses their payloads, and below the views that read its result
+(alerts, dashboard, flamegraphs); like the rest of :mod:`repro.obs` it
+depends only on the standard library.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set
 from typing import Tuple, Union
 
 from repro.obs.context import ExemplarStore
-from repro.obs.dashboard import HISTORY_POINTS
 from repro.obs.flight import IncidentBundle
 from repro.obs.health import build_observation
 from repro.obs.journal import JournalEvent, ReadResult, read_journal
@@ -45,9 +47,8 @@ class ReplayResult:
     ``corrupt_lines`` and ``skipped_versions``, and applied ``counts``
     per type; the latest ``drift`` and recent ``exemplars`` per system;
     ``tenants`` in the live snapshot layout (wall seconds, errors and
-    kept traces are not journaled); ``windows``, ``profiles`` and
-    ``incidents``, oldest first; and per-system q-error ``history``
-    (newest :data:`~repro.obs.dashboard.HISTORY_POINTS`)."""
+    kept traces are not journaled); and ``windows``, ``profiles`` and
+    ``incidents``, oldest first."""
 
     registry: MetricsRegistry
     ledger: AccuracyLedger
@@ -62,7 +63,6 @@ class ReplayResult:
     windows: Tuple[WindowSummary, ...]
     profiles: Tuple[ProfileWindow, ...]
     incidents: Tuple[IncidentBundle, ...]
-    history: Dict[str, List[float]]
 
     def observation(self) -> Dict[str, object]:
         """The journal's health/alerts observation; its cache slice is
@@ -93,7 +93,6 @@ class _Fold:
         self.exemplars = ExemplarStore()
         self.tenants = TenantLedger()
         self.tenant_queries: Set[Tuple[str, str]] = set()
-        self.history: Dict[str, List[float]] = {}
         self.windows: List[WindowSummary] = []
         self.profiles: List[ProfileWindow] = []
         # Incident headers with their records in journal order, and the
@@ -150,7 +149,10 @@ def _actual(fold: _Fold, payload: Mapping[str, object]) -> None:
     estimated = _as_float(payload.get("estimated_seconds"))
     actual = _as_float(payload.get("actual_seconds"))
     q_error = None
-    if estimated > 0 and actual > 0:
+    if (
+        estimated > 0 and actual > 0
+        and math.isfinite(estimated) and math.isfinite(actual)
+    ):
         # The paper's q-error with ``record_actual``'s guard and
         # division, so the ledger and histogram stay bit-identical.
         q_error = max(estimated / actual, actual / estimated)
@@ -171,9 +173,6 @@ def _actual(fold: _Fold, payload: Mapping[str, object]) -> None:
         return
     tenant = fold.attribute(system, payload)
     if q_error is not None:
-        series = fold.history.setdefault(system, [])
-        series.append(q_error)
-        del series[:-HISTORY_POINTS]
         fold.tenants.record_actual(tenant, q_error)
 
 
@@ -206,6 +205,18 @@ def _drift(fold: _Fold, payload: Mapping[str, object]) -> None:
             "statistic": payload.get("statistic", 0.0),
             "direction": payload.get("direction"),
             "observations": payload.get("observations", 0),
+        }
+
+
+def _drift_reset(fold: _Fold, payload: Mapping[str, object]) -> None:
+    # The state a reset monitor reports; the reset bumps no counter.
+    system = str(payload.get("system", ""))
+    if system:
+        fold.drift[system] = {
+            "drifted": False,
+            "statistic": 0.0,
+            "direction": None,
+            "observations": 0,
         }
 
 
@@ -271,6 +282,7 @@ REDUCERS: Dict[str, Callable[[_Fold, Mapping[str, object]], None]] = {
     "remedy": _remedy,
     "tuning": _tuning,
     "drift": _drift,
+    "drift_reset": _drift_reset,
     "alert": _alert,
     "window": _summaries(
         WindowSummary, "window_v", WINDOW_SCHEMA_VERSION, "windows"
@@ -330,5 +342,4 @@ def replay(
             dataclasses.replace(bundle, records=tuple(records))
             for bundle, records in fold.incidents
         ),
-        history=fold.history,
     )

@@ -29,8 +29,9 @@ endpoint              payload
                       off)
 ``GET /profile.html`` the live flamegraph page over every retained
                       profile window (open window included)
-``GET /dashboard``    the self-contained HTML page, backed by *real*
-                      windowed history
+``GET /dashboard``    the self-contained HTML page: health tiles,
+                      alerts and the ledger's q-error history from one
+                      observation, plus the telemetry windows
 ====================  ==================================================
 
 **One handler-registration API.**  Every endpoint above is mounted
@@ -95,7 +96,8 @@ concurrent scrapes cannot corrupt fired/resolved bookkeeping.
 Each endpoint imports the modules it renders with when it is first
 called, and the default alert engine is built on the first evaluation:
 a server that only carries estimation traffic never loads the alert
-engine, dashboard, flamegraphs, exporters or journal fold.
+engine, dashboard, flamegraphs or exporters.  No endpoint reads the
+journal back: the live state every page renders is already in memory.
 
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages —
@@ -127,7 +129,6 @@ from typing import (
 )
 
 from repro.obs.config import plane
-from repro.obs.journal import EventJournal, JournalCursor
 from repro.obs.timeseries import maybe_roll_timeseries
 
 if TYPE_CHECKING:
@@ -498,10 +499,6 @@ class ObsServer:
         self.request_log: Deque[str] = deque(maxlen=REQUEST_LOG_LIMIT)
         self._observe = observe
         self._eval_lock = threading.Lock()
-        # The live dashboard's journal history and how far it was read.
-        self._history: Optional[
-            Tuple[JournalCursor, Dict[str, List[float]]]
-        ] = None
         self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._routes: Dict[Tuple[str, str], Handler] = {}
@@ -808,7 +805,7 @@ class ObsServer:
         )
 
     def render_dashboard(self) -> str:
-        from repro.obs.dashboard import history_from_windows, render_dashboard
+        from repro.obs.dashboard import render_dashboard
         from repro.obs.health import evaluate_health
 
         observation = self.observation()
@@ -817,55 +814,20 @@ class ObsServer:
             report = self.engine.evaluate(observation)
         current = plane()
         aggregator = current.timeseries
-        windows = aggregator.windows() if aggregator is not None else ()
-        journal = current.journal
-        if journal.enabled and journal.path:
-            history = self._journal_history(journal)
-        else:
-            history = history_from_windows(windows)
+        history = observation.get("history")
         tenants = observation.get("tenants")
         sampler = current.stack_sampler
         return render_dashboard(
             healths,
             report=report,
-            history=history,
+            history=history if isinstance(history, Mapping) else {},
             title=self.title,
-            windows=windows,
+            windows=aggregator.windows() if aggregator is not None else (),
             tenants=tenants if isinstance(tenants, Mapping) else {},
             profile=sampler.merged_stacks() if sampler is not None else None,
         )
-
-    def _journal_history(self, journal: EventJournal) -> Dict[str, List[float]]:
-        """The journal's folded q-error history: each render reads and
-        folds only the events appended since the last one, and folds the
-        whole journal again after a rotation."""
-        from repro.obs.rebuild import replay
-
-        cursor, history = self._history or (None, {})
-        result, cursor, appended = journal.read_since(cursor)
-        if not appended:
-            history = replay(result).history
-        elif result.events:
-            history = _extend_history(history, replay(result).history)
-        self._history = (cursor, history)
-        return history
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
         return f"ObsServer({self.url}, {state})"
 
-
-def _extend_history(
-    history: Mapping[str, Sequence[float]], later: Mapping[str, Sequence[float]]
-) -> Dict[str, List[float]]:
-    """``history`` followed by ``later``, the history folded from the
-    events after it: what one fold over all of them gives.  New lists,
-    so a render still reading ``history`` is not disturbed."""
-    from repro.obs.dashboard import HISTORY_POINTS
-
-    merged = {system: list(series) for system, series in history.items()}
-    for system, series in later.items():
-        combined = merged.setdefault(system, [])
-        combined.extend(series)
-        del combined[:-HISTORY_POINTS]
-    return merged

@@ -803,7 +803,7 @@ class TrafficSimulator:
             self._simulate(report, journal)
         finally:
             obs.install(previous)
-        self._fold_journal(report, ledger)
+        self._fold_journal(report, ledger, journal)
         return report
 
     def _simulate(self, report: TrafficReport, journal) -> None:
@@ -874,7 +874,7 @@ class TrafficSimulator:
     # ------------------------------------------------------------------
     # Journal accounting
     # ------------------------------------------------------------------
-    def _fold_journal(self, report: TrafficReport, ledger) -> None:
+    def _fold_journal(self, report: TrafficReport, ledger, journal) -> None:
         """Count loop milestones from the journal and verify replay.
 
         The journal is the durable record, so the report's drift/remedy/
@@ -882,13 +882,16 @@ class TrafficSimulator:
         what the journal cannot reproduce did not durably happen.
         Replay consistency compares the rebuilt accuracy ledger against
         the live one; the floats round-trip exactly, so any mismatch is
-        a real divergence.
+        a real divergence.  A journal file appends across runs, so only
+        the events this run's ``journal`` appended, the file's last, are
+        replayed.
         """
         if not self.journal_path:
             report.replay_detail = "no journal configured"
             return
+        read = obs.read_journal(self.journal_path)
         result = obs.replay(
-            self.journal_path,
+            read.events[max(0, len(read.events) - journal.appended):],
             ledger=obs.AccuracyLedger(window=self.config.ledger_window),
         )
 
@@ -903,9 +906,9 @@ class TrafficSimulator:
         report.tuning_entries = tally("tuning.entries_folded")
         live = ledger.snapshot()
         rebuilt = result.ledger.snapshot()
-        if result.corrupt_lines:
+        if read.corrupt_lines:
             report.replay_consistent = False
-            report.replay_detail = f"{result.corrupt_lines} corrupt journal lines"
+            report.replay_detail = f"{read.corrupt_lines} corrupt journal lines"
         elif rebuilt != live:
             report.replay_consistent = False
             differing = sorted(

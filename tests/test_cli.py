@@ -736,6 +736,32 @@ class TestHealthAndAlertCommands:
         assert len(reads) == 1
         assert len(walks) == 1
 
+    @pytest.mark.parametrize("spelling", ["Infinity", "1e309"])
+    def test_non_finite_journaled_time_is_skipped(
+        self, capsys, tmp_path, spelling
+    ):
+        """JSON readers accept ``Infinity`` and overflowing literals; a
+        journal carrying one still reads like any other bad line."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            '{"payload":{"actual_seconds":%s,"estimated_seconds":1.0,'
+            '"operator":"join","system":"hive"},"seq":1,"type":"actual",'
+            '"v":1}\n'
+            '{"payload":{"actual_seconds":1.0,"estimated_seconds":%s,'
+            '"operator":"join","system":"hive"},"seq":2,"type":"actual",'
+            '"v":1}\n' % (spelling, spelling)
+        )
+        journal = ["--journal", str(path)]
+        for argv in (
+            ["stats", *journal],
+            ["alerts", *journal, "--no-emit"],
+            ["health", *journal],
+            ["tenants", *journal],
+            ["dashboard", *journal, "--out", str(tmp_path / "dash.html")],
+        ):
+            assert main(argv) == 0, argv
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_dashboard_missing_journal_exits_2(self, capsys, tmp_path):
         code = main(
             ["dashboard", "--journal", str(tmp_path / "nope.jsonl"),

@@ -192,6 +192,30 @@ class TestJournalAttribution:
         assert "query_id" not in drift_events[0].payload
 
 
+    def test_reset_journals_only_a_raised_alarm(self, tmp_path):
+        from repro import obs
+
+        journal = obs.EventJournal(tmp_path / "j.jsonl")
+        previous = obs.install(obs.ObsPlane(journal=journal))
+        try:
+            monitor = DriftMonitor(baseline_window=5, name="hive")
+            monitor.reset()  # nothing raised: nothing to clear
+            for _ in range(5):
+                monitor.observe(10.0, 10.0)
+            for _ in range(50):
+                if monitor.observe(10.0, 25.0).drifted:
+                    break
+            with obs.query_context(query_id="q-000042"):
+                monitor.reset()
+            monitor.reset()
+            journal.close()
+        finally:
+            obs.install(previous)
+        events = obs.read_journal(tmp_path / "j.jsonl").events
+        assert [e.type for e in events] == ["drift", "drift_reset"]
+        assert events[1].payload == {"system": "hive", "query_id": "q-000042"}
+
+
 class TestModuleIntegration:
     def test_cluster_change_detected_end_to_end(self, cluster_info):
         """Train costing on one engine configuration, then the cluster

@@ -94,6 +94,20 @@ def test_serving_import_leaves_out_unused_modules():
     assert not set(NOT_LOADED_FOR_SERVING) & set(loaded)
 
 
+def test_journal_fold_loads_none_of_the_views_it_feeds():
+    """``replay()`` builds what the alert engine, the dashboard and the
+    flamegraphs read; it loads none of them itself."""
+    loaded = run_fresh(
+        """
+        import json, sys
+        import repro.obs.rebuild
+        print(json.dumps(sorted(sys.modules)))
+        """
+    )
+    views = {"repro.obs.alerts", "repro.obs.dashboard", "repro.obs.flamegraph"}
+    assert not views & set(loaded)
+
+
 def test_set_up_and_serving_load_no_further_module():
     """Build a small federation, serve it over HTTP, swap a model and
     explain a cross-system query: every module that needs is already

@@ -1,11 +1,12 @@
-"""The HTML health dashboard: the replayed q-error history and page
-rendering."""
+"""The HTML health dashboard: the replayed ledger's q-error history
+and page rendering."""
 
 from repro import obs
 from repro.obs.alerts import Alert, AlertReport
-from repro.obs.dashboard import HISTORY_POINTS, _sparkline
+from repro.obs.dashboard import _sparkline
 from repro.obs.health import SystemHealth
 from repro.obs.journal import JournalEvent
+from repro.obs.ledger import HISTORY_POINTS
 
 
 def actual_event(seq, system="hive", estimated=10.0, actual=20.0):
@@ -33,13 +34,15 @@ def make_health(system="hive", grade="healthy", score=0.9):
 
 
 class TestBuildHistory:
+    """The history the dashboard charts is the replayed ledger's."""
+
     def test_q_error_series_per_system(self):
         events = [
             actual_event(1, estimated=10.0, actual=20.0),   # q = 2
             actual_event(2, estimated=30.0, actual=10.0),   # q = 3
             actual_event(3, system="spark", estimated=5.0, actual=5.0),
         ]
-        history = obs.replay(events).history
+        history = obs.replay(events).ledger.history()
         assert history["hive"] == [2.0, 3.0]
         assert history["spark"] == [1.0]
 
@@ -48,14 +51,15 @@ class TestBuildHistory:
             JournalEvent(seq=1, type="estimate", payload={"system": "hive"}),
             actual_event(2, estimated=0.0),               # non-positive
             actual_event(3, estimated="nan?", actual=1),  # unparseable
+            actual_event(4, actual=float("inf")),         # non-finite
             JournalEvent(
-                seq=4,
+                seq=5,
                 type="actual",
                 payload={"estimated_seconds": 1.0, "actual_seconds": 1.0},
             ),                                            # no system
-            actual_event(5),
+            actual_event(6),
         ]
-        history = obs.replay(events).history
+        history = obs.replay(events).ledger.history()
         assert history == {"hive": [2.0]}
 
     def test_series_truncates_to_newest_points(self):
@@ -63,7 +67,7 @@ class TestBuildHistory:
             actual_event(i, estimated=float(i), actual=1.0)
             for i in range(1, HISTORY_POINTS + 11)
         ]
-        history = obs.replay(events).history
+        history = obs.replay(events).ledger.history()
         series = history["hive"]
         assert len(series) == HISTORY_POINTS
         assert series[-1] == float(HISTORY_POINTS + 10)
@@ -131,7 +135,7 @@ class TestRenderDashboard:
         page = obs.render_dashboard([])
         assert "no remote-system signals yet" in page
         assert "no alert evaluation available" in page
-        assert "REPRO_OBS_JOURNAL" in page
+        assert "no recorded actuals to chart yet" in page
 
     def test_html_escapes_untrusted_names(self):
         health = make_health(system="<script>alert(1)</script>")
@@ -216,36 +220,6 @@ class TestWindowedTelemetrySection:
     def test_windows_none_omits_the_section(self):
         page = obs.render_dashboard([make_health()])
         assert "Windowed telemetry" not in page
-
-
-class TestHistoryFromWindows:
-    def test_per_system_series_from_q_error_histograms(self):
-        from repro.obs.dashboard import history_from_windows
-
-        windows = make_windows(
-            [
-                {"accuracy.q_error.hive": ("hist", [2.0])},
-                {
-                    "accuracy.q_error.hive": ("hist", [4.0]),
-                    "accuracy.q_error.spark": ("hist", [1.5]),
-                },
-            ]
-        )
-        history = history_from_windows(windows)
-        assert history["hive"] == [2.0, 4.0]
-        assert history["spark"] == [1.5]
-
-    def test_ignores_unrelated_metrics_and_truncates(self):
-        from repro.obs.dashboard import history_from_windows
-
-        windows = make_windows(
-            [{"lat": ("hist", [0.1]),
-              "accuracy.q_error.hive": ("hist", [float(i + 1)])}
-             for i in range(6)]
-        )
-        history = history_from_windows(windows, max_points=3)
-        assert set(history) == {"hive"}
-        assert history["hive"] == [4.0, 5.0, 6.0]
 
 
 class TestTenantSection:

@@ -143,92 +143,6 @@ class TestCorruptionTolerance:
         assert result.corrupt_lines == 0
 
 
-class TestReadSince:
-    def test_first_read_is_whole_then_only_appended_events(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl")
-        for index in range(3):
-            journal.append("estimate", index=index)
-        result, cursor, appended = journal.read_since()
-        assert not appended
-        assert result.events == journal.read().events
-        journal.append("actual", index=3)
-        journal.append("actual", index=4)
-        result, cursor, appended = journal.read_since(cursor)
-        assert appended
-        assert [e.payload["index"] for e in result.events] == [3, 4]
-        result, _, appended = journal.read_since(cursor)
-        journal.close()
-        assert appended and result.events == ()
-
-    def test_unchanged_journal_reads_no_file(self, tmp_path, monkeypatch):
-        journal = EventJournal(tmp_path / "j.jsonl")
-        journal.append("estimate", index=0)
-        _, cursor, _ = journal.read_since()
-        monkeypatch.setattr(jmod, "open", None, raising=False)  # any read fails
-        result, again, appended = journal.read_since(cursor)
-        journal.close()
-        assert appended and result.events == () and again is cursor
-
-    def test_line_being_written_is_returned_once_complete(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = EventJournal(path)
-        journal.append("estimate", index=0)
-        _, cursor, _ = journal.read_since()
-        line = JournalEvent(seq=2, type="actual", payload={"index": 1}).to_line()
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line[:20])
-        result, cursor, appended = journal.read_since(cursor)
-        assert appended and result.events == () and result.corrupt_lines == 0
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(line[20:] + "\n")
-        result, _, appended = journal.read_since(cursor)
-        journal.close()
-        assert appended
-        assert [e.payload for e in result.events] == [{"index": 1}]
-
-    @pytest.mark.parametrize("before", [0, 1])
-    def test_rotation_rereads_the_whole_journal(self, tmp_path, before):
-        path = tmp_path / "j.jsonl"
-        journal = EventJournal(path, max_bytes=1024, max_files=2)
-        for index in range(before):
-            journal.append("estimate", index=index, padding="x" * 64)
-        _, cursor, _ = journal.read_since()
-        for index in range(before, 40):
-            journal.append("estimate", index=index, padding="x" * 64)
-        result, _, appended = journal.read_since(cursor)
-        journal.close()
-        assert not appended
-        assert result.events == read_journal(path, max_files=2).events
-        assert result.events[0].payload["index"] > 0  # the oldest were dropped
-
-    def test_rewritten_file_is_read_whole(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = EventJournal(path)
-        for index in range(3):
-            journal.append("estimate", index=index)
-        _, cursor, _ = journal.read_since()
-        journal.close()
-        os.remove(path)
-        journal = EventJournal(path)
-        for index in range(5):
-            journal.append("actual", index=index)
-        result, _, appended = journal.read_since(cursor)
-        journal.close()
-        assert not appended
-        assert [e.type for e in result.events] == ["actual"] * 5
-
-    def test_tails_add_up_to_the_journal(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl")
-        cursor, events = None, []
-        for batch in (0, 1, 2, 0, 5, 3):
-            for index in range(batch):
-                journal.append("estimate", index=index)
-            result, cursor, appended = journal.read_since(cursor)
-            events = (events if appended else []) + list(result.events)
-        assert tuple(events) == journal.read().events
-        journal.close()
-
-
 class TestSequenceResumption:
     def test_seq_continues_across_reopen(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -358,6 +272,40 @@ class TestReplayUnits:
         assert registry.counter("tuning.folds").value == 1
         assert registry.counter("tuning.entries_folded").value == 12
         assert registry.counter("drift.alarms").value == 1
+
+    def test_drift_reset_clears_the_alarm_and_counts_nothing(self):
+        events = [
+            JournalEvent(
+                seq=1,
+                type="drift",
+                payload={"system": "hive", "direction": "slower",
+                         "statistic": 12.5, "observations": 40},
+            ),
+            JournalEvent(seq=2, type="drift_reset", payload={"system": "hive"}),
+        ]
+        result = replay(events)
+        assert result.counts == {"drift": 1, "drift_reset": 1}
+        assert result.drift["hive"]["drifted"] is False
+        assert result.registry.counter("drift.alarms").value == 1
+        assert set(result.registry.snapshot()) == {"drift.alarms"}
+
+    @pytest.mark.parametrize("spelling", ["Infinity", "1e309"])
+    def test_non_finite_times_are_skipped(self, tmp_path, spelling):
+        """JSON readers accept ``Infinity`` and overflowing literals; an
+        actual carrying one must not reach the ledger, which rejects it."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            '{"payload":{"actual_seconds":%s,"estimated_seconds":1.0,'
+            '"operator":"join","system":"hive"},"seq":1,"type":"actual",'
+            '"v":1}\n'
+            '{"payload":{"actual_seconds":2.0,"estimated_seconds":%s,'
+            '"operator":"join","system":"hive"},"seq":2,"type":"actual",'
+            '"v":1}\n' % (spelling, spelling)
+        )
+        result = replay(path)
+        assert result.applied == 2
+        assert len(result.ledger) == 0
+        assert result.ledger.history() == {}
 
     def test_reducer_table_covers_exactly_the_event_types(self):
         """One reducer per journaled event type, no more, no fewer."""
@@ -557,6 +505,9 @@ def test_replay_in_process_is_bit_identical(tmp_path, cached):
     for name, data in _comparable_metrics(registry.snapshot()).items():
         assert data == live_metrics[name], name
     assert ledger.snapshot() == live_ledger.snapshot()
+    # The dashboard's history is the ledger's, so it matches live too.
+    assert ledger.history() == live_ledger.history()
+    assert ledger.history()["hive"]
 
 
 @WORKLOADS

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.ledger import AccuracyLedger, AccuracyStats
+from repro.obs.ledger import HISTORY_POINTS, AccuracyLedger, AccuracyStats
 
 
 def _fill(ledger, estimates, actuals, **kwargs):
@@ -122,6 +122,34 @@ class TestSnapshotAndReset:
         ledger.reset()
         assert len(ledger) == 0
         assert ledger.snapshot() == {}
+        assert ledger.history() == {}
+
+
+class TestHistory:
+    def test_record_order_across_operators(self):
+        ledger = AccuracyLedger()
+        ledger.record("hive", "join", 2.0, 1.0)
+        ledger.record("hive", "scan", 1.0, 3.0)
+        ledger.record("spark", "join", 1.0, 1.0)
+        ledger.record("hive", "aggregate", 4.0, 1.0)
+        assert ledger.history() == {"hive": [2.0, 3.0, 4.0], "spark": [1.0]}
+
+    def test_trims_to_newest_points_whatever_the_window(self):
+        ledger = AccuracyLedger(window=2)
+        _fill(
+            ledger,
+            [float(i) for i in range(1, HISTORY_POINTS + 6)],
+            [1.0] * (HISTORY_POINTS + 5),
+        )
+        series = ledger.history()["hive"]
+        assert series == [float(i) for i in range(6, HISTORY_POINTS + 6)]
+        assert len(ledger) == 2
+
+    def test_unnamed_system_keeps_no_history(self):
+        ledger = AccuracyLedger()
+        ledger.record("", "join", 2.0, 1.0)
+        assert len(ledger) == 1
+        assert ledger.history() == {}
 
 
 class TestConcurrency:

@@ -850,105 +850,77 @@ class TestFirstUse:
         server.render_alerts()
         assert server.engine is engine
 
-    @pytest.fixture()
-    def journal(self, obs_state, tmp_path):
+    @staticmethod
+    def record_reads(monkeypatch, prefix):
+        """Paths under ``prefix`` (the journal's files) opened for
+        reading from now on."""
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and str(file).startswith(prefix):
+                opened.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return opened
+
+    def test_dashboard_under_traffic_opens_no_journal(
+        self, obs_state, tmp_path, monkeypatch
+    ):
+        """The live page charts the in-memory ledger ``record_actual``
+        feeds, never the journal it also writes."""
         journal = obs.EventJournal(tmp_path / "journal.jsonl")
-        previous = install_over(obs_state, journal=journal)
-        yield journal
-        obs.install(previous)
-        journal.close()
-
-    @staticmethod
-    def actual(journal, index, q_error):
-        journal.append(
-            "actual",
-            system="hive",
-            operator="join",
-            approach="sub_op",
-            estimated_seconds=1.0,
-            actual_seconds=q_error,
-            query_id=f"q-{index:06d}",
-        )
-
-    @staticmethod
-    def record_reads(monkeypatch):
-        """Journal files opened for reading, and each ``read_since``'s
-        (appended, events) pair."""
-        from repro.obs import journal as journal_mod
-
-        opened, reads = [], []
-        real_open, real_read_since = open, journal_mod.EventJournal.read_since
-
-        def counting_open(path, mode="r", *args, **kwargs):
-            if "r" in mode:
-                opened.append(path)
-            return real_open(path, mode, *args, **kwargs)
-
-        def recording_read_since(journal, cursor=None):
-            result, cursor, appended = real_read_since(journal, cursor)
-            reads.append((appended, len(result.events)))
-            return result, cursor, appended
-
-        monkeypatch.setattr(journal_mod, "open", counting_open, raising=False)
-        monkeypatch.setattr(
-            journal_mod.EventJournal, "read_since", recording_read_since
-        )
-        return opened, reads
-
-    def test_dashboard_folds_the_journal_only_when_it_changed(
-        self, journal, monkeypatch
-    ):
-        for index in range(5):
-            self.actual(journal, index, 2.0)
-        opened, reads = self.record_reads(monkeypatch)
-        server = ObsServer(port=0)
-        counts, pages = [], []
-        for append in (False, False, True):
-            if append:
-                self.actual(journal, 5, 9.0)
-            pages.append(server.render_dashboard())
-            counts.append(len(opened))
-        uncached = ObsServer(port=0).render_dashboard()
-        assert counts == [1, 1, 2]
-        assert reads == [(False, 5), (True, 0), (True, 1), (False, 6)]
-        assert pages[0] == pages[1]
-        assert pages[2] != pages[1]
-        assert pages[2] == uncached
-
-    def test_dashboard_under_traffic_folds_only_the_tail(
-        self, journal, monkeypatch
-    ):
-        for index in range(130):  # more than the history keeps
-            self.actual(journal, index, 1.0 + index % 7)
-        server = ObsServer(port=0)
-        server.render_dashboard()
-        opened, reads = self.record_reads(monkeypatch)
-        for round_ in range(3):
-            for index in range(20):  # serving journals every estimate
-                journal.append("estimate", system="hive", query_id=f"e-{index}")
-            self.actual(journal, 100 + round_, 3.0 + round_)
-            page = server.render_dashboard()
-        assert reads == [(True, 21)] * 3
-        assert len(opened) == 3
-        assert page == ObsServer(port=0).render_dashboard()
-
-    def test_dashboard_folds_again_after_rotation(self, obs_state, tmp_path):
-        journal = obs.EventJournal(
-            tmp_path / "journal.jsonl", max_bytes=2048, max_files=1
-        )
-        previous = install_over(obs_state, journal=journal)
+        ledger = obs.AccuracyLedger()
+        previous = install_over(obs_state, journal=journal, ledger=ledger)
         try:
-            for index in range(5):
-                self.actual(journal, index, 50.0)
+            opened = self.record_reads(monkeypatch, journal.path)
             server = ObsServer(port=0)
-            first = server.render_dashboard()
-            # Enough to rotate twice: the first five fall out of the journal.
-            for index in range(5, 40):
-                self.actual(journal, index, 1.0 + index / 10)
-            page = server.render_dashboard()
-            uncached = ObsServer(port=0).render_dashboard()
+            for round_ in range(3):
+                for index in range(20):  # serving journals every estimate
+                    journal.append(
+                        "estimate", system="hive", query_id=f"e-{index}"
+                    )
+                q_error = 3.0 + round_
+                ledger.record("hive", "join", 1.0, q_error, approach="sub_op")
+                journal.append(
+                    "actual",
+                    system="hive",
+                    operator="join",
+                    approach="sub_op",
+                    estimated_seconds=1.0,
+                    actual_seconds=q_error,
+                )
+                page = server.render_dashboard()
+            assert opened == []
+            replayed = obs.replay(journal.path).ledger
         finally:
             obs.install(previous)
             journal.close()
-        assert page != first
-        assert page == uncached
+        assert replayed.history() == ledger.history() == {"hive": [3.0, 4.0, 5.0]}
+        previous = install_over(obs_state, ledger=replayed)
+        try:
+            assert ObsServer(port=0).render_dashboard() == page
+        finally:
+            obs.install(previous)
+
+    def test_dashboard_charts_the_ledger_without_journal_or_windows(self):
+        ledger = obs.AccuracyLedger()
+        previous = obs.install(
+            obs.ObsPlane(ledger=ledger, journal=obs.NOOP_JOURNAL)
+        )
+        try:
+            assert obs.plane().timeseries is None
+            for q_error in (1.5, 4.0, 2.0):
+                ledger.record("hive", "join", 1.0, q_error)
+            page = ObsServer(port=0).render_dashboard()
+        finally:
+            obs.install(previous)
+        history = page[page.index("Accuracy history"):]
+        assert '<svg class="spark"' in history
+        assert (
+            '<td class="num">2.00</td><td class="num">4.00</td>'
+            '<td class="num">3</td>'
+        ) in history

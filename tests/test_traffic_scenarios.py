@@ -7,9 +7,12 @@ and health returns to healthy — all in one process, in a couple of
 seconds.
 """
 
+import json
+
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.workloads.scenarios import (
     SCENARIOS,
@@ -17,6 +20,7 @@ from repro.workloads.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.workloads.traffic import TrafficSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +111,32 @@ class TestMiniRuns:
         run_scenario("steady", queries=60, journal_path=str(paths[1]), seed=1)
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
+    def test_second_run_into_one_journal_checks_only_its_own_events(
+        self, tmp_path
+    ):
+        """A journal appends across runs; each run's checks and tallies
+        cover the events that run appended."""
+        journal = str(tmp_path / "journal.jsonl")
+        reports = []
+        for _ in range(2):
+            result = run_scenario("out-of-range", queries=120, journal_path=journal)
+            for check in result.checks:
+                assert check.passed, f"{check.name}: {check.detail}"
+            reports.append(result.report)
+        first, second = (
+            (
+                report.drift_alarms,
+                report.remedy_activations,
+                report.alpha_recalibrations,
+                report.tuning_runs,
+                report.tuning_entries,
+                report.replay_detail,
+            )
+            for report in reports
+        )
+        assert first == second
+        assert first[0] == 1 and first[1] > 0
+
     def test_mini_drift_run_fails_its_checks(self, tmp_path):
         """Scaled far below its recovery timers, the drift scenario
         cannot complete the loop — the check verdicts must say so."""
@@ -137,3 +167,27 @@ class TestFullLoop:
         assert report.recoveries >= 1
         assert report.final_health.get("hive") == "healthy"
         assert report.replay_consistent, report.replay_detail
+
+    def test_replayed_journal_agrees_with_the_live_run(self, tmp_path, capsys):
+        """Replay rebuilds what the live run ended with: the recovery's
+        drift reset clears the alarm, and the ledger's q-error history
+        (what the dashboard charts) is the live one."""
+        journal = tmp_path / "journal.jsonl"
+        simulator = TrafficSimulator(
+            get_scenario("table-growth-drift").config,
+            journal_path=str(journal),
+        )
+        report = simulator.run()
+        assert report.recoveries >= 1
+        costing = simulator.sphere.costing
+        replayed = obs.replay(journal)
+        live_drift = costing.drift_snapshot()["hive"]["drifted"]
+        assert replayed.drift["hive"]["drifted"] == live_drift
+        assert replayed.ledger.history() == costing.ledger.history()
+        capsys.readouterr()
+        main(["alerts", "--journal", str(journal), "--no-emit", "--json"])
+        alerts = json.loads(capsys.readouterr().out)["alerts"]
+        assert not [
+            alert for alert in alerts
+            if alert["rule"] == "drift-alarm" and alert["firing"]
+        ]
