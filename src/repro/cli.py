@@ -445,16 +445,11 @@ def cmd_health(args: argparse.Namespace) -> int:
         )
         return 1 if breached else 0
     if healths:
-        print(
-            f"{'system':<12} {'grade':<9} {'score':>6} "
-            f"{'accuracy':>9} {'drift':>6} {'remedy':>7} {'cache':>6} {'obs':>5}"
-        )
+        print(f"{'system':<12} {'grade':<9} {'obs':>5}  firing health rules")
         for h in healths:
             print(
-                f"{h.system:<12} {h.grade:<9} {h.score:>6.2f} "
-                f"{h.components['accuracy']:>9.2f} {h.components['drift']:>6.2f} "
-                f"{h.components['remedy']:>7.2f} {h.components['cache']:>6.2f} "
-                f"{h.observations:>5d}"
+                f"{h.system:<12} {h.grade:<9} {h.observations:>5d}  "
+                f"{', '.join(h.firing) or '-'}"
             )
     else:
         print("no remote-system signals yet")
@@ -860,17 +855,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.set_defaults(func=cmd_stats)
 
-    for name, func, help_text in (
-        ("alerts", cmd_alerts, "evaluate SLO alert rules (exit 1 on breach)"),
-        ("health", cmd_health, "per-remote-system health verdict"),
+    for name, func, help_text, rules_help in (
+        ("alerts", cmd_alerts, "evaluate SLO alert rules (exit 1 on breach)",
+         "JSON rule set overriding the built-in SLO rules"),
+        ("health", cmd_health, "grade each remote system by its q-error, drift, "
+         "remedy and cache SLO rules (exit 1 on breach)",
+         "JSON rule set for the listed alerts (grades use the built-in rules)"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         _add_source_args(cmd)
-        cmd.add_argument(
-            "--rules",
-            metavar="FILE",
-            help="JSON rule set overriding the built-in SLO rules",
-        )
+        cmd.add_argument("--rules", metavar="FILE", help=rules_help)
         cmd.add_argument(
             "--json", action="store_true", help="machine-readable output"
         )

@@ -438,7 +438,7 @@ class CostEstimationModule:
                 request.system, self.generation(request.system), request.stats
             )
             keys[index] = key
-            cached = self.cache.get(key) if self.cache.enabled else None
+            cached = self.cache.get(key, request.stats) if self.cache.enabled else None
             if cached is not None:
                 results[index] = cached
                 hits += 1

@@ -39,6 +39,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from repro import obs
 from repro.core.estimator import OperatorEstimate
+from repro.core.logical_op import CostEstimate
 from repro.core.operators import OperatorStats, operator_kind_for
 from repro.exceptions import ConfigurationError
 
@@ -150,8 +151,15 @@ class EstimateCache:
     def enabled(self) -> bool:
         return self.max_entries > 0
 
-    def get(self, key: Hashable) -> Optional[OperatorEstimate]:
-        """The cached estimate for ``key``, marked as a cache hit."""
+    def get(
+        self, key: Hashable, stats: Optional[OperatorStats] = None
+    ) -> Optional[OperatorEstimate]:
+        """The cached estimate for ``key``, marked as a cache hit.
+
+        Given the request's ``stats``, a logical-op hit logs their
+        features for offline tuning, not those of the bucket-mate that
+        filled the entry; seconds and remedy detail stay the entry's.
+        """
         self._acquire()
         try:
             estimate = self._entries.get(key)
@@ -172,7 +180,10 @@ class EstimateCache:
             "costing.estimate_cache.hits",
             help="estimates served from the quantized-key cache",
         ).inc()
-        return dataclasses.replace(estimate, cache_hit=True)
+        detail = estimate.detail
+        if stats is not None and isinstance(detail, CostEstimate):
+            detail = dataclasses.replace(detail, features=stats.features())
+        return dataclasses.replace(estimate, detail=detail, cache_hit=True)
 
     def put(self, key: Hashable, estimate: OperatorEstimate) -> None:
         if not self.enabled:

@@ -48,7 +48,7 @@ around that loop:
   thresholds over metrics/ledger/drift/cache observations, journals
   schema-versioned ``alert`` events on firing/resolved transitions;
 * :mod:`repro.obs.health` — observation snapshots and the
-  per-remote-system composite health score;
+  per-remote-system health grade, read from four alert rules' states;
 * :mod:`repro.obs.dashboard` — the self-contained HTML health
   dashboard with the ledger's q-error sparklines;
 * :mod:`repro.obs.timeseries` — the live telemetry plane: a windowed

@@ -80,6 +80,8 @@ __all__ = [
     "AlertReport",
     "AlertEngine",
     "default_rules",
+    "evaluate_rule",
+    "rule_instances",
     "rules_from_json",
     "load_rules",
 ]
@@ -445,7 +447,7 @@ def _mapping(observation: Mapping[str, object], key: str) -> Mapping[str, object
     return value if isinstance(value, Mapping) else {}
 
 
-def _instances(observation: Mapping[str, object], signal: str) -> List[str]:
+def rule_instances(observation: Mapping[str, object], signal: str) -> List[str]:
     """Concrete instances a wildcard signal expands to (sorted)."""
     parts = signal.split(":")
     if len(parts) < 2:
@@ -498,6 +500,43 @@ def _exemplars_for(
     return ()
 
 
+def evaluate_rule(
+    rule: AlertRule,
+    instance: str,
+    observation: Mapping[str, object],
+    value: Optional[float] = None,
+) -> Optional[Alert]:
+    """One (rule, instance) against one observation: a pure function.
+
+    ``value`` is the reading to compare — by default the rule's signal
+    resolved in ``observation``; the engine passes a ``delta`` rule's
+    change since its previous evaluation.  ``None`` when the signal is
+    absent.
+    """
+    if value is None:
+        value = _resolve_scalar(observation, rule.signal, instance)
+        if value is None:
+            return None
+    firing = rule.compare(value)
+    if firing and rule.guard is not None:
+        guard_signal, minimum = rule.guard
+        guard_value = _resolve_scalar(observation, guard_signal, instance)
+        if guard_value is None or guard_value < minimum:
+            firing = False
+    return Alert(
+        rule=rule.name,
+        instance=instance,
+        severity=rule.severity,
+        signal=rule.signal,
+        op=rule.op,
+        threshold=rule.threshold,
+        value=value,
+        firing=firing,
+        exemplars=_exemplars_for(observation, instance) if firing else (),
+        description=rule.description,
+    )
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -547,7 +586,7 @@ class AlertEngine:
         fired: List[str] = []
         resolved: List[str] = []
         for rule in self.rules:
-            for instance in _instances(observation, rule.signal):
+            for instance in rule_instances(observation, rule.signal):
                 alert = self._evaluate_one(rule, instance, observation)
                 if alert is None:
                     continue
@@ -599,32 +638,17 @@ class AlertEngine:
         instance: str,
         observation: Mapping[str, object],
     ) -> Optional[Alert]:
+        if rule.mode != "delta":
+            return evaluate_rule(rule, instance, observation)
         value = _resolve_scalar(observation, rule.signal, instance)
         if value is None:
             return None
-        if rule.mode == "delta":
-            state_key = f"{rule.name}|{instance}"
-            previous = self._prev_values.get(state_key)
-            self._prev_values[state_key] = value
-            # First sight of a counter establishes the baseline only.
-            value = 0.0 if previous is None else value - previous
-        firing = rule.compare(value)
-        if firing and rule.guard is not None:
-            guard_signal, minimum = rule.guard
-            guard_value = _resolve_scalar(observation, guard_signal, instance)
-            if guard_value is None or guard_value < minimum:
-                firing = False
-        return Alert(
-            rule=rule.name,
-            instance=instance,
-            severity=rule.severity,
-            signal=rule.signal,
-            op=rule.op,
-            threshold=rule.threshold,
-            value=value,
-            firing=firing,
-            exemplars=_exemplars_for(observation, instance) if firing else (),
-            description=rule.description,
+        state_key = f"{rule.name}|{instance}"
+        previous = self._prev_values.get(state_key)
+        self._prev_values[state_key] = value
+        # First sight of a counter establishes the baseline only.
+        return evaluate_rule(
+            rule, instance, observation, 0.0 if previous is None else value - previous
         )
 
     def _emit(

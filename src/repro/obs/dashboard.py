@@ -5,10 +5,10 @@ assets — that an operator can open from a CI artifact or scp off a box
 with no serving infrastructure.  It renders three things from the same
 inputs the CLI's ``health``/``alerts`` commands use:
 
-* a **health tile** per remote system (grade, composite score, and the
-  component breakdown from :mod:`repro.obs.health`);
+* a **health tile** per remote system (its grade and the health rules
+  firing for it, from :mod:`repro.obs.health`);
 * the **alert table** from the latest :class:`~repro.obs.alerts.AlertReport`,
-  firing rows first, with exemplar query ids attached;
+  firing rows first, with each rule's value and exemplar query ids;
 * a **q-error sparkline** per system, the observation's ``history``
   slice (:meth:`repro.obs.ledger.AccuracyLedger.history`): the same
   ledger the health tiles and alerts read, live or replayed from a
@@ -33,6 +33,7 @@ from repro.obs.alerts import AlertReport
 from repro.obs.flamegraph import FLAME_RULES, render_flamegraph_fragment
 from repro.obs.health import SystemHealth
 from repro.obs.htmlpage import esc, page, style
+from repro.obs.tenants import rank_tenants
 from repro.obs.timeseries import WindowSummary
 
 __all__ = ["render_dashboard"]
@@ -82,15 +83,12 @@ def _sparkline(
 
 
 def _health_tile(health: SystemHealth) -> str:
-    components = " · ".join(
-        f"{name} {value:.2f}" for name, value in sorted(health.components.items())
-    )
+    firing = ", ".join(health.firing) or "no health rule firing"
     return (
         '<div class="tile">'
         f"<h3>{esc(health.system)}</h3>"
-        f'<span class="grade grade-{esc(health.grade)}">{esc(health.grade)}</span> '
-        f'<strong>{health.score:.2f}</strong>'
-        f'<div class="muted">{esc(components)}</div>'
+        f'<span class="grade grade-{esc(health.grade)}">{esc(health.grade)}</span>'
+        f'<div class="muted">{esc(firing)}</div>'
         f'<div class="muted">{health.observations} ledger observations</div>'
         "</div>"
     )
@@ -129,17 +127,13 @@ def _window_series(
 def _tenant_rows(
     tenants: Mapping[str, Mapping[str, object]],
 ) -> List[str]:
-    """Tenant table rows ranked by estimated cost (desc, name tiebreak)."""
+    """Tenant table rows, most expensive first (:func:`rank_tenants`)."""
     def _num(stats: Mapping[str, object], key: str) -> float:
         value = stats.get(key, 0)
         return float(value) if isinstance(value, (int, float)) else 0.0
 
-    ranked = sorted(
-        tenants.items(),
-        key=lambda item: (-_num(item[1], "estimated_seconds"), item[0]),
-    )
     rows: List[str] = []
-    for tenant, stats in ranked:
+    for tenant, stats in rank_tenants(tenants):
         rows.append(
             f"<tr><td><code>{esc(tenant)}</code></td>"
             f'<td class="num">{int(_num(stats, "queries"))}</td>'

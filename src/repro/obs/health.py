@@ -1,10 +1,10 @@
-"""Per-remote-system health: observations and the composite score.
+"""Per-remote-system health: observations and the grade view.
 
 The alert engine (:mod:`repro.obs.alerts`) answers "which SLO rules are
 breached"; this module answers the coarser operator question "is each
-remote system OK".  Both consume the same input: an **observation**, a
-plain JSON-serializable dict that snapshots every signal the
-observability stack produces:
+remote system OK" from the states of four of those rules.  Both consume
+the same input: an **observation**, a plain JSON-serializable dict that
+snapshots every signal the observability stack produces:
 
 .. code-block:: python
 
@@ -32,14 +32,14 @@ journal in a fresh process — the CI health gate path).  Either way the
 evaluation downstream is a pure function of the observation, so health
 verdicts are reproducible from the journal alone.
 
-The composite score per system multiplies four component scores in
-``[0, 1]`` — accuracy (inverse rolling mean q-error), drift (collapses
-on a raised CUSUM alarm), remedy (degrades as the online remedy
-overrides more estimates — the remedy keeps answers usable but means
-the models themselves are off), and cache behaviour (global; only
-counted once warmed up).  Multiplication, not averaging: any single
-collapsed component should tank the verdict, because each one is
-individually sufficient evidence of trouble.
+A system's grade is the worst severity among the :data:`HEALTH_RULES`
+firing for it — ``slo-q-error`` (accuracy), ``drift-alarm``,
+``remedy-saturation`` (the remedy keeps answers usable but means the
+models themselves are off) and ``cache-hit-rate`` (global: it grades
+every system) — evaluated through the same per-rule function
+(:func:`repro.obs.alerts.evaluate_rule`) the alert engine uses, with
+the rules' own thresholds and warm-up guards: a firing critical rule
+grades ``critical``, a firing warning ``degraded``, none ``healthy``.
 
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages.
@@ -47,7 +47,7 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.config import plane
@@ -57,6 +57,7 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "OBSERVATION_VERSION",
     "GRADES",
+    "HEALTH_RULES",
     "SystemHealth",
     "build_observation",
     "observation_from_snapshot",
@@ -70,13 +71,14 @@ OBSERVATION_VERSION = 1
 #: Health grades, best first.
 GRADES: Tuple[str, ...] = ("healthy", "degraded", "critical")
 
-#: Grade boundaries on the composite score.
-_HEALTHY_FLOOR = 0.75
-_DEGRADED_FLOOR = 0.40
-
-#: Cache behaviour only influences health once this many lookups have
-#: happened — a cold cache is not a sick cache.
-_CACHE_WARMUP_LOOKUPS = 64
+#: The alert rules whose states grade a system: accuracy, drift, remedy
+#: saturation and the estimate cache (DESIGN §8.3).
+HEALTH_RULES: Tuple[str, ...] = (
+    "slo-q-error",
+    "drift-alarm",
+    "remedy-saturation",
+    "cache-hit-rate",
+)
 
 _EMPTY_CACHE: Dict[str, float] = {
     "hits": 0,
@@ -199,126 +201,72 @@ class SystemHealth:
 
     Attributes:
         system: The remote system's name.
-        score: Composite score in ``[0, 1]`` (product of components).
-        grade: ``healthy`` / ``degraded`` / ``critical``.
-        components: Each component score by name (``accuracy``,
-            ``drift``, ``remedy``, ``cache``).
-        observations: Ledger sample size behind the accuracy component.
+        grade: ``healthy`` / ``degraded`` / ``critical``: the worst
+            severity among the :data:`HEALTH_RULES` firing for the
+            system (warning → degraded, critical → critical).
+        firing: Keys of those firing alerts, sorted
+            (``slo-q-error|hive/join``, ``cache-hit-rate``).
+        observations: Ledger sample size over the system's operators.
     """
 
     system: str
-    score: float
     grade: str
-    components: Dict[str, float]
+    firing: Tuple[str, ...]
     observations: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "system": self.system,
-            "score": self.score,
-            "grade": self.grade,
-            "components": dict(self.components),
-            "observations": self.observations,
-        }
-
-
-def _grade(score: float) -> str:
-    if score >= _HEALTHY_FLOOR:
-        return "healthy"
-    if score >= _DEGRADED_FLOOR:
-        return "degraded"
-    return "critical"
-
-
-def _as_float(value: object, default: float = 0.0) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, (int, float)):
-        return float(value)
-    return default
-
-
-def _cache_score(cache: Mapping[str, object]) -> float:
-    lookups = _as_float(cache.get("lookups"))
-    if lookups < _CACHE_WARMUP_LOOKUPS:
-        return 1.0
-    hit_rate = _as_float(cache.get("hit_rate"))
-    # A 0% hit rate under real traffic halves the component, never
-    # zeroes it — a cold-pattern workload is a cost problem, not an
-    # accuracy problem.
-    return 0.5 + 0.5 * max(0.0, min(1.0, hit_rate))
+        return asdict(self)
 
 
 def evaluate_health(observation: Mapping[str, object]) -> List[SystemHealth]:
-    """Score every remote system present in one observation.
+    """Grade every remote system present in one observation.
 
     Systems are discovered from the ledger's ``system/operator`` keys
     and the drift map; a system with no signals at all is simply absent.
-    Returned sorted by system name for deterministic output.
+    A rule instance names its system by its first path segment; the
+    instance-less ``cache-hit-rate`` applies to every system.  Returned
+    sorted by system name for deterministic output.
     """
+    # Imported here: ``repro.obs.rebuild`` builds observations through
+    # this module, and a journal replay needs no rule engine.
+    from repro.obs import alerts
+
     ledger = observation.get("ledger")
-    ledger = ledger if isinstance(ledger, Mapping) else {}
     drift = observation.get("drift")
+    counts: Dict[str, float] = {}
+    for key, stats in (ledger if isinstance(ledger, Mapping) else {}).items():
+        count = stats.get("count") if isinstance(stats, Mapping) else None
+        if isinstance(count, (int, float)) and count > 0:
+            system = str(key).split("/", 1)[0]
+            counts[system] = counts.get(system, 0) + count
     drift = drift if isinstance(drift, Mapping) else {}
-    cache = observation.get("cache")
-    cache = cache if isinstance(cache, Mapping) else {}
-
-    # Count-weighted accuracy aggregates per system across operators.
-    totals: Dict[str, Dict[str, float]] = {}
-    for key, stats in ledger.items():
-        if not isinstance(stats, Mapping):
+    by_system: Dict[str, List[alerts.Alert]] = {
+        system: [] for system in sorted(set(counts) | {str(s) for s in drift})
+    }
+    for rule in alerts.default_rules():
+        if rule.name not in HEALTH_RULES:
             continue
-        system = str(key).split("/", 1)[0]
-        count = _as_float(stats.get("count"))
-        if count <= 0:
-            continue
-        bucket = totals.setdefault(
-            system, {"count": 0.0, "q_error": 0.0, "remedy": 0.0}
+        for instance in alerts.rule_instances(observation, rule.signal):
+            alert = alerts.evaluate_rule(rule, instance, observation)
+            if alert is None or not alert.firing:
+                continue
+            for system in (instance.split("/", 1)[0],) if instance else by_system:
+                if system in by_system:
+                    by_system[system].append(alert)
+    # SEVERITIES and GRADES align: warning → degraded, critical → critical.
+    return [
+        SystemHealth(
+            system=system,
+            grade=GRADES[
+                max((alerts.SEVERITIES.index(a.severity) for a in fired), default=0)
+            ],
+            firing=tuple(sorted(alert.key for alert in fired)),
+            observations=int(counts.get(system, 0)),
         )
-        bucket["count"] += count
-        bucket["q_error"] += count * _as_float(stats.get("mean_q_error"), 1.0)
-        bucket["remedy"] += count * _as_float(stats.get("remedy_fraction"))
-
-    systems = sorted(set(totals) | {str(s) for s in drift})
-    cache_score = _cache_score(cache)
-    healths: List[SystemHealth] = []
-    for system in systems:
-        bucket = totals.get(system)
-        if bucket and bucket["count"] > 0:
-            count = bucket["count"]
-            mean_q = max(1.0, bucket["q_error"] / count)
-            remedy_fraction = max(0.0, min(1.0, bucket["remedy"] / count))
-            accuracy = min(1.0, 1.0 / mean_q)
-        else:
-            count = 0.0
-            accuracy = 1.0
-            remedy_fraction = 0.0
-        report = drift.get(system)
-        drifted = isinstance(report, Mapping) and bool(report.get("drifted"))
-        drift_score = 0.25 if drifted else 1.0
-        remedy_score = 1.0 - 0.5 * remedy_fraction
-        components = {
-            "accuracy": round(accuracy, 4),
-            "drift": drift_score,
-            "remedy": round(remedy_score, 4),
-            "cache": round(cache_score, 4),
-        }
-        score = round(accuracy * drift_score * remedy_score * cache_score, 4)
-        healths.append(
-            SystemHealth(
-                system=system,
-                score=score,
-                grade=_grade(score),
-                components=components,
-                observations=int(count),
-            )
-        )
-    return healths
+        for system, fired in by_system.items()
+    ]
 
 
 def worst_grade(healths: List[SystemHealth]) -> Optional[str]:
     """The worst grade across systems, or ``None`` with no systems."""
-    worst = -1
-    for health in healths:
-        worst = max(worst, GRADES.index(health.grade))
-    return GRADES[worst] if worst >= 0 else None
+    return max((health.grade for health in healths), key=GRADES.index, default=None)

@@ -339,6 +339,11 @@ class EventJournal:
             os.makedirs(directory, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self._size = self._fh.tell()
+        if self._size and not _ends_with_newline(self.path):
+            # A crash tore the last line: end it, so the next event
+            # starts a line of its own instead of joining the torn one.
+            self._fh.write("\n")
+            self._size += 1
 
     def _rotate(self) -> None:
         """Shift generations up and start a fresh active file."""
@@ -389,6 +394,13 @@ def _generation_paths(path: str, max_files: int) -> List[str]:
     if os.path.exists(path):
         paths.append(path)
     return paths
+
+
+def _ends_with_newline(path: str) -> bool:
+    """True when the file's last byte is a newline."""
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) == b"\n"
 
 
 def _last_complete_line(fh) -> Optional[bytes]:

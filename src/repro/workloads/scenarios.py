@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.obs.health import GRADES
 from repro.workloads.traffic import (
     BurstyArrivals,
     DiurnalArrivals,
@@ -48,8 +49,6 @@ __all__ = [
 #: The smallest traffic volume a scenario may be rescaled to.
 MIN_QUERIES = 50
 
-_GRADE_ORDER = {"critical": 0, "degraded": 1, "healthy": 2}
-
 
 # ----------------------------------------------------------------------
 # Checks
@@ -70,13 +69,6 @@ class CheckOutcome:
 
     def to_dict(self) -> Dict[str, object]:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-def _worst_grade(report: TrafficReport) -> str:
-    grades = report.final_health.values()
-    if not grades:
-        return "critical"
-    return min(grades, key=lambda grade: _GRADE_ORDER.get(grade, 0))
 
 
 def _check_drift_alarm(report: TrafficReport, **params) -> Tuple[bool, str]:
@@ -121,8 +113,8 @@ def _check_tuning(report: TrafficReport, **params) -> Tuple[bool, str]:
 
 def _check_health(report: TrafficReport, **params) -> Tuple[bool, str]:
     wanted = str(params.get("at_least", "healthy"))
-    worst = _worst_grade(report)
-    ok = _GRADE_ORDER.get(worst, 0) >= _GRADE_ORDER.get(wanted, 2)
+    worst = max(report.final_health.values(), key=GRADES.index, default="critical")
+    ok = GRADES.index(worst) <= GRADES.index(wanted)
     return ok, f"final health {report.final_health or '{}'} (need >= {wanted})"
 
 

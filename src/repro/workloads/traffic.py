@@ -788,11 +788,11 @@ class TrafficSimulator:
         # health verdict, and two same-seed runs see identical state.
         # The caller's plane is back once the run returns or raises.
         ledger = obs.AccuracyLedger(window=config.ledger_window)
-        journal = (
-            obs.EventJournal(self.journal_path)
-            if self.journal_path
-            else obs.NoopJournal()
-        )
+        journal = obs.NoopJournal()
+        corrupt_before = 0
+        if self.journal_path:
+            journal = obs.EventJournal(self.journal_path)
+            corrupt_before = obs.read_journal(self.journal_path).corrupt_lines
         fields = {"ledger": ledger, "journal": journal}
         if self.flight_dir:
             fields["flight_recorder"] = obs.FlightRecorder(directory=self.flight_dir)
@@ -803,7 +803,7 @@ class TrafficSimulator:
             self._simulate(report, journal)
         finally:
             obs.install(previous)
-        self._fold_journal(report, ledger, journal)
+        self._fold_journal(report, ledger, journal, corrupt_before)
         return report
 
     def _simulate(self, report: TrafficReport, journal) -> None:
@@ -874,7 +874,9 @@ class TrafficSimulator:
     # ------------------------------------------------------------------
     # Journal accounting
     # ------------------------------------------------------------------
-    def _fold_journal(self, report: TrafficReport, ledger, journal) -> None:
+    def _fold_journal(
+        self, report: TrafficReport, ledger, journal, corrupt_before: int
+    ) -> None:
         """Count loop milestones from the journal and verify replay.
 
         The journal is the durable record, so the report's drift/remedy/
@@ -884,7 +886,8 @@ class TrafficSimulator:
         the live one; the floats round-trip exactly, so any mismatch is
         a real divergence.  A journal file appends across runs, so only
         the events this run's ``journal`` appended, the file's last, are
-        replayed.
+        replayed, and only corrupt lines beyond the ``corrupt_before``
+        it held at run start (an earlier run's torn tail) fail the check.
         """
         if not self.journal_path:
             report.replay_detail = "no journal configured"
@@ -906,9 +909,10 @@ class TrafficSimulator:
         report.tuning_entries = tally("tuning.entries_folded")
         live = ledger.snapshot()
         rebuilt = result.ledger.snapshot()
-        if read.corrupt_lines:
+        corrupt = read.corrupt_lines - corrupt_before
+        if corrupt > 0:
             report.replay_consistent = False
-            report.replay_detail = f"{read.corrupt_lines} corrupt journal lines"
+            report.replay_detail = f"{corrupt} corrupt journal lines"
         elif rebuilt != live:
             report.replay_consistent = False
             differing = sorted(

@@ -659,6 +659,33 @@ class TestHealthAndAlertCommands:
         assert data["systems"][0]["grade"] == "critical"
         assert data["alerts"]["worst_severity"] == "critical"
 
+    def test_health_rules_file_leaves_grades_unchanged(self, capsys, tmp_path):
+        import json
+
+        path = self._write_journal(tmp_path / "mild.jsonl", q_error=1.5)
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps(
+                [{
+                    "name": "strict-q",
+                    "signal": "ledger:*:mean_q_error",
+                    "op": ">",
+                    "threshold": 1.2,
+                    "severity": "critical",
+                }]
+            )
+        )
+        assert main(["health", "--journal", str(path), "--json"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        code = main(
+            ["health", "--journal", str(path), "--json", "--rules", str(rules)]
+        )
+        strict = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert strict["breached"] is True
+        assert strict["systems"] == default["systems"]
+        assert default["systems"][0]["grade"] == "healthy"
+
     def test_health_from_snapshot_file(self, capsys, tmp_path):
         from repro import obs
         from repro.obs import exporters

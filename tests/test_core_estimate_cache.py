@@ -13,7 +13,11 @@ from repro.core import (
     SubOpTrainer,
     TrainingSet,
 )
-from repro.core.operators import JoinOperatorStats, ScanOperatorStats
+from repro.core.operators import (
+    AggregateOperatorStats,
+    JoinOperatorStats,
+    ScanOperatorStats,
+)
 from repro.data import Catalog, build_paper_corpus
 from repro.engines import HiveEngine
 from repro.exceptions import ConfigurationError
@@ -350,6 +354,22 @@ def catalog(trained_setup):
 PLAN = "SELECT a1 FROM t1000000_100 WHERE a1 < 500"
 
 
+def aggregate_model():
+    """A small trained logical-op aggregation model."""
+    model = LogicalOpModel(
+        OperatorKind.AGGREGATE,
+        search_topology=False,
+        nn_iterations=300,
+        seed=0,
+    )
+    ts = TrainingSet(model.dimension_names)
+    for rows in (1e5, 1e6, 4e6, 8e6):
+        for size in (40, 100, 1000):
+            ts.add((rows, size, rows / 10, 12), 1 + rows * 2e-6)
+    model.train(ts)
+    return model
+
+
 class TestLockContentionTelemetry:
     """The USE-method contention counters on the cache's internal lock:
     the uncontended path touches no instrument; a blocked acquisition
@@ -474,17 +494,7 @@ class TestModuleCaching:
         assert not module.estimate_plan("hive", plan, catalog).cache_hit
 
     def test_recalibrate_alpha_invalidates(self, module, catalog):
-        model = LogicalOpModel(
-            OperatorKind.AGGREGATE,
-            search_topology=False,
-            nn_iterations=300,
-            seed=0,
-        )
-        ts = TrainingSet(model.dimension_names)
-        for rows in (1e5, 1e6, 4e6, 8e6):
-            for size in (40, 100, 1000):
-                ts.add((rows, size, rows / 10, 12), 1 + rows * 2e-6)
-        model.train(ts)
+        model = aggregate_model()
         module.attach_logical_model("hive", model)
         plan = parse_select(PLAN)
         module.estimate_plan("hive", plan, catalog)
@@ -493,17 +503,7 @@ class TestModuleCaching:
         assert len(module.cache) == 0
 
     def test_offline_tuning_invalidates(self, module, catalog):
-        model = LogicalOpModel(
-            OperatorKind.AGGREGATE,
-            search_topology=False,
-            nn_iterations=300,
-            seed=0,
-        )
-        ts = TrainingSet(model.dimension_names)
-        for rows in (1e5, 1e6, 4e6, 8e6):
-            for size in (40, 100, 1000):
-                ts.add((rows, size, rows / 10, 12), 1 + rows * 2e-6)
-        model.train(ts)
+        model = aggregate_model()
         module.attach_logical_model("hive", model)
         plan = parse_select(PLAN)
         module.estimate_plan("hive", plan, catalog)
@@ -512,6 +512,29 @@ class TestModuleCaching:
         applied = module.run_offline_tuning("hive", OperatorKind.AGGREGATE)
         assert applied > 0
         assert len(module.cache) == 0
+
+    def test_hit_logs_the_requests_own_features(self, module):
+        model = aggregate_model()
+        module.attach_logical_model("hive", model)
+        module.estimator("hive").route(
+            OperatorKind.AGGREGATE, CostingApproach.LOGICAL_OP
+        )
+        first, second = (
+            AggregateOperatorStats(
+                num_input_rows=rows,
+                input_row_size=100,
+                num_output_rows=400_000,
+                output_row_size=12,
+            )
+            for rows in (4_000_000, 4_016_000)  # one bucket
+        )
+        miss = module.estimate_batch((EstimationRequest("hive", first),))[0]
+        hit = module.estimate_batch((EstimationRequest("hive", second),))[0]
+        assert hit.cache_hit
+        assert hit.seconds == miss.seconds
+        module.record_actual("hive", hit, 5.0)
+        (entry,) = model.execution_log.entries
+        assert tuple(entry.features) == second.features()
 
     def test_routing_change_retires_entries(self, module, catalog):
         """route()/switch_to() bump the generation, so old keys go cold."""

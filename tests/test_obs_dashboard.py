@@ -21,15 +21,9 @@ def actual_event(seq, system="hive", estimated=10.0, actual=20.0):
     )
 
 
-def make_health(system="hive", grade="healthy", score=0.9):
+def make_health(system="hive", grade="healthy", firing=()):
     return SystemHealth(
-        system=system,
-        score=score,
-        grade=grade,
-        components={
-            "accuracy": 0.9, "drift": 1.0, "remedy": 1.0, "cache": 1.0,
-        },
-        observations=32,
+        system=system, grade=grade, firing=tuple(firing), observations=32
     )
 
 
@@ -97,13 +91,14 @@ class TestRenderDashboard:
         assert "https://" not in page
         assert 'src="' not in page
 
-    def test_health_tiles_render_grade_and_score(self):
+    def test_health_tiles_render_grade_and_firing_rules(self):
         page = obs.render_dashboard(
-            [make_health(grade="critical", score=0.12)]
+            [make_health(grade="critical", firing=["drift-alarm|hive"])]
         )
         assert "grade-critical" in page
-        assert "0.12" in page
+        assert "drift-alarm|hive" in page
         assert "hive" in page
+        assert "no health rule firing" in obs.render_dashboard([make_health()])
 
     def test_alert_table_puts_firing_rows_first(self):
         quiet = Alert(

@@ -1,14 +1,10 @@
 """Observation building (live / journal / snapshot) and the per-system
-composite health score."""
+health grade."""
 
 import pytest
 
 from repro import obs
-from repro.obs.health import (
-    _CACHE_WARMUP_LOOKUPS,
-    evaluate_health,
-    worst_grade,
-)
+from repro.obs.health import evaluate_health, worst_grade
 from repro.obs.journal import JournalEvent
 
 
@@ -175,6 +171,10 @@ class TestObservationFromSnapshot:
 
 
 class TestHealthScore:
+    """A system's grade is the worst severity among the health rules
+    (``slo-q-error``, ``drift-alarm``, ``remedy-saturation``,
+    ``cache-hit-rate``) firing for it."""
+
     def test_accurate_system_is_healthy(self):
         healths = evaluate_health(
             make_observation(ledger={"hive/scan": ledger_entry(mean_q=1.2)})
@@ -183,25 +183,25 @@ class TestHealthScore:
         health = healths[0]
         assert health.system == "hive"
         assert health.grade == "healthy"
-        assert health.components["accuracy"] == round(1 / 1.2, 4)
+        assert health.firing == ()
         assert health.observations == 32
 
-    def test_degraded_accuracy_tanks_the_score(self):
+    def test_q_error_slo_grades_critical(self):
         healths = evaluate_health(
             make_observation(ledger={"hive/scan": ledger_entry(mean_q=10.0)})
         )
         assert healths[0].grade == "critical"
-        assert healths[0].components["accuracy"] == 0.1
+        assert healths[0].firing == ("slo-q-error|hive/scan",)
 
-    def test_drift_alarm_collapses_drift_component(self):
+    def test_drift_alarm_grades_critical(self):
         healths = evaluate_health(
             make_observation(
                 ledger={"hive/scan": ledger_entry(mean_q=1.0)},
                 drift={"hive": {"drifted": True, "statistic": 9.0}},
             )
         )
-        assert healths[0].components["drift"] == 0.25
         assert healths[0].grade == "critical"
+        assert healths[0].firing == ("drift-alarm|hive",)
 
     def test_remedy_saturation_degrades(self):
         healths = evaluate_health(
@@ -209,39 +209,73 @@ class TestHealthScore:
                 ledger={"hive/scan": ledger_entry(mean_q=1.0, remedy=1.0)}
             )
         )
-        assert healths[0].components["remedy"] == 0.5
         assert healths[0].grade == "degraded"
+        assert healths[0].firing == ("remedy-saturation|hive/scan",)
+
+    def test_cache_hit_rate_degrades_every_system(self):
+        healths = evaluate_health(
+            make_observation(
+                ledger={
+                    "hive/scan": ledger_entry(),
+                    "spark/scan": ledger_entry(),
+                },
+                cache={"lookups": 256, "hit_rate": 0.0},
+            )
+        )
+        assert [(h.system, h.grade, h.firing) for h in healths] == [
+            ("hive", "degraded", ("cache-hit-rate",)),
+            ("spark", "degraded", ("cache-hit-rate",)),
+        ]
 
     def test_cold_cache_does_not_penalize(self):
         healths = evaluate_health(
             make_observation(
                 ledger={"hive/scan": ledger_entry()},
-                cache={"lookups": _CACHE_WARMUP_LOOKUPS - 1, "hit_rate": 0.0},
+                cache={"lookups": 255, "hit_rate": 0.0},
             )
         )
-        assert healths[0].components["cache"] == 1.0
+        assert healths[0].grade == "healthy"
 
-    def test_warm_cache_with_no_hits_halves_component(self):
-        healths = evaluate_health(
-            make_observation(
-                ledger={"hive/scan": ledger_entry()},
-                cache={"lookups": _CACHE_WARMUP_LOOKUPS, "hit_rate": 0.0},
-            )
-        )
-        assert healths[0].components["cache"] == 0.5
+    def test_warm_up_guard_keeps_rules_quiet(self):
+        def grade(count):
+            return evaluate_health(
+                make_observation(
+                    ledger={
+                        "hive/scan": ledger_entry(
+                            mean_q=10.0, remedy=1.0, count=count
+                        )
+                    }
+                )
+            )[0].grade
 
-    def test_accuracy_is_count_weighted_across_operators(self):
+        assert grade(15) == "healthy"
+        assert grade(16) == "critical"
+
+    def test_worst_firing_rule_grades_its_system(self):
         healths = evaluate_health(
             make_observation(
                 ledger={
-                    "hive/scan": ledger_entry(mean_q=1.0, count=30),
-                    "hive/join": ledger_entry(mean_q=4.0, count=10),
+                    "hive/scan": ledger_entry(remedy=1.0, count=30),
+                    "hive/join": ledger_entry(mean_q=4.0, count=20),
+                    "spark/scan": ledger_entry(),
                 }
             )
         )
-        # (30*1 + 10*4) / 40 = 1.75 -> accuracy 1/1.75
-        assert healths[0].components["accuracy"] == round(1 / 1.75, 4)
-        assert healths[0].observations == 40
+        hive, spark = healths
+        assert hive.grade == "critical"
+        assert hive.firing == (
+            "remedy-saturation|hive/scan",
+            "slo-q-error|hive/join",
+        )
+        assert hive.observations == 50
+        assert spark.grade == "healthy"
+
+    def test_other_rules_do_not_grade(self):
+        # slo-rmse fires here, but only the four health rules grade.
+        healths = evaluate_health(
+            make_observation(ledger={"hive/join": ledger_entry(rmse=120.0)})
+        )
+        assert healths[0].grade == "healthy"
 
     def test_drift_only_system_is_discovered(self):
         healths = evaluate_health(
@@ -249,8 +283,8 @@ class TestHealthScore:
         )
         assert [h.system for h in healths] == ["spark"]
         assert healths[0].observations == 0
-        assert healths[0].components["accuracy"] == 1.0
-        assert healths[0].components["drift"] == 0.25
+        assert healths[0].grade == "critical"
+        assert healths[0].firing == ("drift-alarm|spark",)
 
     def test_systems_sorted_by_name(self):
         healths = evaluate_health(
@@ -269,14 +303,37 @@ class TestHealthScore:
 
     def test_to_dict_round_trips(self):
         health = evaluate_health(
-            make_observation(ledger={"hive/scan": ledger_entry()})
+            make_observation(ledger={"hive/scan": ledger_entry(mean_q=10.0)})
         )[0]
-        data = health.to_dict()
-        assert data["system"] == "hive"
-        assert data["grade"] == "healthy"
-        assert set(data["components"]) == {
-            "accuracy", "drift", "remedy", "cache",
+        assert health.to_dict() == {
+            "system": "hive",
+            "grade": "critical",
+            "firing": ("slo-q-error|hive/scan",),
+            "observations": 32,
         }
+
+    def test_evaluation_is_pure(self, tmp_path):
+        recorder = obs.FlightRecorder()
+        journal = obs.EventJournal(tmp_path / "j.jsonl")
+        registry = obs.MetricsRegistry()
+        previous = obs.install(
+            obs.ObsPlane(
+                registry=registry, journal=journal, flight_recorder=recorder
+            )
+        )
+        try:
+            healths = evaluate_health(
+                make_observation(
+                    ledger={"hive/scan": ledger_entry(mean_q=10.0)}
+                )
+            )
+        finally:
+            obs.install(previous)
+            journal.close()
+        assert healths[0].firing == ("slo-q-error|hive/scan",)
+        assert registry.snapshot() == {}
+        assert journal.appended == 0
+        assert recorder.incidents() == ()
 
 
 class TestWorstGrade:

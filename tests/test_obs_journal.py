@@ -127,6 +127,21 @@ class TestCorruptionTolerance:
         assert result.corrupt_lines == 1
         assert [e.type for e in result.events] == ["estimate"]
 
+    def test_reopen_ends_a_torn_tail_before_appending(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = EventJournal(path)
+        for index in range(3):
+            journal.append("estimate", index=index)
+        journal.close()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])
+        reopened = EventJournal(path)
+        reopened.append("estimate", index=99)
+        reopened.close()
+        result = read_journal(path)
+        assert [e.payload["index"] for e in result.events] == [0, 1, 99]
+        assert result.corrupt_lines == 1
+
     def test_newer_schema_versions_are_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         future = JournalEvent(
@@ -150,10 +165,13 @@ class TestSequenceResumption:
         journal.append("estimate", seconds=1.0)
         journal.append("estimate", seconds=2.0)
         journal.close()
+        data = path.read_bytes()
         reopened = EventJournal(path)
         event = reopened.append("estimate", seconds=3.0)
         reopened.close()
         assert event.seq == 3
+        # An intact tail gets no extra newline.
+        assert path.read_bytes() == data + (event.to_line() + "\n").encode()
 
     def test_seq_resumes_past_torn_final_line(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -90,6 +90,34 @@ class TestMiniRuns:
         run_scenario("steady", queries=50)
         assert obs.plane() is before
 
+    def test_torn_tail_of_an_earlier_run_does_not_fail_replay(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        run_scenario("steady", queries=50, journal_path=str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])  # the crash
+        report = run_scenario("steady", queries=50, journal_path=str(path)).report
+        assert report.replay_consistent, report.replay_detail
+
+    def test_corrupt_line_among_the_runs_events_fails_replay(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        torn = []
+
+        def tear_once(event):
+            if not torn:
+                torn.append(event)
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("{ not json\n")
+
+        obs.add_journal_listener(tear_once)
+        try:
+            report = run_scenario(
+                "steady", queries=50, journal_path=str(path)
+            ).report
+        finally:
+            obs.remove_journal_listener(tear_once)
+        assert not report.replay_consistent
+        assert report.replay_detail == "1 corrupt journal lines"
+
     def test_mini_run_health_timeline_ends_at_budget(self, tmp_path):
         result = run_scenario(
             "steady", queries=60, journal_path=str(tmp_path / "j.jsonl")
