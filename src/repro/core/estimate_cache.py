@@ -12,6 +12,24 @@ relative land on the same key and share an estimate.  Boolean layout
 flags (partitioning, sortedness, skew) stay exact — they flip
 applicability rules, not magnitudes.
 
+Each entry is one packed key and one flat answer tuple.  The key is
+``(system, generation, kind, packed)``, where ``packed`` folds every
+field's bucket into one int at a fixed bit width (wide enough for the
+largest finite float's bucket), so two keys are equal exactly when
+their per-field buckets are.  The value is ``(seconds, approach,
+operator, extra)``: ``extra`` is the remedy of a remedied logical-op
+estimate, ``None`` for a plain one, or a sub-op estimate's predicted
+algorithm.  A hit builds its :class:`OperatorEstimate` from that tuple
+and the *request's own* stats: a logical-op hit carries the request's
+features (so offline tuning logs inputs that really ran) and the
+entry's remedy pair (for α calibration); a sub-op hit carries the
+predicted algorithm and no candidates, since those would be the
+bucket-mate's per-algorithm seconds.  An entry holds ~335 B (4,096
+entries of the end-to-end benchmark's cold mix, counted as what
+:meth:`EstimateCache.invalidate` releases under ``tracemalloc``),
+against ~800 B when it kept the whole estimate under a tuple of
+buckets.
+
 Invalidation is event-driven, not TTL-driven: the
 :class:`~repro.core.costing.CostEstimationModule` drops a system's
 entries whenever its models change (sub-op/logical-op training, offline
@@ -32,26 +50,36 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.estimator import OperatorEstimate
+from repro.core.estimator import CostingApproach, OperatorEstimate
 from repro.core.logical_op import CostEstimate
-from repro.core.operators import OperatorStats, operator_kind_for
+from repro.core.operators import OperatorKind, OperatorStats, operator_kind_for
+from repro.core.remedy import RemedyEstimate
+from repro.core.rules import SelectionResult
 from repro.exceptions import ConfigurationError
 
 __all__ = ["DEFAULT_MAX_ENTRIES", "DEFAULT_RESOLUTION", "EstimateCache"]
 
-#: Default LRU capacity; a key is a few small tuples, so this is ~MBs.
+#: Default LRU capacity; a full cache holds ~1.4 MB (~335 B an entry).
 DEFAULT_MAX_ENTRIES = 4096
 
 #: Buckets per ``log1p`` unit.  64 gives ~1.6% relative bucket width —
 #: far below the costing models' own error, so sharing an estimate
 #: within a bucket is lossless in practice.
 DEFAULT_RESOLUTION = 64
+
+#: One entry's answer: ``(seconds, approach, operator, extra)``, where
+#: ``extra`` is a logical-op estimate's remedy (``None`` when it took
+#: none) or a sub-op estimate's predicted algorithm.
+_Entry = Tuple[
+    float, CostingApproach, OperatorKind, Union[RemedyEstimate, str, None]
+]
 
 
 class EstimateCache:
@@ -75,12 +103,17 @@ class EstimateCache:
             raise ConfigurationError("resolution must be positive")
         self.max_entries = max_entries
         self.resolution = resolution
+        # Bits per field in a packed key: enough for the bucket of the
+        # largest finite float, so no field spills into its neighbour.
+        self._field_bits = round(
+            math.log1p(sys.float_info.max) * resolution
+        ).bit_length()
         # One lock covers the LRU dict and every statistic: a concurrent
         # optimizer (thread-pooled candidate costing) hits get/put from
         # several threads, and OrderedDict.move_to_end during iteration
         # elsewhere is a genuine corruption, not just a lost count.
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Hashable, OperatorEstimate]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -116,8 +149,15 @@ class EstimateCache:
     # Keys
     # ------------------------------------------------------------------
     def quantize(self, value: float) -> int:
-        """Bucket index of one numeric statistic on the log grid."""
-        return int(round(math.log1p(max(0.0, float(value))) * self.resolution))
+        """Bucket index of one numeric statistic on the log grid.
+
+        Negative values share bucket 0; NaN raises ``ValueError`` and
+        infinity ``OverflowError``, since neither has a bucket.
+        """
+        value = float(value)
+        if value != value:
+            raise ValueError("a NaN statistic has no cache bucket")
+        return round(math.log1p(max(0.0, value)) * self.resolution)
 
     #: Field-name tuples per stats class — ``dataclasses.astuple`` would
     #: deepcopy every value on each lookup, which shows up hard on the
@@ -128,7 +168,12 @@ class EstimateCache:
     def key_for(
         self, system: str, generation: int, stats: OperatorStats
     ) -> Hashable:
-        """The cache key of one (system, stats) estimation request."""
+        """The cache key of one (system, stats) estimation request.
+
+        ``(system, generation, kind, packed)``: ``packed`` holds each
+        field's bucket (a bool as 0/1) in a fixed-width bit field, in
+        declaration order.
+        """
         if generation > self._generation:
             # Benign race: the attribute only moves forward and feeds
             # introspection (stats/gauges), never key construction.
@@ -138,11 +183,15 @@ class EstimateCache:
         if names is None:
             names = tuple(f.name for f in dataclasses.fields(stats))
             self._FIELDS_BY_CLASS[type(stats)] = names
-        buckets: Tuple[object, ...] = tuple(
-            value if isinstance(value, bool) else self.quantize(value)
-            for value in (getattr(stats, name) for name in names)
-        )
-        return (system, generation, kind.value, buckets)
+        bits = self._field_bits
+        quantize = self.quantize
+        packed = 0
+        for name in names:
+            value = getattr(stats, name)
+            packed = (packed << bits) | (
+                value if isinstance(value, bool) else quantize(value)
+            )
+        return (system, generation, kind.value, packed)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -152,25 +201,26 @@ class EstimateCache:
         return self.max_entries > 0
 
     def get(
-        self, key: Hashable, stats: Optional[OperatorStats] = None
+        self, key: Hashable, stats: OperatorStats
     ) -> Optional[OperatorEstimate]:
         """The cached estimate for ``key``, marked as a cache hit.
 
-        Given the request's ``stats``, a logical-op hit logs their
-        features for offline tuning, not those of the bucket-mate that
-        filled the entry; seconds and remedy detail stay the entry's.
+        Seconds, approach and operator are the entry's.  A logical-op
+        hit carries the request's own ``stats`` features, which offline
+        tuning logs, and the entry's remedy, which α calibration reads.
+        A sub-op hit carries the predicted algorithm and no candidates.
         """
         self._acquire()
         try:
-            estimate = self._entries.get(key)
-            if estimate is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
         finally:
             self._lock.release()
-        if estimate is None:
+        if entry is None:
             obs.counter(
                 "costing.estimate_cache.misses",
                 help="estimate-cache lookups that computed fresh",
@@ -180,18 +230,33 @@ class EstimateCache:
             "costing.estimate_cache.hits",
             help="estimates served from the quantized-key cache",
         ).inc()
-        detail = estimate.detail
-        if stats is not None and isinstance(detail, CostEstimate):
-            detail = dataclasses.replace(detail, features=stats.features())
-        return dataclasses.replace(estimate, detail=detail, cache_hit=True)
+        seconds, approach, operator, extra = entry
+        if isinstance(extra, str):
+            detail = SelectionResult(seconds, extra, ())
+        else:
+            detail = CostEstimate(
+                seconds, stats.features(), extra is not None, extra
+            )
+        return OperatorEstimate(seconds, approach, operator, detail, cache_hit=True)
 
     def put(self, key: Hashable, estimate: OperatorEstimate) -> None:
+        """Store the fields of ``estimate`` that a hit answers with."""
+        detail = estimate.detail
+        if isinstance(detail, CostEstimate):
+            extra = detail.remedy
+        elif isinstance(detail, SelectionResult):
+            extra = detail.predicted_algorithm
+        else:
+            raise TypeError(
+                f"cannot cache an estimate with a {type(detail).__name__} detail"
+            )
         if not self.enabled:
             return
+        entry = (estimate.seconds, estimate.approach, estimate.operator, extra)
         evicted = 0
         self._acquire()
         try:
-            self._entries[key] = estimate
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

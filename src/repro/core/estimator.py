@@ -66,7 +66,10 @@ class OperatorEstimate:
         operator: The operator kind that was costed.
         detail: The approach-specific evidence — a
             :class:`~repro.core.logical_op.CostEstimate` for logical-op,
-            a :class:`~repro.core.rules.SelectionResult` for sub-op.
+            a :class:`~repro.core.rules.SelectionResult` for sub-op.  A
+            cache hit's ``CostEstimate`` holds the request's own features
+            and the entry's remedy; its ``SelectionResult`` holds the
+            entry's predicted algorithm and no candidates.
         cache_hit: True when the estimate was served from the estimate
             cache rather than freshly computed.
     """

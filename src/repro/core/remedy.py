@@ -21,6 +21,7 @@ are observed, is re-fit to minimize the squared error of the combination
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -233,7 +234,7 @@ class OnlineRemedy:
             raise TrainingError("no spread along the pivot dimensions")
         # Weighted least squares: neighbors whose in-range dimensions match
         # the query dominate; loosely matched fallbacks contribute little.
-        bandwidth = max(float(np.median(distances)), 0.05)
+        bandwidth = max(_median(distances), 0.05)
         weights = np.exp(-((distances / bandwidth) ** 2))
         model = LinearRegression().fit(
             pivot_columns, costs[neighbors], sample_weight=weights
@@ -279,3 +280,23 @@ class OnlineRemedy:
         keep = np.argsort(pivot_distance, kind="stable")[: self.k_neighbors]
         chosen = pool[keep]
         return chosen, in_range_distance[chosen]
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit.
+
+    ``np.median`` imports ``numpy.ma`` on its first call to check for
+    masked arrays: ~1.3 MB that a served process would otherwise load
+    on its first remedied estimate, after set-up.  This takes the mean
+    of the middle element (odd length) or of the two middle ones, as
+    ``np.mean`` computes it: a sum that starts from ``0.0`` (so ``-0.0``
+    reads ``0.0``), divided by the count.  An array whose sort ends in
+    NaN has a NaN median, which is ``np.median``'s rule.
+    """
+    ordered = np.sort(values)
+    if math.isnan(ordered[-1]):
+        return math.nan
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(0.0 + ordered[middle])
+    return float((0.0 + ordered[middle - 1] + ordered[middle]) / 2)

@@ -187,7 +187,9 @@ class SelectionResult:
         seconds: The cost assigned to the operator.
         predicted_algorithm: The algorithm the selection names (for the
             AVERAGE strategy this is the preference-order pick).
-        candidates: All applicable (algorithm, estimated seconds) pairs.
+        candidates: All applicable (algorithm, estimated seconds) pairs;
+            empty on an estimate-cache hit, where they would be the
+            per-algorithm seconds of the request that filled the entry.
     """
 
     seconds: float

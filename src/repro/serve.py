@@ -47,11 +47,14 @@ setting).  This module operates that loop as a long-lived daemon:
 
 Determinism contract: estimates served through the pool are
 **bit-identical** to single-threaded calls — estimation is a pure
-function of (models, operator stats), the cache returns
-``replace(estimate, cache_hit=True)`` with identical seconds, and the
-costing module's read gate pins every batch to one estimator
-generation.  The property tests in ``tests/test_serve.py`` assert this
-under 8-way concurrency and under mid-load swaps.  The traffic
+function of (models, operator stats), a cache hit answers with the
+entry's seconds, approach, operator and remedy flag (marked
+``cache_hit``), and the costing module's read gate pins every batch to
+one estimator generation.  The property tests in ``tests/test_serve.py``
+assert this under 8-way concurrency and under mid-load swaps.  An
+``/estimate`` reply names the generation that computed it: the worker
+holds the gate's read side over both the estimate and its read of the
+generation, so a swap waits until the reply is built.  The traffic
 simulator (:mod:`repro.workloads.traffic`) leans on the same contract
 from the other side: it drives whole scenarios through a single-worker
 :class:`EstimationService` so every admission, context, and completion
@@ -341,12 +344,15 @@ class EstimationService:
 
         def work() -> Dict[str, object]:
             plan = parse_select(sql)
-            estimate = self.sphere.costing.estimate_plan(
-                system, plan, self.sphere.catalog
-            )
+            costing = self.sphere.costing
+            # One read hold over both: a swap landing between them would
+            # pair the old generation's seconds with the new number.
+            with costing.swap_gate.read():
+                estimate = costing.estimate_plan(system, plan, self.sphere.catalog)
+                generation = costing.generation(system)
             return {
                 "system": system,
-                "generation": self.sphere.costing.generation(system),
+                "generation": generation,
                 "operator": estimate.operator.value,
                 "approach": estimate.approach.value,
                 "seconds": estimate.seconds,

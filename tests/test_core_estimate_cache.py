@@ -1,6 +1,12 @@
 """Tests for the quantized-key estimate cache and its invalidation."""
 
+import dataclasses
+import gc
+import math
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CostEstimationModule,
@@ -13,11 +19,15 @@ from repro.core import (
     SubOpTrainer,
     TrainingSet,
 )
+from repro.core.estimator import OperatorEstimate
+from repro.core.logical_op import CostEstimate
 from repro.core.operators import (
     AggregateOperatorStats,
     JoinOperatorStats,
     ScanOperatorStats,
+    operator_kind_for,
 )
+from repro.core.rules import SelectionResult
 from repro.data import Catalog, build_paper_corpus
 from repro.engines import HiveEngine
 from repro.exceptions import ConfigurationError
@@ -45,6 +55,67 @@ def join_stats(**kw):
     )
     defaults.update(kw)
     return JoinOperatorStats(**defaults)
+
+
+def aggregate_stats(rows, out=400_000):
+    return AggregateOperatorStats(
+        num_input_rows=rows,
+        input_row_size=100,
+        num_output_rows=out,
+        output_row_size=12,
+    )
+
+
+def scan_estimate(seconds):
+    """A sub-op scan estimate, as the estimators build one."""
+    return OperatorEstimate(
+        seconds=seconds,
+        approach=CostingApproach.SUB_OP,
+        operator=OperatorKind.SCAN,
+        detail=SelectionResult(seconds, "scan", (("scan", seconds),)),
+    )
+
+
+def tuple_key(resolution, system, generation, stats):
+    """The nested-tuple key that the packed key replaced: the reference
+    for which requests share an entry."""
+    buckets = tuple(
+        value
+        if isinstance(value, bool)
+        else int(round(math.log1p(max(0.0, float(value))) * resolution))
+        for value in (getattr(stats, f.name) for f in dataclasses.fields(stats))
+    )
+    return (system, generation, operator_kind_for(stats).value, buckets)
+
+
+def unchecked_stats(cls, values):
+    """A ``cls`` descriptor holding ``values`` as given: ``key_for``
+    accepts more (negatives, bools in numeric fields) than the
+    constructors let through."""
+    stats = object.__new__(cls)
+    for field, value in zip(dataclasses.fields(cls), values):
+        object.__setattr__(stats, field.name, value)
+    return stats
+
+
+FIELD_VALUES = st.one_of(
+    st.booleans(),
+    st.just(0),
+    st.integers(min_value=-(10**6), max_value=10**15),
+    st.floats(min_value=-1e308, max_value=1e308),
+)
+
+
+def bucket_mate(value, change):
+    """``value`` copied, nudged or retyped, so that the two keys of a
+    pair are equal about as often as they differ."""
+    if change == "nudge":
+        return float(value) * 1.004
+    if change == "int":
+        return int(value)
+    if change == "bool":
+        return bool(value)
+    return value
 
 
 class TestQuantizedKeys:
@@ -88,48 +159,83 @@ class TestQuantizedKeys:
         with pytest.raises(ConfigurationError):
             EstimateCache(resolution=0)
 
-
-class TestLruBehaviour:
-    def _estimate(self, seconds):
-        from repro.core.estimator import OperatorEstimate
-        from repro.core.logical_op import CostEstimate
-
-        return OperatorEstimate(
-            seconds=seconds,
-            approach=CostingApproach.SUB_OP,
-            operator=OperatorKind.SCAN,
-            detail=CostEstimate(seconds=seconds, features=(1.0,)),
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        cls=st.sampled_from(
+            (JoinOperatorStats, AggregateOperatorStats, ScanOperatorStats)
+        ),
+        resolution=st.sampled_from((1, 64, 1000)),
+    )
+    def test_packed_keys_equal_exactly_when_tuple_keys_do(
+        self, data, cls, resolution
+    ):
+        width = len(dataclasses.fields(cls))
+        first = data.draw(st.lists(FIELD_VALUES, min_size=width, max_size=width))
+        changes = data.draw(
+            st.lists(
+                st.sampled_from(("same", "nudge", "int", "bool", "fresh")),
+                min_size=width,
+                max_size=width,
+            )
+        )
+        second = [
+            data.draw(FIELD_VALUES) if change == "fresh" else bucket_mate(value, change)
+            for value, change in zip(first, changes)
+        ]
+        a, b = unchecked_stats(cls, first), unchecked_stats(cls, second)
+        cache = EstimateCache(resolution=resolution)
+        packed_equal = cache.key_for("hive", 3, a) == cache.key_for("hive", 3, b)
+        assert packed_equal == (
+            tuple_key(resolution, "hive", 3, a) == tuple_key(resolution, "hive", 3, b)
         )
 
+    def test_non_finite_statistics_raise(self):
+        cache = EstimateCache()
+        with pytest.raises(ValueError):
+            cache.key_for("hive", 0, scan_stats(rows=float("nan")))
+        with pytest.raises(OverflowError):
+            cache.key_for("hive", 0, scan_stats(rows=float("inf")))
+
+
+class TestLruBehaviour:
     def test_eviction_at_capacity(self):
         cache = EstimateCache(max_entries=2)
         for i, rows in enumerate((1_000, 1_000_000, 1_000_000_000)):
-            cache.put(cache.key_for("hive", 0, scan_stats(rows=rows)), self._estimate(float(i)))
+            cache.put(cache.key_for("hive", 0, scan_stats(rows=rows)), scan_estimate(float(i)))
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.get(cache.key_for("hive", 0, scan_stats(rows=1_000))) is None
+        oldest = scan_stats(rows=1_000)
+        assert cache.get(cache.key_for("hive", 0, oldest), oldest) is None
 
     def test_get_marks_cache_hit(self):
         cache = EstimateCache()
         key = cache.key_for("hive", 0, scan_stats())
-        cache.put(key, self._estimate(2.5))
-        cached = cache.get(key)
+        cache.put(key, scan_estimate(2.5))
+        cached = cache.get(key, scan_stats())
         assert cached.cache_hit
         assert cached.seconds == 2.5
         assert cache.hits == 1 and cache.misses == 0
+
+    def test_put_rejects_an_unknown_detail(self):
+        cache = EstimateCache()
+        estimate = dataclasses.replace(scan_estimate(1.0), detail=None)
+        with pytest.raises(TypeError):
+            cache.put(cache.key_for("hive", 0, scan_stats()), estimate)
+        assert len(cache) == 0
 
     def test_disabled_cache_stores_nothing(self):
         cache = EstimateCache(max_entries=0)
         assert not cache.enabled
         key = cache.key_for("hive", 0, scan_stats())
-        cache.put(key, self._estimate(1.0))
+        cache.put(key, scan_estimate(1.0))
         assert len(cache) == 0
-        assert cache.get(key) is None
+        assert cache.get(key, scan_stats()) is None
 
     def test_invalidate_by_system(self):
         cache = EstimateCache()
-        cache.put(cache.key_for("hive", 0, scan_stats()), self._estimate(1.0))
-        cache.put(cache.key_for("spark", 0, scan_stats()), self._estimate(2.0))
+        cache.put(cache.key_for("hive", 0, scan_stats()), scan_estimate(1.0))
+        cache.put(cache.key_for("spark", 0, scan_stats()), scan_estimate(2.0))
         assert cache.invalidate("hive") == 1
         assert len(cache) == 1
         assert cache.invalidate() == 1
@@ -140,19 +246,20 @@ class TestLruBehaviour:
         cache = EstimateCache()
         key = cache.key_for("hive", 0, scan_stats())
         assert cache.hit_rate == 0.0
-        cache.get(key)  # miss
-        cache.put(key, self._estimate(1.0))
-        cache.get(key)  # hit
+        cache.get(key, scan_stats())  # miss
+        cache.put(key, scan_estimate(1.0))
+        cache.get(key, scan_stats())  # hit
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_stats_snapshot(self):
         cache = EstimateCache(max_entries=1)
-        key_a = cache.key_for("hive", 0, scan_stats(rows=1_000))
+        stats_a = scan_stats(rows=1_000)
+        key_a = cache.key_for("hive", 0, stats_a)
         key_b = cache.key_for("hive", 0, scan_stats(rows=1_000_000))
-        cache.get(key_a)  # miss
-        cache.put(key_a, self._estimate(1.0))
-        cache.get(key_a)  # hit
-        cache.put(key_b, self._estimate(2.0))  # evicts key_a
+        cache.get(key_a, stats_a)  # miss
+        cache.put(key_a, scan_estimate(1.0))
+        cache.get(key_a, stats_a)  # hit
+        cache.put(key_b, scan_estimate(2.0))  # evicts key_a
         cache.invalidate("hive")
         stats = cache.stats()
         assert stats == {
@@ -183,17 +290,6 @@ class TestThreadSafety:
     lock must keep the LRU dict and the hit/miss/eviction accounting
     coherent under simultaneous get/put/invalidate traffic."""
 
-    def _estimate(self, seconds):
-        from repro.core.estimator import OperatorEstimate
-        from repro.core.logical_op import CostEstimate
-
-        return OperatorEstimate(
-            seconds=seconds,
-            approach=CostingApproach.SUB_OP,
-            operator=OperatorKind.SCAN,
-            detail=CostEstimate(seconds=seconds, features=(1.0,)),
-        )
-
     def test_concurrent_hits_and_evictions(self):
         import threading
 
@@ -203,7 +299,7 @@ class TestThreadSafety:
             cache.key_for("hive", 0, scan_stats(rows=1000 * 4**i))
             for i in range(12)
         ]
-        estimate = self._estimate(1.0)
+        estimate = scan_estimate(1.0)
         errors = []
         barrier = threading.Barrier(8)
 
@@ -212,7 +308,7 @@ class TestThreadSafety:
                 barrier.wait()
                 for step in range(500):
                     key = keys[(seed * 7 + step) % len(keys)]
-                    if cache.get(key) is None:
+                    if cache.get(key, scan_stats()) is None:
                         cache.put(key, estimate)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -239,7 +335,7 @@ class TestThreadSafety:
             cache.key_for("hive", 0, scan_stats(rows=1000 * 4**i))
             for i in range(16)
         ]
-        estimate = self._estimate(1.0)
+        estimate = scan_estimate(1.0)
         errors = []
 
         def writer(seed):
@@ -274,7 +370,7 @@ class TestThreadSafety:
             cache.key_for("spark", 0, scan_stats(rows=1000 * 4**i))
             for i in range(8)
         ]
-        estimate = self._estimate(1.0)
+        estimate = scan_estimate(1.0)
         errors = []
         stop = threading.Event()
 
@@ -282,7 +378,7 @@ class TestThreadSafety:
             try:
                 while not stop.is_set():
                     for key in hive_keys + spark_keys:
-                        found = cache.get(key)
+                        found = cache.get(key, scan_stats())
                         if found is None:
                             cache.put(key, estimate)
             except Exception as exc:  # pragma: no cover - failure path
@@ -307,7 +403,7 @@ class TestThreadSafety:
         assert errors == []
         assert cache.invalidations == 200
         # Spark entries survived the hive-scoped invalidations.
-        assert any(cache.get(key) is not None for key in spark_keys)
+        assert any(cache.get(key, scan_stats()) is not None for key in spark_keys)
 
 
 # ----------------------------------------------------------------------
@@ -383,25 +479,14 @@ class TestLockContentionTelemetry:
         yield
         obs.install(previous)
 
-    def _estimate(self, seconds):
-        from repro.core.estimator import OperatorEstimate
-        from repro.core.logical_op import CostEstimate
-
-        return OperatorEstimate(
-            seconds=seconds,
-            approach=CostingApproach.SUB_OP,
-            operator=OperatorKind.SCAN,
-            detail=CostEstimate(seconds=seconds, features=(1.0,)),
-        )
-
     def test_uncontended_traffic_creates_no_wait_metrics(self):
         from repro import obs
 
         cache = EstimateCache()
         key = cache.key_for("hive", 0, scan_stats())
-        cache.get(key)
-        cache.put(key, self._estimate(1.0))
-        cache.get(key)
+        cache.get(key, scan_stats())
+        cache.put(key, scan_estimate(1.0))
+        cache.get(key, scan_stats())
         cache.invalidate()
         assert obs.plane().registry.get(
             "costing.estimate_cache.lock_waits"
@@ -417,7 +502,7 @@ class TestLockContentionTelemetry:
 
         cache = EstimateCache()
         key = cache.key_for("hive", 0, scan_stats())
-        cache.put(key, self._estimate(1.0))
+        cache.put(key, scan_estimate(1.0))
         holder_in = threading.Event()
         release = threading.Event()
 
@@ -434,7 +519,7 @@ class TestLockContentionTelemetry:
         assert holder_in.wait(timeout=5.0)
         timer = threading.Timer(0.05, release.set)
         timer.start()
-        result = cache.get(key)  # blocks until the holder lets go
+        result = cache.get(key, scan_stats())  # blocks until the holder lets go
         thread.join(timeout=5.0)
         assert result is not None
         assert obs.counter("costing.estimate_cache.lock_waits").value >= 1.0
@@ -520,13 +605,7 @@ class TestModuleCaching:
             OperatorKind.AGGREGATE, CostingApproach.LOGICAL_OP
         )
         first, second = (
-            AggregateOperatorStats(
-                num_input_rows=rows,
-                input_row_size=100,
-                num_output_rows=400_000,
-                output_row_size=12,
-            )
-            for rows in (4_000_000, 4_016_000)  # one bucket
+            aggregate_stats(rows) for rows in (4_000_000, 4_016_000)  # one bucket
         )
         miss = module.estimate_batch((EstimationRequest("hive", first),))[0]
         hit = module.estimate_batch((EstimationRequest("hive", second),))[0]
@@ -556,3 +635,102 @@ class TestModuleCaching:
         assert warm_total == cold_total
         assert all(e.cache_hit for e in warm)
         assert not any(e.cache_hit for e in cold)
+
+
+#: (stats that fill the entry, a bucket-mate 0.4% off, route aggregates
+#: to the logical-op model).  The model trains on <= 8M input rows, so
+#: 400M rows take the online remedy.
+HIT_PARITY_CASES = {
+    "logical-op in range": (
+        aggregate_stats(4_000_000), aggregate_stats(4_016_000), True,
+    ),
+    "logical-op remedied": (
+        aggregate_stats(400_000_000), aggregate_stats(401_600_000), True,
+    ),
+    "sub-op join": (
+        join_stats(num_rows_r=4_000_000), join_stats(num_rows_r=4_016_000), False,
+    ),
+    "sub-op aggregate": (
+        aggregate_stats(4_000_000), aggregate_stats(4_016_000), False,
+    ),
+    "sub-op scan": (
+        scan_stats(rows=4_000_000), scan_stats(rows=4_016_000), False,
+    ),
+}
+
+
+class TestCompactEntries:
+    """An entry keeps a packed key and the answer's fields; a hit answers
+    as the fresh estimate did, with the request's own inputs."""
+
+    @pytest.mark.parametrize("case", sorted(HIT_PARITY_CASES))
+    def test_hit_answers_as_the_fresh_estimate(self, module, case):
+        first, second, logical = HIT_PARITY_CASES[case]
+        if logical:
+            module.attach_logical_model("hive", aggregate_model())
+            module.estimator("hive").route(
+                OperatorKind.AGGREGATE, CostingApproach.LOGICAL_OP
+            )
+        generation = module.generation("hive")
+        assert module.cache.key_for("hive", generation, first) == (
+            module.cache.key_for("hive", generation, second)
+        )
+        fresh = module.estimate_batch((EstimationRequest("hive", first),))[0]
+        hit = module.estimate_batch((EstimationRequest("hive", second),))[0]
+        assert not fresh.cache_hit and hit.cache_hit
+        assert (hit.seconds, hit.approach, hit.operator, hit.used_remedy) == (
+            fresh.seconds, fresh.approach, fresh.operator, fresh.used_remedy,
+        )
+        assert fresh.used_remedy == (case == "logical-op remedied")
+        assert type(hit.detail) is type(fresh.detail)
+        assert hit.detail.seconds == fresh.seconds
+        if isinstance(fresh.detail, CostEstimate):
+            assert fresh.approach is CostingApproach.LOGICAL_OP
+            assert hit.detail.features == second.features()
+            if fresh.used_remedy:
+                assert (
+                    hit.detail.remedy.nn_estimate,
+                    hit.detail.remedy.regression_estimate,
+                ) == (
+                    fresh.detail.remedy.nn_estimate,
+                    fresh.detail.remedy.regression_estimate,
+                )
+            else:
+                assert hit.detail.remedy is None
+        else:
+            assert fresh.approach is CostingApproach.SUB_OP
+            assert hit.detail.predicted_algorithm == fresh.detail.predicted_algorithm
+            assert fresh.detail.candidates and hit.detail.candidates == ()
+
+    def test_an_entry_holds_at_most_400_bytes(self, module):
+        """4,096 entries of every kind: sub-op scans and joins, plain
+        and remedied logical-op aggregates.  An entry's bytes are what
+        ``invalidate()`` releases."""
+        module.attach_logical_model("hive", aggregate_model())
+        module.estimator("hive").route(
+            OperatorKind.AGGREGATE, CostingApproach.LOGICAL_OP
+        )
+        requests = []
+        for index in range(module.cache.max_entries):
+            high, low = divmod(index, 64)
+            big, small = int(1e4 * 1.05**high), int(1e3 * 1.05**low)
+            stats = (
+                scan_stats(rows=big, out=small),
+                join_stats(num_rows_r=big, num_rows_s=small, num_output_rows=small),
+                aggregate_stats(big, out=small),
+                aggregate_stats(big * 1000, out=small),  # remedied
+            )[index % 4]
+            requests.append(EstimationRequest("hive", stats))
+        tracemalloc.start()
+        try:
+            batch = module.estimate_batch(requests)
+            assert batch.cache_misses == len(module.cache) == len(requests)
+            assert sum(e.used_remedy for e in batch) > len(requests) // 5
+            del batch
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            module.cache.invalidate()
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert released / len(requests) <= 400

@@ -1,10 +1,13 @@
 """Tests for the online remedy phase and α calibration."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.metadata import DimensionMetadata
-from repro.core.remedy import AlphaCalibrator, OnlineRemedy
+from repro.core.remedy import AlphaCalibrator, OnlineRemedy, _median
 from repro.core.training import TrainingSet
 from repro.exceptions import ConfigurationError
 
@@ -160,3 +163,30 @@ class TestRemedyValidation:
     def test_k_neighbors_minimum(self):
         with pytest.raises(ConfigurationError):
             OnlineRemedy(k_neighbors=1)
+
+
+class TestMedian:
+    """The pivot regression's bandwidth median is ``np.median``'s, bit
+    for bit, without the ``numpy.ma`` import ``np.median`` makes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.floats(min_value=0.0, max_value=4.0).map(round),  # ties
+                st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 1.7e308)),
+            ),
+            min_size=1,
+            max_size=59,
+        )
+    )
+    def test_matches_np_median_bit_for_bit(self, values):
+        array = np.asarray(values, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.float64(np.median(array))
+            got = np.float64(_median(array))
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got.tobytes() == expected.tobytes()

@@ -109,14 +109,17 @@ def test_journal_fold_loads_none_of_the_views_it_feeds():
 
 
 def test_set_up_and_serving_load_no_further_module():
-    """Build a small federation, serve it over HTTP, swap a model and
+    """Build a small federation, serve it over HTTP (one estimate past
+    the trained rows, so the online remedy runs), swap a model and
     explain a cross-system query: every module that needs is already
-    loaded by the serving import (and the names it reads)."""
+    loaded by the serving import (and the names it reads).  Nor does
+    any of it load ``numpy.ma``, which ``np.median`` would."""
     outcome = run_fresh(
         """
         import json, sys, urllib.request
 
         import repro.serve, repro.master.federation, repro.workloads.traffic
+        from repro import obs
         from repro.core import (
             ClusterInfo, CostingApproach, LogicalOpModel, OperatorKind,
             RemoteSystemProfile, SubOpTrainer,
@@ -167,6 +170,8 @@ def test_set_up_and_serving_load_no_further_module():
                 ),
             )
         sphere.costing.train_sub_op("spark", SubOpTrainer(record_counts=(1_000_000, 2_000_000)))
+        for spec in build_paper_corpus(row_counts=(20_000_000,), row_sizes=(100,)):
+            sphere.add_table(spec)  # past the trained rows
 
         def post(url, payload):
             request = urllib.request.Request(
@@ -181,18 +186,30 @@ def test_set_up_and_serving_load_no_further_module():
                     "system": "hive",
                     "sql": "SELECT r.a1 FROM t1000000_100 r JOIN t100000_100 s ON r.a1 = s.a1",
                 }),
+                post(daemon.url + "/estimate", {
+                    "system": "hive",
+                    "sql": "SELECT r.a1 FROM t20000000_100 r JOIN t100000_100 s ON r.a1 = s.a1",
+                }),
                 post(daemon.url + "/swap", {"system": "hive"}),
             ]
         plan = sphere.explain(
             "SELECT SUM(r.a1) FROM t1000000_100 r JOIN sp_dim s ON r.a1 = s.a1 GROUP BY r.a20"
         )
         new = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
-        print(json.dumps({"statuses": statuses, "best": plan.best.seconds > 0, "new": new}))
+        print(json.dumps({
+            "statuses": statuses,
+            "best": plan.best.seconds > 0,
+            "new": new,
+            "remedies": obs.counter("remedy.activations").value,
+            "numpy_ma": "numpy.ma" in sys.modules,
+        }))
         """
     )
-    assert outcome["statuses"] == [200, 200]
+    assert outcome["statuses"] == [200, 200, 200]
     assert outcome["best"]
     assert outcome["new"] == []
+    assert outcome["remedies"] > 0
+    assert not outcome["numpy_ma"]
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -244,6 +244,35 @@ class TestSwapUnderLoad:
         assert stats["generation"] == sphere.costing.generation("hive")
         assert stats["generation"] == generations[-1]
 
+    def test_reply_names_the_generation_that_computed_it(
+        self, sphere, monkeypatch
+    ):
+        """A swap that lands right after the estimate returns must not
+        change the generation the reply names."""
+        costing = sphere.costing
+        estimate_plan = costing.estimate_plan
+        computed_on = []
+        swaps = []
+
+        def estimate_then_swap(system, plan, catalog):
+            estimate = estimate_plan(system, plan, catalog)
+            computed_on.append(costing.generation(system))
+            # A reader may not become a writer: the swap runs on its own
+            # thread, and the reply waits for it only briefly.
+            swap = threading.Thread(target=sphere.swap_estimator, args=(system,))
+            swaps.append(swap)
+            swap.start()
+            swap.join(timeout=0.5)
+            return estimate
+
+        monkeypatch.setattr(costing, "estimate_plan", estimate_then_swap)
+        with EstimationService(sphere, workers=1) as service:
+            payload = service.estimate("hive", QUERIES[0])
+        swaps[0].join(timeout=30.0)
+        assert not swaps[0].is_alive()
+        assert payload["generation"] == computed_on[0]
+        assert costing.generation("hive") > computed_on[0]
+
     def test_swap_bumps_generation_and_invalidate_retires_keys(self, sphere):
         sphere.costing.invalidate_cache()
         before = sphere.costing.generation("hive")
