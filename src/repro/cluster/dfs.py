@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.exceptions import ConfigurationError
@@ -35,36 +35,63 @@ class BlockPlacement:
 
 @dataclass(frozen=True)
 class DfsFile:
-    """A file stored in the DFS.
+    """A file stored in the DFS: its size and its placement inputs.
 
     Attributes:
         path: DFS path, e.g. ``"/warehouse/t1_40"``.
         size: Logical (un-replicated) size in bytes.
-        blocks: Block placements covering the file.
+        ordinal: How many files the DFS had created before this one
+            (*k* in :class:`DistributedFileSystem`'s placement policy).
+        block_size: Bytes per full block.
+        replication: Replicas per block.
+        data_nodes: Names of the data nodes, in placement order.
     """
 
     path: str
     size: int
-    blocks: Tuple[BlockPlacement, ...]
+    ordinal: int
+    block_size: int
+    replication: int
+    data_nodes: Tuple[str, ...]
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return _block_count(self.size, self.block_size)
+
+    @property
+    def blocks(self) -> Tuple[BlockPlacement, ...]:
+        """Block placements covering the file, computed when read."""
+        nodes = self.data_nodes
+        n = len(nodes)
+        return tuple(
+            BlockPlacement(
+                index=i,
+                size=min(self.block_size, self.size - i * self.block_size),
+                replicas=tuple(
+                    nodes[(self.ordinal + i + r) % n]
+                    for r in range(self.replication)
+                ),
+            )
+            for i in range(self.num_blocks)
+        )
 
 
 class DistributedFileSystem:
     """Block-structured replicated file system over a cluster's data nodes.
 
     Placement policy: the first replica of block *i* of the *k*-th created
-    file goes to data node ``(k + i) mod N`` and the remaining replicas to
-    the following nodes — a simple deterministic stand-in for HDFS's
-    rack-aware placement that still spreads load evenly.
+    file (counting from zero) goes to data node ``(k + i) mod N`` and the
+    remaining replicas to the following nodes — a simple deterministic
+    stand-in for HDFS's rack-aware placement that still spreads load
+    evenly.  A file keeps only *k* and its size; :attr:`DfsFile.blocks`
+    computes the placements when read, since no costing path reads them.
     """
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self.block_size = cluster.config.dfs_block_size
         self.replication = cluster.config.dfs_replication
+        self._data_nodes = tuple(n.name for n in cluster.data_nodes)
         self._files: Dict[str, DfsFile] = {}
         self._used_raw: int = 0
         self._file_counter: int = 0
@@ -89,8 +116,14 @@ class DistributedFileSystem:
                 f"DFS out of capacity creating {path}: need {raw} raw bytes, "
                 f"{self.cluster.dfs_capacity - self._used_raw} free"
             )
-        blocks = self._place_blocks(size)
-        dfs_file = DfsFile(path=path, size=size, blocks=blocks)
+        dfs_file = DfsFile(
+            path=path,
+            size=size,
+            ordinal=self._file_counter,
+            block_size=self.block_size,
+            replication=self.replication,
+            data_nodes=self._data_nodes,
+        )
         self._files[path] = dfs_file
         self._used_raw += raw
         self._file_counter += 1
@@ -139,9 +172,7 @@ class DistributedFileSystem:
     # ------------------------------------------------------------------
     def num_blocks(self, size: int) -> int:
         """Number of blocks a file of ``size`` bytes occupies."""
-        if size <= 0:
-            return 0
-        return math.ceil(size / self.block_size)
+        return _block_count(size, self.block_size)
 
     def locality_fraction(self, path: str) -> float:
         """Fraction of the file's blocks with a replica on every data node.
@@ -154,26 +185,12 @@ class DistributedFileSystem:
         n = self.cluster.config.num_data_nodes
         return min(1.0, self.replication / n)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _place_blocks(self, size: int) -> Tuple[BlockPlacement, ...]:
-        data_nodes = [n.name for n in self.cluster.data_nodes]
-        n = len(data_nodes)
-        placements: List[BlockPlacement] = []
-        for i in range(self.num_blocks(size)):
-            block_bytes = min(self.block_size, size - i * self.block_size)
-            first = (self._file_counter + i) % n
-            replicas = tuple(
-                data_nodes[(first + r) % n] for r in range(self.replication)
-            )
-            placements.append(
-                BlockPlacement(index=i, size=block_bytes, replicas=replicas)
-            )
-        return tuple(placements)
-
     def __repr__(self) -> str:
         return (
             f"DistributedFileSystem(files={len(self._files)}, "
             f"used={self._used_raw}, capacity={self.cluster.dfs_capacity})"
         )
+
+
+def _block_count(size: int, block_size: int) -> int:
+    return math.ceil(size / block_size) if size > 0 else 0

@@ -433,10 +433,12 @@ class CostEstimationModule:
         misses_by_system: Dict[str, List[int]] = {}
         hits = 0
         for index, request in enumerate(requests):
-            self.estimator(request.system)  # ensure built
-            key = self.cache.key_for(
-                request.system, self.generation(request.system), request.stats
-            )
+            # The name the system was registered under, not the
+            # request's own copy of it (a fresh string per parsed HTTP
+            # body): every cache key then shares the one string.
+            system = self._entry(request.system).system.name
+            self.estimator(system)  # ensure built
+            key = self.cache.key_for(system, self.generation(system), request.stats)
             keys[index] = key
             cached = self.cache.get(key, request.stats) if self.cache.enabled else None
             if cached is not None:
@@ -444,9 +446,9 @@ class CostEstimationModule:
                 hits += 1
                 # Cache hits skip _observe_estimate, but the query still
                 # touched the system — keep it nameable by alert exemplars.
-                obs.record_exemplar(request.system)
+                obs.record_exemplar(system)
             else:
-                misses_by_system.setdefault(request.system, []).append(index)
+                misses_by_system.setdefault(system, []).append(index)
         # Per-item span attributes only make sense for single-item calls
         # (estimate_plan); batch spans carry aggregate attributes instead.
         item_span = span if len(requests) == 1 else obs.NOOP_SPAN

@@ -34,8 +34,12 @@ class Catalog:
 
         Args:
             spec: The table to register.
-            statistics: Pre-collected statistics; derived from the spec
-                when omitted (synthetic tables have exact statistics).
+            statistics: Pre-collected statistics.  When omitted, the
+                spec's exact ones (synthetic tables have exact
+                statistics): :meth:`TableStatistics.from_spec` derives
+                them once per spec lineage, so every catalog that
+                registers the spec or a ``with_location`` copy of it
+                holds the same object.
             replace: Allow overwriting an existing registration.
 
         Raises:

@@ -92,6 +92,8 @@ def build_paper_corpus(
         row_counts: Row-count configurations (defaults to the paper's 20).
         row_sizes: Record sizes in bytes (defaults to the paper's 6).
     """
+    # Tables of one record size share one schema object.
+    schemas = {row_size: paper_schema(row_size) for row_size in row_sizes}
     specs: List[TableSpec] = []
     for num_rows in row_counts:
         for row_size in row_sizes:
@@ -99,7 +101,7 @@ def build_paper_corpus(
             specs.append(
                 TableSpec(
                     name=name,
-                    schema=paper_schema(row_size),
+                    schema=schemas[row_size],
                     num_rows=num_rows,
                     row_size=row_size,
                     location=location,

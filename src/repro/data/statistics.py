@@ -4,13 +4,15 @@ The master engine (Teradata in the paper) collects basic statistics on
 remote tables — row counts, average row size, and per-column distinct
 counts (§2, "Data Storage, Statistics, and Transfer").  For synthetic
 tables these are derived exactly from the :class:`~repro.data.table.TableSpec`;
-:meth:`TableStatistics.from_spec` does that derivation.
+:meth:`TableStatistics.from_spec` does that derivation, once per table:
+the master's catalog, the engine that stores the table and the master's
+mirror of it all hold the one immutable object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.data.table import TableSpec
 from repro.exceptions import CatalogError, ConfigurationError
@@ -65,7 +67,12 @@ class ColumnStatistics:
 
 
 class TableStatistics:
-    """Row-level and per-column statistics for one table."""
+    """Row-level and per-column statistics for one table.
+
+    Immutable, because catalogs share them (see :meth:`from_spec`).
+    """
+
+    __slots__ = ("table_name", "num_rows", "avg_row_size", "_columns")
 
     def __init__(
         self,
@@ -80,18 +87,42 @@ class TableStatistics:
             raise ConfigurationError(
                 f"avg_row_size must be >= 0, got {avg_row_size}"
             )
-        self.table_name = table_name
-        self.num_rows = num_rows
-        self.avg_row_size = avg_row_size
-        self._columns: Dict[str, ColumnStatistics] = {c.name: c for c in columns}
+        init = object.__setattr__
+        init(self, "table_name", table_name)
+        init(self, "num_rows", num_rows)
+        init(self, "avg_row_size", avg_row_size)
+        init(self, "_columns", {c.name: c for c in columns})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TableStatistics is immutable (setting {name!r})")
+
+    def __reduce__(self):
+        columns = tuple(self._columns.values())
+        return type(self), (self.table_name, self.num_rows, self.avg_row_size, columns)
 
     @classmethod
     def from_spec(cls, spec: TableSpec) -> "TableStatistics":
-        """Derive exact statistics from a synthetic table specification.
+        """Exact statistics of a synthetic table specification.
 
         Column ``a_i`` values are ``0..ndv-1`` each repeated ``i`` times
         (so min 0, max ndv-1); constant columns hold a single zero.
+
+        Derived once per spec lineage: a spec and its
+        :meth:`~repro.data.table.TableSpec.with_location` copies describe
+        the same data, so the first call for any of them derives the
+        statistics and every later call returns that same object.
+        ``dataclasses.replace`` and :meth:`~repro.data.table.TableSpec.grown`
+        start a new lineage, so a changed spec gets fresh statistics.
+        Nothing is kept beyond the specs themselves: specs built
+        separately (a second federation's corpus) derive their own.
         """
+        lineage = spec._lineage
+        if lineage.statistics is None:
+            lineage.statistics = cls._derive(spec)
+        return lineage.statistics
+
+    @classmethod
+    def _derive(cls, spec: TableSpec) -> "TableStatistics":
         column_stats = []
         for column in spec.schema.columns:
             if column.constant:

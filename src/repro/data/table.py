@@ -7,11 +7,29 @@ DFS path when stored on a DFS-backed remote system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.data.schema import TableSchema
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.data.statistics import TableStatistics
+
+
+class _Lineage:
+    """What a spec and its :meth:`~TableSpec.with_location` copies share.
+
+    Those copies describe the same data, so whatever is derived from it
+    is derived once for all of them:
+    :meth:`~repro.data.statistics.TableStatistics.from_spec` fills
+    ``statistics`` the first time it is asked.
+    """
+
+    __slots__ = ("statistics",)
+
+    def __init__(self) -> None:
+        self.statistics: Optional["TableStatistics"] = None
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,7 @@ class TableSpec:
     partitioned_by: Optional[str] = None
     sorted_by: Optional[str] = None
     skewed_columns: Tuple[str, ...] = ()
+    _lineage: _Lineage = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -66,6 +85,9 @@ class TableSpec:
                     f"skewed column {column!r} is not a column of table "
                     f"{self.name!r}"
                 )
+        # Every construction, ``dataclasses.replace`` included, starts a
+        # lineage of its own; only with_location shares one.
+        object.__setattr__(self, "_lineage", _Lineage())
 
     def grown(self, factor: float) -> "TableSpec":
         """The same table after its data volume grew by ``factor``.
@@ -78,8 +100,6 @@ class TableSpec:
         """
         if factor <= 0:
             raise ConfigurationError(f"growth factor must be > 0, got {factor}")
-        from dataclasses import replace
-
         return replace(self, num_rows=int(self.num_rows * factor))
 
     @property
@@ -96,18 +116,14 @@ class TableSpec:
     def with_location(
         self, location: str, dfs_path: Optional[str] = None
     ) -> "TableSpec":
-        """Return a copy of this spec stored on a different system."""
-        return TableSpec(
-            name=self.name,
-            schema=self.schema,
-            num_rows=self.num_rows,
-            row_size=self.row_size,
-            location=location,
-            dfs_path=dfs_path,
-            partitioned_by=self.partitioned_by,
-            sorted_by=self.sorted_by,
-            skewed_columns=self.skewed_columns,
-        )
+        """Return a copy of this spec stored on a different system.
+
+        The copy shares this spec's lineage, so both are served the same
+        derived statistics.
+        """
+        copy = replace(self, location=location, dfs_path=dfs_path)
+        object.__setattr__(copy, "_lineage", self._lineage)
+        return copy
 
     def projected_row_size(self, columns: Tuple[str, ...]) -> int:
         """On-disk width of the named columns — the paper's projected size."""

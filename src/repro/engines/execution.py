@@ -168,7 +168,12 @@ class DfsEngine(RemoteSystem):
     # ------------------------------------------------------------------
     def _execute(self, plan: LogicalPlan) -> QueryResult:
         with obs.plane().tracer.span("engine.execute", engine=self.name) as span:
-            result = self._cost_node(plan)
+            try:
+                result = self._cost_node(plan)
+            finally:
+                # Shapes are memoized for one execution only: a plan
+                # that runs again after a table grew sees the new rows.
+                self._estimator.clear_memo()
             elapsed = self._apply_noise(result.seconds)
             self._observe_execution(result, elapsed, span)
         return QueryResult(

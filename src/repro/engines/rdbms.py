@@ -82,7 +82,12 @@ class RdbmsEngine(RemoteSystem):
     # Execution model
     # ------------------------------------------------------------------
     def _execute(self, plan: LogicalPlan) -> QueryResult:
-        seconds, shape, algorithm, breakdown = self._cost_node(plan)
+        try:
+            seconds, shape, algorithm, breakdown = self._cost_node(plan)
+        finally:
+            # Shapes are memoized for one execution only: a plan that
+            # runs again after a table grew sees the new rows.
+            self._estimator.clear_memo()
         elapsed = self._apply_noise(seconds + self.tuning.startup_seconds)
         num_rows, row_size = shape
         return QueryResult(

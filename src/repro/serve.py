@@ -68,7 +68,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Mapping, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.exceptions import (
@@ -571,14 +571,20 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    def _body_field(self, request: HttpRequest, name: str) -> str:
+    @staticmethod
+    def _body_fields(request: HttpRequest, *names: str) -> List[str]:
+        """The named non-empty string fields of the JSON body, in order,
+        from one parse of it."""
         payload = request.json()
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        value = payload.get(name)
-        if not isinstance(value, str) or not value:
-            raise ValueError(f"missing or empty field: {name!r}")
-        return value
+        values = []
+        for name in names:
+            value = payload.get(name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"missing or empty field: {name!r}")
+            values.append(value)
+        return values
 
     def _guarded(
         self, request: HttpRequest, operation: Callable[[], Dict[str, object]]
@@ -616,8 +622,7 @@ class ServeDaemon:
         return self._guarded(
             request,
             lambda: self.service.estimate(
-                self._body_field(request, "system"),
-                self._body_field(request, "sql"),
+                *self._body_fields(request, "system", "sql"),
                 tenant=self._tenant(request),
             ),
         )
@@ -626,7 +631,7 @@ class ServeDaemon:
         return self._guarded(
             request,
             lambda: self.service.optimize(
-                self._body_field(request, "sql"),
+                *self._body_fields(request, "sql"),
                 tenant=self._tenant(request),
             ),
         )
@@ -634,5 +639,5 @@ class ServeDaemon:
     def _swap_route(self, request: HttpRequest) -> HttpResponse:
         return self._guarded(
             request,
-            lambda: self.service.swap(self._body_field(request, "system")),
+            lambda: self.service.swap(*self._body_fields(request, "system")),
         )

@@ -80,10 +80,13 @@ class CardinalityEstimator:
     Estimates are memoized per plan-node identity: the placement
     optimizer asks for the same subtree's shape once per candidate
     location, and the join/aggregate descriptor derivations revisit
-    child subtrees the recursive estimate already covered.  Call
-    :meth:`clear_memo` whenever the underlying catalog statistics may
-    have changed (the optimizer does so at the start of every
-    ``optimize()``).
+    child subtrees the recursive estimate already covered.  The memo
+    holds every plan it has seen alive, and a shape it holds goes stale
+    once the catalog's statistics change, so each owner scopes it to
+    one unit of work with :meth:`clear_memo`: the optimizer clears it
+    at the start of every ``optimize()``, and an engine's ground-truth
+    estimator after every execution (a plan that runs again after a
+    table grew is costed at its grown output).
     """
 
     def __init__(self, catalog: Catalog) -> None:

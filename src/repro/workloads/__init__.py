@@ -6,6 +6,9 @@
 * :mod:`repro.workloads.join` — the ~4,000-query join grid (vary both
   tables, record sizes, and output selectivity through the
   ``R.a1 + S.z < threshold`` control predicate);
+* :mod:`repro.workloads.grid` — the even thinning the aggregation, join
+  and scan grids share, applied to parameter tuples before any plan is
+  built;
 * :mod:`repro.workloads.subop_queries` — budget-sized primitive
   measurement workloads for sub-op training (Fig. 13(a));
 * :mod:`repro.workloads.out_of_range` — the 45 out-of-range join queries

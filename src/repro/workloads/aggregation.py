@@ -25,6 +25,7 @@ from repro.exceptions import ConfigurationError
 from repro.sql.ast import AggregateCall, AggregateKind, column
 from repro.sql.builder import scan
 from repro.sql.logical import LogicalPlan
+from repro.workloads.grid import thin
 
 #: Columns whose SUMs the workload computes, in order of inclusion.
 _SUM_COLUMNS: Tuple[str, ...] = ("a1", "a2", "a5", "a10", "a20")
@@ -83,12 +84,12 @@ class AggregationWorkload:
     def plans(self) -> List[LogicalPlan]:
         """All query plans of the (possibly thinned) grid."""
         grid = [
-            self.build_plan(spec.name, factor, n)
+            (spec.name, factor, n)
             for spec in self.corpus
             for factor in self.shrink_factors
             for n in self.num_aggregates
         ]
-        return _thin(grid, self.max_queries)
+        return [self.build_plan(*params) for params in thin(grid, self.max_queries)]
 
     def training_queries(self, catalog: Catalog) -> List[TrainingQuery]:
         """Plans paired with their four-dimension feature vectors."""
@@ -105,11 +106,3 @@ class AggregationWorkload:
         )
         return min(full, self.max_queries) if self.max_queries else full
 
-
-def _thin(items: List, budget: Optional[int]) -> List:
-    if budget is None or len(items) <= budget:
-        return items
-    if budget < 1:
-        raise ConfigurationError("max_queries must be >= 1")
-    step = len(items) / budget
-    return [items[int(i * step)] for i in range(budget)]

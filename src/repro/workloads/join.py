@@ -26,6 +26,7 @@ from repro.exceptions import ConfigurationError
 from repro.sql.ast import column, lit
 from repro.sql.builder import scan
 from repro.sql.logical import Join, LogicalPlan
+from repro.workloads.grid import thin
 
 #: Projection variants cycled across the grid: narrow, medium, full.
 PROJECTION_VARIANTS: Tuple[Tuple[str, ...], ...] = (
@@ -108,25 +109,19 @@ class JoinWorkload:
     # ------------------------------------------------------------------
     def configs(self) -> List[JoinConfig]:
         """All configurations of the (possibly thinned) grid."""
-        grid: List[JoinConfig] = []
-        variant = 0
+        grid: List[Tuple[int, int, int, float, Tuple[str, ...]]] = []
         for row_size in self.row_sizes:
             for i, r_rows in enumerate(self.row_counts):
                 for s_rows in self.row_counts[: i + 1]:
                     for selectivity in self.selectivities:
+                        # Projections cycle along the full grid.
+                        projection = PROJECTION_VARIANTS[
+                            len(grid) % len(PROJECTION_VARIANTS)
+                        ]
                         grid.append(
-                            JoinConfig(
-                                r_rows=r_rows,
-                                s_rows=s_rows,
-                                row_size=row_size,
-                                selectivity=selectivity,
-                                projection=PROJECTION_VARIANTS[
-                                    variant % len(PROJECTION_VARIANTS)
-                                ],
-                            )
+                            (r_rows, s_rows, row_size, selectivity, projection)
                         )
-                        variant += 1
-        return _thin(grid, self.max_queries)
+        return [JoinConfig(*params) for params in thin(grid, self.max_queries)]
 
     def plans(self) -> List[LogicalPlan]:
         return [self.build_plan(config) for config in self.configs()]
@@ -146,11 +141,3 @@ class JoinWorkload:
         full = len(self.row_sizes) * pairs * len(self.selectivities)
         return min(full, self.max_queries) if self.max_queries else full
 
-
-def _thin(items: List, budget: Optional[int]) -> List:
-    if budget is None or len(items) <= budget:
-        return items
-    if budget < 1:
-        raise ConfigurationError("max_queries must be >= 1")
-    step = len(items) / budget
-    return [items[int(i * step)] for i in range(budget)]

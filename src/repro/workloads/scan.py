@@ -23,6 +23,7 @@ from repro.data.generator import SyntheticCorpus
 from repro.exceptions import ConfigurationError
 from repro.sql.ast import column, lit
 from repro.sql.logical import LogicalPlan, Scan
+from repro.workloads.grid import thin
 
 #: Projection variants cycled across the grid.
 PROJECTION_VARIANTS: Tuple[Tuple[str, ...], ...] = (
@@ -69,20 +70,13 @@ class ScanWorkload:
         )
 
     def plans(self) -> List[LogicalPlan]:
-        grid: List[LogicalPlan] = []
-        variant = 0
+        grid: List[Tuple[str, int, float, Tuple[str, ...]]] = []
         for spec in self.corpus:
             for selectivity in self.selectivities:
-                grid.append(
-                    self.build_plan(
-                        spec.name,
-                        spec.num_rows,
-                        selectivity,
-                        PROJECTION_VARIANTS[variant % len(PROJECTION_VARIANTS)],
-                    )
-                )
-                variant += 1
-        return _thin(grid, self.max_queries)
+                # Projections cycle along the full grid.
+                projection = PROJECTION_VARIANTS[len(grid) % len(PROJECTION_VARIANTS)]
+                grid.append((spec.name, spec.num_rows, selectivity, projection))
+        return [self.build_plan(*params) for params in thin(grid, self.max_queries)]
 
     def training_queries(self, catalog: Catalog) -> List[TrainingQuery]:
         """Plans paired with their four-dimension feature vectors."""
@@ -97,11 +91,3 @@ class ScanWorkload:
         full = len(self.corpus) * len(self.selectivities)
         return min(full, self.max_queries) if self.max_queries else full
 
-
-def _thin(items: List, budget: Optional[int]) -> List:
-    if budget is None or len(items) <= budget:
-        return items
-    if budget < 1:
-        raise ConfigurationError("max_queries must be >= 1")
-    step = len(items) / budget
-    return [items[int(i * step)] for i in range(budget)]

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, DistributedFileSystem
+from repro.cluster import dfs as dfs_module
+from repro.data import build_paper_corpus
+from repro.engines import HiveEngine
 from repro.exceptions import ConfigurationError
 
 MIB = 1024**2
@@ -71,6 +74,57 @@ class TestPlacement:
         f = dfs.create_file("/f", 6 * 128 * MIB)
         first_replicas = [b.replicas[0] for b in f.blocks]
         assert len(set(first_replicas)) == 3  # round-robin over 3 nodes
+
+    @pytest.mark.parametrize("nodes,replication", [(3, 3), (4, 2), (5, 1)])
+    def test_blocks_follow_the_documented_policy(self, nodes, replication):
+        """Block i of the k-th file: first replica on data node
+        (k + i) mod N, the others on the nodes after it."""
+        dfs = DistributedFileSystem(
+            Cluster(
+                ClusterConfig(
+                    num_data_nodes=nodes,
+                    dfs_block_size=128 * MIB,
+                    dfs_replication=replication,
+                )
+            )
+        )
+        names = [n.name for n in dfs.cluster.data_nodes]
+        sizes = (300 * MIB, 0, 1, 128 * MIB, 6 * 128 * MIB + 5, 17, 1000 * MIB)
+        for k, size in enumerate(sizes):
+            f = dfs.create_file(f"/f{k}", size)
+            expected = []
+            offset = 0
+            while offset < size:
+                i = len(expected)
+                first = (k + i) % nodes
+                expected.append(
+                    (
+                        i,
+                        min(128 * MIB, size - offset),
+                        tuple(names[(first + r) % nodes] for r in range(replication)),
+                    )
+                )
+                offset += 128 * MIB
+            assert [(b.index, b.size, b.replicas) for b in f.blocks] == expected
+            assert f.num_blocks == len(expected) == dfs.num_blocks(size)
+
+    def test_loading_tables_places_no_blocks(self, monkeypatch):
+        """Placements are computed when read, never while loading."""
+        built = []
+
+        class Counted(dfs_module.BlockPlacement):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dfs_module, "BlockPlacement", Counted)
+        engine = HiveEngine(seed=0, noise_sigma=0.0)
+        for spec in build_paper_corpus():
+            engine.load_table(spec)
+        assert len(engine.dfs.list_files()) > 100  # until the disks fill
+        assert built == []
+        f = engine.dfs.get_file("/warehouse/t10000000_100")
+        assert len(f.blocks) == len(built) == f.num_blocks == 8
 
     def test_locality_full_with_full_replication(self, dfs):
         dfs.create_file("/f", 128 * MIB)

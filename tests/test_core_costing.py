@@ -1,5 +1,7 @@
 """Tests for the top-level CostEstimationModule and stats derivation."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -220,6 +222,36 @@ class TestFullPlanEstimation:
         plan = parse_select("SELECT SUM(a1) FROM t1000000_100 GROUP BY a5")
         total, estimates = module.estimate_full_plan("hive", plan, small_catalog)
         assert len(estimates) == 1  # the aggregate only
+
+
+class TestCacheKeys:
+    def test_keys_hold_the_registered_system_name(
+        self, module, small_catalog, monkeypatch
+    ):
+        """A request's system string (a fresh one per parsed HTTP body)
+        is not what the cache keeps: every key shares the name the
+        system was registered under."""
+        module.train_sub_op("hive")
+        (registered,) = module.system_names
+        keys = []
+        for method in ("get", "put"):
+            original = getattr(module.cache, method)
+
+            def recorded(key, *args, _original=original):
+                keys.append(key)
+                return _original(key, *args)
+
+            monkeypatch.setattr(module.cache, method, recorded)
+        plan = parse_select("SELECT SUM(a1) FROM t1000000_100 GROUP BY a5")
+        answers = []
+        for _ in range(2):
+            name = json.loads('"hive"')
+            assert name == registered and name is not registered
+            answers.append(module.estimate_plan(name, plan, small_catalog))
+        assert [answer.cache_hit for answer in answers] == [False, True]
+        assert answers[1].seconds == answers[0].seconds
+        assert len(keys) == 3  # get (miss), put, get (hit)
+        assert all(key[0] is registered for key in keys)
 
 
 class TestObservability:

@@ -50,6 +50,12 @@ class TestCorpusShape:
         assert corpus.row_counts == (100, 200)
         assert corpus.row_sizes == (40,)
 
+    def test_one_schema_per_row_size(self, corpus):
+        schemas = {}
+        for spec in corpus:
+            assert schemas.setdefault(spec.byte_row_size, spec.schema) is spec.schema
+        assert len(schemas) == 6
+
 
 class TestMaterialization:
     def test_duplication_property(self):

@@ -1,5 +1,8 @@
 """Tests for table/column statistics derivation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.data.schema import paper_schema
@@ -73,3 +76,54 @@ class TestFromSpec:
     def test_total_bytes(self, spec):
         stats = TableStatistics.from_spec(spec)
         assert stats.total_bytes == 100_000_000
+
+
+class TestOnePerLineage:
+    """A spec and its with_location copies share one derived object."""
+
+    def test_copies_share_the_statistics(self, spec):
+        stats = TableStatistics.from_spec(spec.with_location("hive"))
+        assert TableStatistics.from_spec(spec) is stats
+        assert TableStatistics.from_spec(spec.with_location("teradata")) is stats
+
+    def test_grown_spec_gets_fresh_statistics(self, spec):
+        before = TableStatistics.from_spec(spec)
+        grown = TableStatistics.from_spec(spec.grown(2.5))
+        assert grown is not before
+        assert grown.num_rows == 2_500_000
+        assert grown.column("a1").ndv == 2_500_000
+        assert before.num_rows == 1_000_000
+
+    def test_replace_starts_a_new_lineage(self, spec):
+        stats = TableStatistics.from_spec(spec)
+        assert TableStatistics.from_spec(dataclasses.replace(spec)) is not stats
+        skewed = dataclasses.replace(spec, skewed_columns=("a1",))
+        assert TableStatistics.from_spec(skewed).column("a1").skewed
+        assert not stats.column("a1").skewed
+
+    def test_separately_built_specs_do_not_share(self, spec):
+        twin = TableSpec(name="t", schema=paper_schema(100), num_rows=1_000_000)
+        assert twin == spec
+        assert TableStatistics.from_spec(twin) is not TableStatistics.from_spec(spec)
+
+    def test_statistics_are_immutable(self, spec):
+        stats = TableStatistics.from_spec(spec)
+        with pytest.raises(AttributeError):
+            stats.num_rows = 1
+        with pytest.raises(AttributeError):
+            stats.extra = 1
+        assert stats.num_rows == 1_000_000
+
+    def test_statistics_and_specs_survive_pickling(self, spec):
+        stats = TableStatistics.from_spec(spec)
+        loaded = pickle.loads(pickle.dumps(stats))
+        assert (loaded.table_name, loaded.num_rows, loaded.avg_row_size) == (
+            "t", 1_000_000, 100.0
+        )
+        assert [loaded.column(n) for n in loaded.column_names] == [
+            stats.column(n) for n in stats.column_names
+        ]
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert TableStatistics.from_spec(restored).num_rows == 1_000_000
+

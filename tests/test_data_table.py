@@ -68,3 +68,12 @@ class TestTableSpec:
         spec = TableSpec(name="t", schema=schema, num_rows=10)
         with pytest.raises(ConfigurationError):
             spec.grown(0.0)
+
+    def test_lineage_is_not_part_of_identity(self, schema):
+        spec = TableSpec(name="t", schema=schema, num_rows=5, location="hive")
+        twin = TableSpec(name="t", schema=schema, num_rows=5, location="hive")
+        copy = spec.with_location("hive")
+        assert spec == twin == copy
+        assert hash(spec) == hash(twin) == hash(copy)
+        assert repr(copy) == "TableSpec('t', rows=5, row_size=100, at='hive')"
+

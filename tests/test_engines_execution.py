@@ -1,5 +1,8 @@
 """Tests for the DFS-engine execution model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engines import (
@@ -99,6 +102,35 @@ class TestQueryExecution:
         b = quiet.execute(plan).elapsed_seconds
         assert a != b
         assert a == pytest.approx(b, rel=0.3)
+
+
+class TestShapesPerExecution:
+    """The engine's cardinality memo lives for one execution."""
+
+    def test_rerun_after_growth_sees_the_grown_rows(self, small_hive, small_corpus):
+        plan = parse_select("SELECT SUM(a1) FROM t100000_100 GROUP BY a10")
+        before = small_hive.execute(plan)
+        assert before.output_rows == 10_000
+        small_hive.load_table(small_corpus.get(100_000, 100).grown(2.5))
+        after = small_hive.execute(plan)
+        assert after.output_rows == 25_000
+        assert after.elapsed_seconds > before.elapsed_seconds
+
+    def test_executed_plans_are_not_kept(self, small_hive):
+        plans = [
+            parse_select(
+                "SELECT SUM(r.a1) FROM t1000000_100 r JOIN t10000_100 s "
+                f"ON r.a1 = s.a1 WHERE r.a1 < {n} GROUP BY r.a5"
+            )
+            for n in range(1, 50)
+        ]
+        refs = [weakref.ref(plan) for plan in plans]
+        for _ in range(2):
+            for plan in plans:
+                small_hive.execute(plan)
+        del plans, plan
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestWaveScaling:

@@ -1,5 +1,8 @@
 """Tests for the blackbox RDBMS simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engines import PrimitiveKind, PrimitiveQuery, RdbmsEngine
@@ -73,6 +76,31 @@ class TestExecution:
             ).elapsed_seconds
 
         assert run() == run()
+
+
+class TestShapesPerExecution:
+    """The engine's cardinality memo lives for one execution."""
+
+    def test_rerun_after_growth_sees_the_grown_rows(self, rdbms, small_corpus):
+        plan = parse_select(
+            "SELECT * FROM t1000000_100 r JOIN t100000_100 s ON r.a1 = s.a1"
+        )
+        assert rdbms.execute(plan).output_rows == 100_000
+        rdbms.load_table(small_corpus.get(100_000, 100).grown(2.0))
+        assert rdbms.execute(plan).output_rows == 200_000
+
+    def test_executed_plans_are_not_kept(self, rdbms):
+        plans = [
+            parse_select(f"SELECT a1 FROM t100000_100 WHERE a1 < {n}")
+            for n in range(1, 50)
+        ]
+        refs = [weakref.ref(plan) for plan in plans]
+        for _ in range(2):
+            for plan in plans:
+                rdbms.execute(plan)
+        del plans, plan
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestBlackboxSurface:

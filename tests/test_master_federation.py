@@ -7,9 +7,9 @@ from repro.core import (
     RemoteSystemProfile,
     SubOpTrainer,
 )
-from repro.data import TableSpec, build_paper_corpus
+from repro.data import TableSpec, TableStatistics, build_paper_corpus
 from repro.data.schema import paper_schema
-from repro.engines import HiveEngine
+from repro.engines import HiveEngine, SparkEngine
 from repro.exceptions import CatalogError, ConfigurationError
 from repro.master.federation import IntelliSphere
 from repro.master.querygrid import TERADATA
@@ -68,6 +68,54 @@ class TestRegistration:
 
     def test_remote_names(self, sphere):
         assert sphere.remote_system_names == ("hive",)
+
+
+def _small_federation():
+    """A fresh corpus loaded the way the e2e benchmark loads its own: on
+    Hive through the master, and mirrored on Spark as well."""
+    sphere = IntelliSphere(seed=0)
+    info = ClusterInfo(num_data_nodes=3, cores_per_node=2, dfs_block_size=1024)
+    spark = SparkEngine(seed=0, noise_sigma=0.0)
+    sphere.add_remote_system(
+        HiveEngine(seed=0, noise_sigma=0.0),
+        RemoteSystemProfile(name="hive", cluster=info),
+    )
+    sphere.add_remote_system(spark, RemoteSystemProfile(name="spark", cluster=info))
+    for spec in build_paper_corpus(row_counts=(10_000, 100_000), row_sizes=(40,)):
+        sphere.add_table(spec)
+        spark.load_table(spec.with_location("spark"))
+    return sphere
+
+
+class TestOneStatisticsObjectPerTable:
+    def test_every_catalog_holds_the_same_object(self):
+        sphere = _small_federation()
+        stats = sphere.catalog.statistics("t10000_40")
+        holders = (
+            sphere.costing.system("hive").catalog,
+            sphere.teradata_engine.catalog,
+            sphere.costing.system("spark").catalog,
+        )
+        for catalog in holders:
+            assert catalog.statistics("t10000_40") is stats
+
+    def test_a_second_federation_derives_its_own(self):
+        first, second = _small_federation(), _small_federation()
+        for name in first.catalog.table_names:
+            assert (
+                first.catalog.statistics(name)
+                is not second.catalog.statistics(name)
+            )
+
+    def test_explicit_statistics_still_override(self):
+        sphere = _small_federation()
+        spec = sphere.catalog.table("t100000_40")
+        collected = TableStatistics(spec.name, num_rows=5, avg_row_size=40.0)
+        sphere.catalog.register(spec, statistics=collected, replace=True)
+        assert sphere.catalog.statistics(spec.name) is collected
+        # The override is the master's alone.
+        engine = sphere.costing.system("hive")
+        assert engine.catalog.statistics(spec.name).num_rows == 100_000
 
 
 class TestExplainAndRun:

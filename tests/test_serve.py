@@ -432,6 +432,38 @@ class TestHttpEndpoints:
         assert status == 405
         assert "POST" in json.loads(body)["allow"]
 
+    def test_error_texts(self, daemon):
+        url = daemon.url
+        cases = (
+            ("/estimate", ["hive"], "request body must be a JSON object"),
+            ("/estimate", {"sql": QUERIES[2]}, "missing or empty field: 'system'"),
+            ("/estimate", {"system": "hive"}, "missing or empty field: 'sql'"),
+            ("/optimize", {"sql": ""}, "missing or empty field: 'sql'"),
+            ("/swap", {}, "missing or empty field: 'system'"),
+        )
+        for path, payload, error in cases:
+            assert post(url + path, payload)[::2] == (400, {"error": error})
+
+    def test_estimate_parses_its_body_once(self, daemon, monkeypatch):
+        from repro.obs import server
+
+        class CountingJson:
+            calls = 0
+
+            def loads(self, *args, **kwargs):
+                CountingJson.calls += 1
+                return json.loads(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(json, name)
+
+        monkeypatch.setattr(server, "json", CountingJson())
+        status, _, _ = post(
+            daemon.url + "/estimate", {"system": "hive", "sql": QUERIES[2]}
+        )
+        assert status == 200
+        assert CountingJson.calls == 1
+
     def test_obs_plane_shares_the_port(self, daemon):
         post(daemon.url + "/estimate", {"system": "hive", "sql": QUERIES[2]})
         status, body = get(daemon.url + "/metrics.json")

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.core.subop_model import SubOpTrainer
+from repro.data import build_paper_corpus
 from repro.exceptions import ConfigurationError
 from repro.sql.logical import Aggregate, Join
 from repro.workloads import (
     AggregationWorkload,
     JoinWorkload,
     OutOfRangeWorkload,
+    ScanWorkload,
     trainer_for_budget,
 )
-from repro.workloads.join import PAPER_SELECTIVITIES
+from repro.workloads import join as join_module
+from repro.workloads.join import PAPER_SELECTIVITIES, JoinConfig
 from repro.workloads.subop_queries import grid_for_budget
 
 
@@ -93,6 +96,110 @@ class TestJoinWorkload:
     def test_invalid_selectivity(self, small_corpus):
         with pytest.raises(ConfigurationError):
             JoinWorkload(small_corpus, selectivities=(0.0,))
+
+
+#: Budgets from one query to past every grid's size (grids hold 60 to
+#: 5,040 items).
+BUDGETS = (None, 1, 7, 42, 100, 333, 10**6)
+
+#: The traffic simulator's and the e2e benchmark's training slice.
+SLICE_ROWS = (
+    10_000, 20_000, 40_000, 60_000, 80_000, 100_000, 200_000, 400_000,
+    600_000, 800_000, 1_000_000, 2_000_000, 4_000_000, 6_000_000, 8_000_000,
+)
+
+
+def reference_plans(kind, corpus):
+    """Every plan of the default grid, built in grid order."""
+    plans = []
+    if kind is ScanWorkload:
+        projections = (("a1",), ("a1", "a2", "a5", "a10"), ())
+        for spec in corpus:
+            for selectivity in (1.0, 0.5, 0.1, 0.01):
+                plans.append(
+                    ScanWorkload.build_plan(
+                        spec.name,
+                        spec.num_rows,
+                        selectivity,
+                        projections[len(plans) % 3],
+                    )
+                )
+    elif kind is JoinWorkload:
+        projections = (("a1", "a2"), ("a1", "a2", "a5", "a10", "a20"), ())
+        counts = corpus.row_counts
+        for row_size in corpus.row_sizes:
+            for i, r_rows in enumerate(counts):
+                for s_rows in counts[: i + 1]:
+                    for selectivity in PAPER_SELECTIVITIES:
+                        config = JoinConfig(
+                            r_rows, s_rows, row_size, selectivity,
+                            projections[len(plans) % 3],
+                        )
+                        plans.append(JoinWorkload.build_plan(config))
+    else:
+        for spec in corpus:
+            for factor in (1, 2, 5, 10, 20, 50, 100):
+                for n in range(1, 6):
+                    plans.append(AggregationWorkload.build_plan(spec.name, factor, n))
+    return plans
+
+
+def reference_thin(items, budget):
+    if budget is None or len(items) <= budget:
+        return items
+    step = len(items) / budget
+    return [items[int(i * step)] for i in range(budget)]
+
+
+class TestThinning:
+    """Thinning picks grid parameters before any plan is built."""
+
+    @pytest.fixture(scope="class", params=("paper", "slice"))
+    def grid_corpus(self, request):
+        if request.param == "paper":
+            return build_paper_corpus()
+        return build_paper_corpus(row_counts=SLICE_ROWS, row_sizes=(100,))
+
+    @pytest.mark.parametrize(
+        "kind", (ScanWorkload, JoinWorkload, AggregationWorkload)
+    )
+    def test_plans_equal_thinning_the_full_grid(self, grid_corpus, kind):
+        full = reference_plans(kind, grid_corpus)
+        assert len(full) == len(kind(grid_corpus))
+        for budget in BUDGETS:
+            plans = kind(grid_corpus, max_queries=budget).plans()
+            assert plans == reference_thin(full, budget), budget
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_builds_only_the_kept_plans(self, monkeypatch, grid_corpus, budget):
+        configs = []
+
+        class CountedConfig(JoinConfig):
+            def __init__(self, *args, **kwargs):
+                configs.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(join_module, "JoinConfig", CountedConfig)
+        for kind in (ScanWorkload, JoinWorkload, AggregationWorkload):
+            built = []
+            build_plan = kind.build_plan
+
+            def counted(*args, _build=build_plan):
+                built.append(1)
+                return _build(*args)
+
+            monkeypatch.setattr(kind, "build_plan", staticmethod(counted))
+            size = len(kind(grid_corpus))
+            kept = size if budget is None else min(budget, size)
+            assert len(kind(grid_corpus, max_queries=budget).plans()) == kept
+            assert len(built) == kept, kind.__name__
+            if kind is JoinWorkload:
+                assert len(configs) == kept
+
+    def test_budget_below_one_is_rejected(self, small_corpus):
+        for kind in (ScanWorkload, JoinWorkload, AggregationWorkload):
+            with pytest.raises(ConfigurationError):
+                kind(small_corpus, max_queries=-1).plans()
 
 
 class TestOutOfRangeWorkload:
