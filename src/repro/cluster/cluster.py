@@ -1,19 +1,18 @@
 """Cluster-level configuration and derived scheduling quantities.
 
-A :class:`Cluster` groups a set of :class:`~repro.cluster.node.NodeSpec`
-objects and exposes the aggregate quantities the engine simulators need:
-total task parallelism, per-task memory budget, and the number of *task
-waves* a job of N tasks requires (the ``NumTaskWaves`` term of the paper's
-Fig. 6 cost formula).
+A :class:`Cluster` exposes the three quantities the engine simulators
+compute every elapsed time from: total task slots (data nodes x cores),
+the per-task memory budget, and the DFS block size, which sets the number
+of map tasks and so the number of *task waves* a job requires (the
+``NumTaskWaves`` term of the paper's Fig. 6 cost formula).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
 
-from repro.cluster.node import CpuProfile, DiskProfile, GIB, MemoryProfile, NodeSpec
+from repro.cluster.node import CpuProfile, GIB, MemoryProfile
 from repro.exceptions import ConfigurationError
 
 
@@ -23,23 +22,17 @@ class ClusterConfig:
 
     Attributes:
         name: Cluster identifier used in remote-system profiles.
-        num_data_nodes: Worker nodes that store DFS blocks and run tasks.
+        num_data_nodes: Worker nodes that run tasks.
         node_cpu: CPU profile shared by all data nodes.
-        node_disk: Disk profile shared by all data nodes.
         node_memory: Memory profile shared by all data nodes.
-        has_master: Whether a dedicated master/coordinator node exists.
         dfs_block_size: DFS block size in bytes (Hadoop default 128 MiB).
-        dfs_replication: DFS replication factor (Hadoop default 3).
     """
 
     name: str = "cluster"
     num_data_nodes: int = 3
     node_cpu: CpuProfile = field(default_factory=CpuProfile)
-    node_disk: DiskProfile = field(default_factory=DiskProfile)
     node_memory: MemoryProfile = field(default_factory=MemoryProfile)
-    has_master: bool = True
     dfs_block_size: int = 128 * 1024 * 1024
-    dfs_replication: int = 3
 
     def __post_init__(self) -> None:
         if self.num_data_nodes < 1:
@@ -48,17 +41,10 @@ class ClusterConfig:
             )
         if self.dfs_block_size <= 0:
             raise ConfigurationError("dfs_block_size must be positive")
-        if self.dfs_replication < 1:
-            raise ConfigurationError("dfs_replication must be >= 1")
-        if self.dfs_replication > self.num_data_nodes:
-            raise ConfigurationError(
-                "dfs_replication cannot exceed the number of data nodes "
-                f"({self.dfs_replication} > {self.num_data_nodes})"
-            )
 
 
 class Cluster:
-    """A set of nodes plus the derived scheduling arithmetic.
+    """A pool of task slots plus the derived scheduling arithmetic.
 
     The engine simulators treat the cluster as a pool of task slots: one
     slot per data-node core.  Jobs larger than the pool run in cascaded
@@ -67,49 +53,7 @@ class Cluster:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self._nodes: List[NodeSpec] = []
-        if config.has_master:
-            self._nodes.append(
-                NodeSpec(
-                    name=f"{config.name}-master",
-                    cpu=config.node_cpu,
-                    disk=config.node_disk,
-                    memory=config.node_memory,
-                    is_master=True,
-                )
-            )
-        for i in range(config.num_data_nodes):
-            self._nodes.append(
-                NodeSpec(
-                    name=f"{config.name}-data-{i + 1}",
-                    cpu=config.node_cpu,
-                    disk=config.node_disk,
-                    memory=config.node_memory,
-                )
-            )
 
-    # ------------------------------------------------------------------
-    # Node access
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> Sequence[NodeSpec]:
-        """All nodes, master first when present."""
-        return tuple(self._nodes)
-
-    @property
-    def data_nodes(self) -> Sequence[NodeSpec]:
-        """Worker nodes eligible to store DFS blocks and run tasks."""
-        return tuple(n for n in self._nodes if not n.is_master)
-
-    def __iter__(self) -> Iterator[NodeSpec]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    # ------------------------------------------------------------------
-    # Derived scheduling quantities
-    # ------------------------------------------------------------------
     @property
     def total_task_slots(self) -> int:
         """Total concurrent task slots = data-node count x cores per node."""
@@ -119,11 +63,6 @@ class Cluster:
     def per_task_memory(self) -> int:
         """Memory budget of a single task's operator workspace, bytes."""
         return self.config.node_memory.per_task
-
-    @property
-    def dfs_capacity(self) -> int:
-        """Raw DFS capacity: the sum of data-node disk capacities."""
-        return self.config.num_data_nodes * self.config.node_disk.capacity
 
     def num_task_waves(self, num_tasks: int) -> int:
         """Number of cascaded task waves for a job of ``num_tasks`` tasks.
@@ -161,17 +100,17 @@ class Cluster:
 def paper_cluster(name: str = "hive-vm") -> Cluster:
     """Build the 4-node cluster of the paper's evaluation (§7).
 
-    One master plus three data nodes; each node has 8 GB of memory and two
-    Intel Xeon E5-2683 cores at 2.0 GHz; total HDFS size 445 GB (i.e. about
-    148 GB usable per data node).
+    The paper's cluster has one master plus three data nodes; each node
+    has 8 GB of memory and two Intel Xeon E5-2683 cores at 2.0 GHz, and
+    the HDFS holds 445 GB in total.  The simulator models what reaches an
+    elapsed time: six task slots (three data nodes x two cores), a
+    quarter of 8 GiB per task, and 128 MiB DFS blocks.  The master, the
+    clock speed and the HDFS capacity appear in no cost.
     """
-    per_node_capacity = int(445 * GIB / 3)
     config = ClusterConfig(
         name=name,
         num_data_nodes=3,
-        node_cpu=CpuProfile(cores=2, clock_ghz=2.0),
-        node_disk=DiskProfile(capacity=per_node_capacity),
+        node_cpu=CpuProfile(cores=2),
         node_memory=MemoryProfile(total=8 * GIB),
-        has_master=True,
     )
     return Cluster(config)

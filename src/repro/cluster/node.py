@@ -1,19 +1,17 @@
-"""Hardware profiles for a single cluster node.
+"""The per-node quantities the engine simulators read.
 
-The profiles carry the raw device parameters (bandwidths, latencies,
-capacities) that the engine simulators translate into per-record
-sub-operator costs.  All throughputs are bytes/second and all latencies
-are seconds unless stated otherwise.
+A node contributes task slots (its cores) and a per-task memory budget
+for operator workspaces; nothing else about its hardware reaches an
+elapsed time.  Memory sizes are bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
 GIB = 1024**3
-MIB = 1024**2
 
 
 @dataclass(frozen=True)
@@ -22,58 +20,13 @@ class CpuProfile:
 
     Attributes:
         cores: Number of physical cores usable for tasks.
-        clock_ghz: Nominal clock speed; scales in-memory per-record costs.
-        mem_bandwidth: Main-memory bandwidth in bytes/second.
     """
 
     cores: int = 2
-    clock_ghz: float = 2.2
-    mem_bandwidth: float = 8 * GIB
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ConfigurationError(f"cores must be >= 1, got {self.cores}")
-        if self.clock_ghz <= 0:
-            raise ConfigurationError(
-                f"clock_ghz must be positive, got {self.clock_ghz}"
-            )
-        if self.mem_bandwidth <= 0:
-            raise ConfigurationError(
-                f"mem_bandwidth must be positive, got {self.mem_bandwidth}"
-            )
-
-    def scale_factor(self, reference_ghz: float = 2.2) -> float:
-        """Return the cost multiplier relative to a reference clock.
-
-        A slower clock than the reference yields a factor > 1 (operations
-        take proportionally longer).
-        """
-        return reference_ghz / self.clock_ghz
-
-
-@dataclass(frozen=True)
-class DiskProfile:
-    """Local disk characteristics of a node.
-
-    Attributes:
-        read_bandwidth: Sequential read throughput, bytes/second.
-        write_bandwidth: Sequential write throughput, bytes/second.
-        seek_latency: Average seek latency per random access, seconds.
-        capacity: Usable capacity in bytes.
-    """
-
-    read_bandwidth: float = 150 * MIB
-    write_bandwidth: float = 110 * MIB
-    seek_latency: float = 0.008
-    capacity: int = 160 * GIB
-
-    def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ConfigurationError("disk bandwidths must be positive")
-        if self.seek_latency < 0:
-            raise ConfigurationError("seek_latency must be non-negative")
-        if self.capacity <= 0:
-            raise ConfigurationError("capacity must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,27 +55,3 @@ class MemoryProfile:
     def per_task(self) -> int:
         """Memory budget available to one task's operator workspace."""
         return int(self.total * self.task_fraction)
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """Full hardware description of one node.
-
-    Attributes:
-        name: Stable identifier, e.g. ``"node-1"``.
-        cpu: CPU profile.
-        disk: Local disk profile.
-        memory: Memory profile.
-        is_master: True for the coordinator node, which (as in the paper's
-            Hive setup) does not store DFS data blocks.
-    """
-
-    name: str
-    cpu: CpuProfile = field(default_factory=CpuProfile)
-    disk: DiskProfile = field(default_factory=DiskProfile)
-    memory: MemoryProfile = field(default_factory=MemoryProfile)
-    is_master: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("node name must be non-empty")

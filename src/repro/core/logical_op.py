@@ -255,10 +255,6 @@ class LogicalOpModel:
         obs.counter("logical_op.estimates").inc()
         if not report.needs_remedy:
             return CostEstimate(seconds=nn_estimate, features=features)
-        obs.counter(
-            "logical_op.out_of_range",
-            help="estimates whose inputs had pivot (way-off) dimensions",
-        ).inc()
         remedy_estimate = self.remedy.estimate(
             nn_estimate=nn_estimate,
             training_set=self.training_set,

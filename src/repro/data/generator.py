@@ -76,7 +76,7 @@ class SyntheticCorpus:
 
     @property
     def total_bytes(self) -> int:
-        """Logical (un-replicated) size of the whole corpus."""
+        """Size of the whole corpus in bytes."""
         return sum(spec.size_bytes for spec in self)
 
 
@@ -97,15 +97,13 @@ def build_paper_corpus(
     specs: List[TableSpec] = []
     for num_rows in row_counts:
         for row_size in row_sizes:
-            name = table_name(num_rows, row_size)
             specs.append(
                 TableSpec(
-                    name=name,
+                    name=table_name(num_rows, row_size),
                     schema=schemas[row_size],
                     num_rows=num_rows,
                     row_size=row_size,
                     location=location,
-                    dfs_path=f"/warehouse/{name}",
                 )
             )
     return SyntheticCorpus(specs)

@@ -44,7 +44,6 @@ class TableSpec:
             ``schema.row_width`` but may include storage overhead.
         location: Name of the system storing the table (``"teradata"`` or
             a remote-system name).
-        dfs_path: DFS path for DFS-backed systems, else None.
         partitioned_by: Column the table is hash/bucket partitioned on, if
             any; drives join-algorithm applicability rules (paper §4).
         sorted_by: Column the table is sorted on within partitions, if any.
@@ -58,7 +57,6 @@ class TableSpec:
     num_rows: int
     row_size: Optional[int] = None
     location: str = "teradata"
-    dfs_path: Optional[str] = None
     partitioned_by: Optional[str] = None
     sorted_by: Optional[str] = None
     skewed_columns: Tuple[str, ...] = ()
@@ -113,15 +111,13 @@ class TableSpec:
         """Total logical table size in bytes."""
         return self.num_rows * self.byte_row_size
 
-    def with_location(
-        self, location: str, dfs_path: Optional[str] = None
-    ) -> "TableSpec":
+    def with_location(self, location: str) -> "TableSpec":
         """Return a copy of this spec stored on a different system.
 
         The copy shares this spec's lineage, so both are served the same
         derived statistics.
         """
-        copy = replace(self, location=location, dfs_path=dfs_path)
+        copy = replace(self, location=location)
         object.__setattr__(copy, "_lineage", self._lineage)
         return copy
 

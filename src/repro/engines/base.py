@@ -147,9 +147,8 @@ class RemoteSystem(abc.ABC):
 
     def load_table(self, spec: TableSpec) -> TableSpec:
         """Store a table on this system; returns the relocated spec."""
-        located = spec.with_location(self.name, dfs_path=spec.dfs_path)
+        located = spec.with_location(self.name)
         self._catalog.register(located, replace=True)
-        self._on_table_loaded(located)
         return located
 
     def drop_table(self, name: str) -> None:
@@ -157,9 +156,6 @@ class RemoteSystem(abc.ABC):
 
     def has_table(self, name: str) -> bool:
         return self._catalog.has_table(name)
-
-    def _on_table_loaded(self, spec: TableSpec) -> None:
-        """Hook for engines that track storage (e.g. DFS placement)."""
 
     # ------------------------------------------------------------------
     # Execution surface

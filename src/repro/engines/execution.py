@@ -28,8 +28,6 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.cluster import Cluster
-from repro.cluster.dfs import DistributedFileSystem
-from repro.data.table import TableSpec
 from repro.engines.base import (
     EngineCapabilities,
     PrimitiveKind,
@@ -105,7 +103,12 @@ class _NodeResult:
 
 
 class DfsEngine(RemoteSystem):
-    """MapReduce-style engine over a simulated cluster and DFS."""
+    """MapReduce-style engine over a simulated cluster.
+
+    Of the cluster it reads only the task slots and the DFS block size,
+    which sets the map-task count of every scan and so its task waves;
+    its kernels are built from the cluster's per-task memory budget.
+    """
 
     def __init__(
         self,
@@ -116,17 +119,14 @@ class DfsEngine(RemoteSystem):
         tuning: EngineTuning = EngineTuning(),
         capabilities: Optional[EngineCapabilities] = None,
         seed: int = 0,
-        enforce_dfs_capacity: bool = False,
         pipelined: bool = False,
     ) -> None:
         super().__init__(name, capabilities)
         self.cluster = cluster
-        self.dfs = DistributedFileSystem(cluster)
         env_class = PipelinedEnv if pipelined else ExecutionEnv
         self.env = env_class(cluster, kernels)
         self.planner = planner
         self.tuning = tuning
-        self._enforce_dfs_capacity = enforce_dfs_capacity
         self._rng = np.random.default_rng(seed)
         self._estimator = CardinalityEstimator(self._catalog)
         self._scan_pass = ScanPass()
@@ -146,22 +146,6 @@ class DfsEngine(RemoteSystem):
         """
         self.tuning = replace(self.tuning, **overrides)
         return self.tuning
-
-    # ------------------------------------------------------------------
-    # Storage hooks
-    # ------------------------------------------------------------------
-    def _on_table_loaded(self, spec: TableSpec) -> None:
-        path = spec.dfs_path or f"/warehouse/{spec.name}"
-        if self.dfs.exists(path):
-            return
-        if not self._enforce_dfs_capacity and (
-            self.dfs.free_raw_bytes
-            < spec.size_bytes * self.dfs.replication
-        ):
-            # Experiments may exceed the modeled disk; placement still
-            # happens but capacity accounting is best-effort.
-            return
-        self.dfs.create_file(path, spec.size_bytes)
 
     # ------------------------------------------------------------------
     # Execution

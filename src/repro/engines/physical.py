@@ -61,10 +61,6 @@ class ExecutionEnv:
     def slots(self) -> int:
         return self.cluster.total_task_slots
 
-    @property
-    def num_machines(self) -> int:
-        return self.cluster.config.num_data_nodes
-
     def num_tasks(self, shape: RelShape) -> int:
         """Map tasks to scan ``shape``: one per DFS block."""
         return self.cluster.num_tasks_for_bytes(shape.total_bytes)

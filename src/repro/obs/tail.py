@@ -109,17 +109,15 @@ class TailSampler:
             (``None`` disables the latency criterion).
         max_q_error: Keep queries whose worst reported q-error reaches
             this (``None`` disables the q-error criterion).
-        keep_errors: Keep queries whose scope exited with an exception.
-        keep_head_sampled: Honour the head sampler's decision as a
-            floor (a head-kept query is always kept).
+
+    A query whose scope exited with an exception is always kept, and so
+    is a head-sampled one: the head sampler's decision is a floor.
     """
 
     def __init__(
         self,
         latency_seconds: Optional[float] = None,
         max_q_error: Optional[float] = None,
-        keep_errors: bool = True,
-        keep_head_sampled: bool = True,
     ) -> None:
         if latency_seconds is not None and latency_seconds < 0:
             raise ValueError(
@@ -131,8 +129,6 @@ class TailSampler:
             )
         self.latency_seconds = latency_seconds
         self.max_q_error = max_q_error
-        self.keep_errors = keep_errors
-        self.keep_head_sampled = keep_head_sampled
 
     def decide(self, outcome: QueryOutcome) -> TailDecision:
         """The completion-time verdict for one query outcome.
@@ -145,7 +141,7 @@ class TailSampler:
         for a redundant number.
         """
         reasons = []
-        if self.keep_head_sampled and outcome.sampled:
+        if outcome.sampled:
             reasons.append("head")
         if (
             self.latency_seconds is not None
@@ -157,7 +153,7 @@ class TailSampler:
             and outcome.max_q_error >= self.max_q_error
         ):
             reasons.append("q_error")
-        if self.keep_errors and outcome.error:
+        if outcome.error:
             reasons.append("error")
         if reasons:
             counter("obs.tail.kept", help="queries kept by tail sampling").inc()
@@ -173,6 +169,5 @@ class TailSampler:
     def __repr__(self) -> str:
         return (
             f"TailSampler(latency_seconds={self.latency_seconds}, "
-            f"max_q_error={self.max_q_error}, "
-            f"keep_errors={self.keep_errors})"
+            f"max_q_error={self.max_q_error})"
         )

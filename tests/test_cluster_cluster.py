@@ -8,10 +8,6 @@ from repro.exceptions import ConfigurationError
 
 
 class TestClusterConfig:
-    def test_replication_cannot_exceed_nodes(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(num_data_nodes=2, dfs_replication=3)
-
     def test_rejects_zero_nodes(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(num_data_nodes=0)
@@ -22,17 +18,6 @@ class TestClusterConfig:
 
 
 class TestCluster:
-    def test_node_roster_includes_master(self):
-        cluster = Cluster(ClusterConfig(num_data_nodes=3, has_master=True))
-        assert len(cluster) == 4
-        assert len(cluster.data_nodes) == 3
-        assert cluster.nodes[0].is_master
-
-    def test_no_master_variant(self):
-        cluster = Cluster(ClusterConfig(num_data_nodes=3, has_master=False))
-        assert len(cluster) == 3
-        assert all(not n.is_master for n in cluster)
-
     def test_total_task_slots(self):
         config = ClusterConfig(num_data_nodes=3, node_cpu=CpuProfile(cores=4))
         assert Cluster(config).total_task_slots == 12
@@ -57,11 +42,6 @@ class TestCluster:
         assert cluster.num_tasks_for_bytes(128) == 1
         assert cluster.num_tasks_for_bytes(129) == 2
 
-    def test_dfs_capacity_sums_data_nodes(self):
-        cluster = Cluster(ClusterConfig(num_data_nodes=3))
-        expected = 3 * cluster.config.node_disk.capacity
-        assert cluster.dfs_capacity == expected
-
 
 class TestPaperCluster:
     def test_matches_paper_description(self):
@@ -69,5 +49,6 @@ class TestPaperCluster:
         assert cluster.config.num_data_nodes == 3
         assert cluster.config.node_cpu.cores == 2
         assert cluster.total_task_slots == 6
-        # 445 GB HDFS across 3 data nodes.
-        assert cluster.dfs_capacity == pytest.approx(445 * 1024**3, rel=0.01)
+        # A quarter of each node's 8 GiB per task.
+        assert cluster.per_task_memory == 2 * 1024**3
+        assert cluster.config.dfs_block_size == 128 * 1024**2

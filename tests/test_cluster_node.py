@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.node import CpuProfile, DiskProfile, MemoryProfile, NodeSpec
+from repro.cluster.node import CpuProfile, MemoryProfile
 from repro.exceptions import ConfigurationError
 
 
@@ -10,39 +10,10 @@ class TestCpuProfile:
     def test_defaults(self):
         cpu = CpuProfile()
         assert cpu.cores == 2
-        assert cpu.clock_ghz > 0
-
-    def test_scale_factor_slower_clock_is_larger(self):
-        slow = CpuProfile(clock_ghz=1.1)
-        fast = CpuProfile(clock_ghz=4.4)
-        assert slow.scale_factor(2.2) == pytest.approx(2.0)
-        assert fast.scale_factor(2.2) == pytest.approx(0.5)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigurationError):
             CpuProfile(cores=0)
-
-    def test_rejects_nonpositive_clock(self):
-        with pytest.raises(ConfigurationError):
-            CpuProfile(clock_ghz=0)
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ConfigurationError):
-            CpuProfile(mem_bandwidth=-1)
-
-
-class TestDiskProfile:
-    def test_defaults_valid(self):
-        disk = DiskProfile()
-        assert disk.read_bandwidth > disk.write_bandwidth > 0
-
-    def test_rejects_negative_seek(self):
-        with pytest.raises(ConfigurationError):
-            DiskProfile(seek_latency=-0.1)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ConfigurationError):
-            DiskProfile(capacity=0)
 
 
 class TestMemoryProfile:
@@ -58,14 +29,3 @@ class TestMemoryProfile:
     def test_rejects_bad_fraction(self, fraction):
         with pytest.raises(ConfigurationError):
             MemoryProfile(task_fraction=fraction)
-
-
-class TestNodeSpec:
-    def test_requires_name(self):
-        with pytest.raises(ConfigurationError):
-            NodeSpec(name="")
-
-    def test_master_flag(self):
-        node = NodeSpec(name="m", is_master=True)
-        assert node.is_master
-        assert not NodeSpec(name="d").is_master

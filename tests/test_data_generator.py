@@ -35,10 +35,8 @@ class TestCorpusShape:
         for spec in corpus:
             assert spec.schema.row_width == spec.byte_row_size
 
-    def test_location_and_dfs_path(self, corpus):
-        spec = corpus.get(10_000, 40)
-        assert spec.location == "hive"
-        assert spec.dfs_path == "/warehouse/t10000_40"
+    def test_location(self, corpus):
+        assert corpus.get(10_000, 40).location == "hive"
 
     def test_missing_shape_raises(self, corpus):
         with pytest.raises(ConfigurationError):

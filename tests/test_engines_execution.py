@@ -5,11 +5,15 @@ import weakref
 
 import pytest
 
+from repro.cluster import Cluster, ClusterConfig, CpuProfile
+from repro.data import build_paper_corpus
 from repro.engines import (
     EngineCapabilities,
     HiveEngine,
+    ImpalaEngine,
     PrimitiveKind,
     PrimitiveQuery,
+    SparkEngine,
 )
 from repro.engines.execution import EngineTuning
 from repro.exceptions import ConfigurationError, UnsupportedOperationError
@@ -143,6 +147,59 @@ class TestWaveScaling:
             parse_select("SELECT * FROM t20000000_1000 WHERE a1 < 100")
         ).elapsed_seconds
         assert large == pytest.approx(2 * small, rel=0.25)
+
+
+class TestClusterShape:
+    """An engine reads the cluster only as task slots, per-task memory
+    and the block size, so how data nodes and cores factor a slot count
+    never changes an elapsed time."""
+
+    #: Six task slots as (data nodes, cores per node).
+    SIX_SLOTS = ((6, 1), (3, 2), (2, 3), (1, 6))
+
+    @pytest.fixture(scope="class")
+    def shape_corpus(self):
+        return build_paper_corpus(
+            row_counts=(10_000, 1_000_000, 80_000_000), row_sizes=(100,)
+        )
+
+    @staticmethod
+    def elapsed(engine_class, shape_corpus, nodes, cores, sql):
+        cluster = Cluster(
+            ClusterConfig(num_data_nodes=nodes, node_cpu=CpuProfile(cores=cores))
+        )
+        engine = engine_class(cluster=cluster, noise_sigma=0.0)
+        for spec in shape_corpus:
+            engine.load_table(spec)
+        return engine.execute(parse_select(sql)).elapsed_seconds
+
+    @pytest.mark.parametrize(
+        "engine_class", [HiveEngine, SparkEngine, ImpalaEngine]
+    )
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM t80000000_100 WHERE a1 < 100",
+            "SELECT r.a1 FROM t1000000_100 r JOIN t10000_100 s ON r.a1 = s.a1",
+            "SELECT SUM(a1) FROM t1000000_100 GROUP BY a5",
+        ],
+        ids=["scan-80M", "join", "aggregate"],
+    )
+    def test_six_slots_cost_the_same_however_factored(
+        self, engine_class, shape_corpus, sql
+    ):
+        times = [
+            self.elapsed(engine_class, shape_corpus, nodes, cores, sql)
+            for nodes, cores in self.SIX_SLOTS
+        ]
+        assert times[0] > 0
+        assert times == [times[0]] * len(self.SIX_SLOTS)
+
+    def test_the_slot_count_itself_changes_elapsed(self, shape_corpus):
+        sql = "SELECT * FROM t80000000_100 WHERE a1 < 100"
+        six = self.elapsed(HiveEngine, shape_corpus, 3, 2, sql)
+        twelve = self.elapsed(HiveEngine, shape_corpus, 3, 4, sql)
+        assert twelve < six
 
 
 class TestPrimitives:

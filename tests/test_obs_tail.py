@@ -48,17 +48,13 @@ class TestTailSampler:
         decision = sampler.decide(outcome(max_q_error=2.5))
         assert decision.reasons == ("q_error",)
 
-    def test_error_keeps_and_can_be_disabled(self):
+    def test_error_keeps(self):
         erroring = outcome(error="ValueError")
         assert tail.TailSampler().decide(erroring).reasons == ("error",)
-        relaxed = tail.TailSampler(keep_errors=False)
-        assert relaxed.decide(erroring).keep is False
 
-    def test_head_sampled_is_a_floor_and_can_be_disabled(self):
+    def test_head_sampled_is_a_floor(self):
         head_kept = outcome(sampled=True)
         assert tail.TailSampler().decide(head_kept).reasons == ("head",)
-        strict = tail.TailSampler(keep_head_sampled=False)
-        assert strict.decide(head_kept).keep is False
 
     def test_reasons_follow_declared_order(self):
         sampler = tail.TailSampler(latency_seconds=1.0, max_q_error=2.0)

@@ -34,7 +34,6 @@ def test_task_waves_bounds(num_tasks, nodes, cores):
         ClusterConfig(
             num_data_nodes=nodes,
             node_cpu=CpuProfile(cores=cores),
-            dfs_replication=1,
         )
     )
     waves = cluster.num_task_waves(num_tasks)
