@@ -149,16 +149,21 @@ THRESHOLDS: Dict[str, float] = {
 }
 
 #: Instrumented sites of one sub-op ``estimate_plan`` with tracing off,
-#: counted pessimistically across its cold paths: one span, six counter
-#: increments, two histogram observations.
+#: counted on the cold join path (a cache miss; a warm call makes
+#: fewer): one span, six updates priced as counter increments (five
+#: counters and the cache-size gauge set, which costs no more) and two
+#: histogram observations.  ``tests/test_obs_regress.py`` holds the
+#: cold join call to these counts.
 SPANS_PER_CALL, COUNTERS_PER_CALL, HISTOGRAMS_PER_CALL = 1, 6, 2
 #: ``estimate_plan`` calls one federated query makes at least: the
 #: optimizer prices the remote and the master placement.
 ESTIMATES_PER_QUERY = 2
 #: Exact counter entries: the instrument updates one warm
-#: ``estimate_plan`` notifies a registry observer of (measure_census).
+#: ``estimate_plan``, and one warm ``optimize`` of MULTI_JOIN_SQL,
+#: notify a registry observer of (measure_census).
 COUNTER_UPDATES = "obs.counter_updates_per_warm_estimate"
 HISTOGRAM_UPDATES = "obs.histogram_updates_per_warm_estimate"
+PLAN_UPDATES = "obs.instrument_updates_per_warm_plan"
 
 #: The telemetry budget: per entry, a formula over a snapshot and the
 #: bound its reading must stay under.  ``v(name)`` reads a latency's
@@ -613,43 +618,59 @@ def measure_counters(module, engine, catalog) -> Dict[str, float]:
 
 
 class _Census(obs.MetricsObserver):
-    """Counts the counter and histogram updates a registry sees."""
+    """Counts the counter, gauge and histogram updates a registry sees."""
 
     def __init__(self) -> None:
-        self.counters = 0
-        self.histograms = 0
+        self.counters = self.gauges = self.histograms = 0
 
     def on_counter(self, name: str, amount: float) -> None:
         self.counters += 1
+
+    def on_gauge(self, name: str, value: float) -> None:
+        self.gauges += 1
 
     def on_histogram(self, name: str, value: float) -> None:
         self.histograms += 1
 
 
-def measure_census(module, catalog) -> Dict[str, float]:
-    """Instrument updates per warm sub-op ``estimate_plan``, tracing off.
-
-    Exact counter entries: the observer budget (:data:`BUDGETS`) prices
-    the window aggregator per update, so it needs this count.
-    """
+def count_updates(fn: Callable[[], object], calls: int) -> _Census:
+    """The instrument updates ``calls`` runs of ``fn`` make on a fresh
+    plane, tracing off."""
     census = _Census()
     registry = obs.MetricsRegistry()
     registry.attach_observer(census)
     previous = obs.install(
         obs.ObsPlane(registry=registry, tracer=obs.Tracer(), journal=obs.NOOP_JOURNAL)
     )
-    calls = 10
     try:
-        plan = parse_select(JOIN_SQL)
-        module.estimate_plan("hive", plan, catalog)  # warm the cache
-        census.counters = census.histograms = 0
         for _ in range(calls):
-            module.estimate_plan("hive", plan, catalog)
+            fn()
     finally:
         obs.install(previous)
+    return census
+
+
+def measure_census(module, catalog, optimizer) -> Dict[str, float]:
+    """Instrument updates per warm sub-op ``estimate_plan`` and per warm
+    ``optimize`` of MULTI_JOIN_SQL, tracing off.
+
+    Exact counter entries: the observer budget (:data:`BUDGETS`) prices
+    the window aggregator per update of an estimate, so it needs that
+    count; the per-plan count fails the gate on any instrument added to
+    the plan path.
+    """
+    calls = 10
+    plan = parse_select(JOIN_SQL)
+    multi_plan = parse_select(MULTI_JOIN_SQL)
+    module.estimate_plan("hive", plan, catalog)  # warm the cache
+    optimizer.optimize(multi_plan)
+    estimate = count_updates(lambda: module.estimate_plan("hive", plan, catalog), calls)
+    optimize = count_updates(lambda: optimizer.optimize(multi_plan), calls)
     return {
-        COUNTER_UPDATES: census.counters / calls,
-        HISTOGRAM_UPDATES: census.histograms / calls,
+        COUNTER_UPDATES: estimate.counters / calls,
+        HISTOGRAM_UPDATES: estimate.histograms / calls,
+        PLAN_UPDATES: (optimize.counters + optimize.gauges + optimize.histograms)
+        / calls,
     }
 
 
@@ -768,7 +789,7 @@ def build_current_snapshot(fast: bool, inject_slowdown: float) -> Dict[str, obje
             entry["seconds"] *= inject_slowdown
             entry["normalized"] *= inject_slowdown
     counters = measure_counters(module, engine, catalog)
-    counters.update(measure_census(module, catalog))
+    counters.update(measure_census(module, catalog, optimizer))
     return {"latencies": latencies, "counters": counters}
 
 

@@ -196,7 +196,6 @@ class CostEstimationModule:
             report = model.train(training_set)
             span.set("queries", report.num_queries)
             span.add_simulated(report.remote_training_seconds)
-        obs.counter("costing.logical_op_trainings").inc()
         logger.info(
             "logical-op training for %s/%s: %d queries, %.1f simulated "
             "seconds, final RMSE%% %.1f",
@@ -359,9 +358,6 @@ class CostEstimationModule:
         """
         with obs.plane().tracer.span("costing.estimate_plan", system=name) as span:
             stats = derive_operator_stats(plan, catalog)
-            obs.counter(
-                "costing.estimate_plan.calls", help="operator estimates requested"
-            ).inc()
             estimate = self._estimate_requests(
                 (EstimationRequest(system=name, stats=stats),), span
             ).estimates[0]
@@ -387,10 +383,6 @@ class CostEstimationModule:
             obs.counter(
                 "costing.estimate_batch.calls", help="batched estimation calls"
             ).inc()
-            obs.counter(
-                "costing.estimate_batch.items",
-                help="operator estimates requested through batch calls",
-            ).inc(len(requests))
             batch = self._estimate_requests(requests, span)
             span.set(cache_hits=batch.cache_hits, cache_misses=batch.cache_misses)
             if span.enabled:
@@ -486,11 +478,6 @@ class CostEstimationModule:
             unit="simulated seconds",
         ).observe(estimate.seconds)
         remedy_active = estimate.used_remedy
-        if remedy_active:
-            obs.counter(
-                "costing.estimates_remedied",
-                help="estimates produced through the online remedy path",
-            ).inc()
         query_id = obs.current_query_id()
         if query_id is not None:
             obs.record_exemplar(name, query_id)
@@ -757,10 +744,6 @@ class CostEstimationModule:
                     self.invalidate_cache(name)  # the network's weights moved
             span.set("entries", applied)
         obs.counter("costing.offline_tuning.runs").inc()
-        obs.counter(
-            "costing.offline_tuning.entries",
-            help="logged executions folded back into the models",
-        ).inc(applied)
         logger.debug(
             "offline tuning for %s/%s folded %d entries", name, kind.value, applied
         )

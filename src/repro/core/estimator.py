@@ -304,31 +304,22 @@ class HybridEstimator:
         if approach is CostingApproach.LOGICAL_OP:
             if self.logical_op is None or not self.logical_op.has_model(kind):
                 if self.sub_op is not None:
-                    self._count_route(kind, CostingApproach.SUB_OP, fallback=True)
-                    return CostingApproach.SUB_OP
+                    return self._fall_back(kind, CostingApproach.SUB_OP)
         elif self.sub_op is None:
-            self._count_route(kind, CostingApproach.LOGICAL_OP, fallback=True)
-            return CostingApproach.LOGICAL_OP
-        self._count_route(kind, approach, fallback=False)
+            return self._fall_back(kind, CostingApproach.LOGICAL_OP)
         return approach
 
     @staticmethod
-    def _count_route(
-        kind: OperatorKind, approach: CostingApproach, fallback: bool
-    ) -> None:
+    def _fall_back(kind: OperatorKind, approach: CostingApproach) -> CostingApproach:
         obs.counter(
-            f"estimator.route.{approach.value}",
-            help="operator estimates routed to this costing approach",
+            "estimator.route.fallbacks",
+            help="routings that fell back because the preferred "
+            "estimator was absent or untrained",
         ).inc()
-        if fallback:
-            obs.counter(
-                "estimator.route.fallbacks",
-                help="routings that fell back because the preferred "
-                "estimator was absent or untrained",
-            ).inc()
-            logger.debug(
-                "approach fallback for %s: routed to %s", kind.value, approach.value
-            )
+        logger.debug(
+            "approach fallback for %s: routed to %s", kind.value, approach.value
+        )
+        return approach
 
     def _ensure_available(self, approach: CostingApproach) -> None:
         if approach is CostingApproach.SUB_OP and self.sub_op is None:

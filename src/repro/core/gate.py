@@ -28,14 +28,14 @@ Writers are *not* reentrant and a reader must not upgrade to a writer
 
 Saturation telemetry (USE-method): the gate reports *waits* — readers
 parked behind a writer observe ``gate.read_wait_seconds``, writers
-observe ``gate.write_wait_seconds`` for every acquisition — *holds*
-(``gate.read_hold_seconds`` per outermost read,
-``gate.write_hold_seconds`` per write), and the ``gate.writers_waiting``
-gauge.  Read waits are timed only when actually contended, so the
-uncontended estimate hot path pays one clock read per acquisition and
-no histogram.  (Lock ordering: the gate may call into the metrics
-registry while holding its internal lock; the registry never calls
-back into the gate, so the ordering is acyclic.)
+observe ``gate.write_wait_seconds`` (the drain of in-flight readers) for
+every acquisition — the writer's *hold* (``gate.write_hold_seconds``),
+and the ``gate.writers_waiting`` gauge.  Reads are timed only when
+contended: the uncontended estimate hot path reads no clock and records
+no histogram, since ``costing.estimate_wall_seconds`` already times a
+request's read-side work.  (Lock ordering: the gate may call into the
+metrics registry while holding its internal lock; the registry never
+calls back into the gate, so the ordering is acyclic.)
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ class ReadWriteGate:
         self._read_depth: Dict[int, int] = {}
         self._writer_active = False
         self._writers_waiting = 0
-        # Hold-time bookkeeping: outermost-read start per thread, and
-        # the active writer's start.
-        self._read_started: Dict[int, float] = {}
+        # The active writer's start, for its hold time.
         self._write_started = 0.0
 
     # ------------------------------------------------------------------
@@ -91,7 +89,6 @@ class ReadWriteGate:
                     self._writer_done.wait()
                 waited = time.perf_counter() - wait_started
             self._read_depth[ident] = 1
-            self._read_started[ident] = time.perf_counter()
         if waited >= 0.0:
             _wait_histogram(
                 "gate.read_wait_seconds",
@@ -100,25 +97,16 @@ class ReadWriteGate:
 
     def release_read(self) -> None:
         ident = threading.get_ident()
-        held = -1.0
         with self._lock:
             depth = self._read_depth.get(ident, 0)
             if depth <= 0:
                 raise RuntimeError("release_read() without acquire_read()")
             if depth == 1:
                 del self._read_depth[ident]
-                started = self._read_started.pop(ident, 0.0)
-                if started:
-                    held = time.perf_counter() - started
                 if not self._read_depth:
                     self._readers_done.notify_all()
             else:
                 self._read_depth[ident] = depth - 1
-        if held >= 0.0:
-            _wait_histogram(
-                "gate.read_hold_seconds",
-                help="outermost read-side hold time",
-            ).observe(held)
 
     @contextmanager
     def read(self) -> Iterator[None]:

@@ -252,7 +252,6 @@ class LogicalOpModel:
     ) -> CostEstimate:
         """The post-network half of the Fig. 3 flowchart (pivots, remedy)."""
         report = find_pivots(self.metadata, features, beta=self.beta)
-        obs.counter("logical_op.estimates").inc()
         if not report.needs_remedy:
             return CostEstimate(seconds=nn_estimate, features=features)
         remedy_estimate = self.remedy.estimate(

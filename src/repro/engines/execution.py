@@ -171,7 +171,6 @@ class DfsEngine(RemoteSystem):
     def _observe_execution(
         self, result: _NodeResult, elapsed: float, span: obs.Span
     ) -> None:
-        obs.counter("engine.execute.calls").inc()
         obs.histogram(
             "engine.execute_seconds",
             buckets=obs.DEFAULT_SECONDS_BUCKETS,

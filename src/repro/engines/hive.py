@@ -7,6 +7,7 @@ Join, Bucket Map Join, Sort Merge Bucket Join, Skew Join).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.cluster.cluster import Cluster, paper_cluster
@@ -46,12 +47,7 @@ class HiveEngine(DfsEngine):
             noise_sigma=0.04,
         )
         if noise_sigma is not None:
-            tuning = EngineTuning(
-                job_startup=tuning.job_startup,
-                wave_startup=tuning.wave_startup,
-                overlap_factor=tuning.overlap_factor,
-                noise_sigma=noise_sigma,
-            )
+            tuning = dataclasses.replace(tuning, noise_sigma=noise_sigma)
         super().__init__(
             name=name,
             cluster=cluster,

@@ -17,6 +17,7 @@ Presto) execution: lower per-record intercepts than Hive's MapReduce.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.cluster.cluster import Cluster, paper_cluster
@@ -116,12 +117,7 @@ class ImpalaEngine(DfsEngine):
             noise_sigma=0.04,
         )
         if noise_sigma is not None:
-            tuning = EngineTuning(
-                job_startup=tuning.job_startup,
-                wave_startup=tuning.wave_startup,
-                overlap_factor=tuning.overlap_factor,
-                noise_sigma=noise_sigma,
-            )
+            tuning = dataclasses.replace(tuning, noise_sigma=noise_sigma)
         super().__init__(
             name=name,
             cluster=cluster,
@@ -153,12 +149,7 @@ class PrestoEngine(DfsEngine):
             noise_sigma=0.04,
         )
         if noise_sigma is not None:
-            tuning = EngineTuning(
-                job_startup=tuning.job_startup,
-                wave_startup=tuning.wave_startup,
-                overlap_factor=tuning.overlap_factor,
-                noise_sigma=noise_sigma,
-            )
+            tuning = dataclasses.replace(tuning, noise_sigma=noise_sigma)
         super().__init__(
             name=name,
             cluster=cluster,

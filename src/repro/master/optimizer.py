@@ -159,7 +159,6 @@ class PlacementOptimizer:
     @staticmethod
     def _observe_placement(placement: PlacementPlan, span: obs.Span) -> None:
         best = placement.best
-        obs.counter("optimizer.plans").inc()
         obs.counter(
             f"optimizer.placement.{best.location}",
             help="plans whose root operator was placed on this system",
@@ -353,10 +352,6 @@ class PlacementOptimizer:
                     for location in remote
                 )
             )
-            obs.counter(
-                "optimizer.batched_estimates",
-                help="batched remote-costing calls issued by the optimizer",
-            ).inc()
             for location, estimate in zip(remote, batch):
                 costs[location] = estimate.seconds
         return costs

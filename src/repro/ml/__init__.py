@@ -6,8 +6,7 @@ external ML dependency is available here):
 * :mod:`repro.ml.metrics` — RMSE, the paper's RMSE%, R², fitted
   predicted-vs-actual lines for the scatter figures;
 * :mod:`repro.ml.scaling` — feature standardization and log transforms;
-* :mod:`repro.ml.linear` — ordinary least squares and the two-regime
-  segmented regression of Fig. 13(f);
+* :mod:`repro.ml.linear` — ordinary least squares;
 * :mod:`repro.ml.nn` — a two-hidden-layer MLP with tanh activations and
   Adam, matching §3's model class (tanh saturation is what makes the NN
   unable to extrapolate, the premise of the online-remedy phase);
@@ -27,7 +26,7 @@ __all__ = lazy_exports(
             "rmse_percent",
         ),
         ".scaling": ("LogStandardScaler", "StandardScaler"),
-        ".linear": ("LinearRegression", "SegmentedLinearRegression"),
+        ".linear": ("LinearRegression",),
         ".nn": ("NeuralNetwork", "TrainingHistory"),
         ".crossval": ("TopologySearchResult", "topology_search", "train_test_split"),
     },

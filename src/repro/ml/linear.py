@@ -1,19 +1,14 @@
-"""Ordinary least squares and two-regime segmented regression.
+"""Ordinary least squares.
 
 :class:`LinearRegression` is the workhorse of the sub-op costing (§4) —
 most sub-ops fit a tight line over record size (Figs. 7(b), 13(c-e)) —
 and also the baseline the paper compares the NN against (Figs. 11(d),
 12(d)).
-
-:class:`SegmentedLinearRegression` fits two lines split at a learned
-breakpoint, reproducing the HashBuild sub-op's in-memory/spilling regimes
-(Fig. 13(f)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -117,103 +112,6 @@ class LinearRegression:
                 f"LinearRegression(y = {self.slope:.4f}x + {self._intercept:.4f})"
             )
         return f"LinearRegression(features={self._weights.shape[0]})"
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One regime of a segmented fit."""
-
-    model: LinearRegression
-    lo: float
-    hi: float
-
-
-class SegmentedLinearRegression:
-    """Two-piece linear fit over a single feature with a learned breakpoint.
-
-    The breakpoint is chosen by exhaustive search over candidate splits to
-    minimize total squared error; each side needs at least
-    ``min_segment_points`` samples.  Used for the HashBuild sub-op whose
-    behaviour changes when the hash table stops fitting in memory
-    (Fig. 13(f)).
-    """
-
-    def __init__(self, min_segment_points: int = 3) -> None:
-        if min_segment_points < 2:
-            raise ConfigurationError("min_segment_points must be >= 2")
-        self.min_segment_points = min_segment_points
-        self._low: Optional[LinearRegression] = None
-        self._high: Optional[LinearRegression] = None
-        self._breakpoint: Optional[float] = None
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "SegmentedLinearRegression":
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        if x.shape != y.shape:
-            raise TrainingError("x and y must have the same length")
-        if x.size < 2 * self.min_segment_points:
-            raise TrainingError(
-                f"need >= {2 * self.min_segment_points} samples for a "
-                "two-segment fit"
-            )
-        order = np.argsort(x)
-        xs, ys = x[order], y[order]
-
-        best_error = np.inf
-        best_split: Optional[int] = None
-        for split in range(self.min_segment_points, xs.size - self.min_segment_points + 1):
-            if xs[split - 1] == xs[split]:
-                continue  # cannot split inside a tie
-            error = _segment_sse(xs[:split], ys[:split]) + _segment_sse(
-                xs[split:], ys[split:]
-            )
-            if error < best_error:
-                best_error = error
-                best_split = split
-        if best_split is None:
-            raise TrainingError("no valid breakpoint found (all x values tie)")
-
-        self._low = LinearRegression().fit(xs[:best_split], ys[:best_split])
-        self._high = LinearRegression().fit(xs[best_split:], ys[best_split:])
-        self._breakpoint = float((xs[best_split - 1] + xs[best_split]) / 2.0)
-        return self
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._low is None or self._high is None or self._breakpoint is None:
-            raise ModelNotTrainedError("SegmentedLinearRegression.predict before fit")
-        x = np.asarray(x, dtype=float).ravel()
-        low_mask = x <= self._breakpoint
-        result = np.empty_like(x)
-        if low_mask.any():
-            result[low_mask] = self._low.predict(x[low_mask])
-        if (~low_mask).any():
-            result[~low_mask] = self._high.predict(x[~low_mask])
-        return result
-
-    @property
-    def breakpoint(self) -> float:
-        if self._breakpoint is None:
-            raise ModelNotTrainedError("no breakpoint before fit")
-        return self._breakpoint
-
-    @property
-    def segments(self) -> Tuple[LinearRegression, LinearRegression]:
-        """The (low, high) regime models."""
-        if self._low is None or self._high is None:
-            raise ModelNotTrainedError("no segments before fit")
-        return self._low, self._high
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._breakpoint is not None
-
-
-def _segment_sse(x: np.ndarray, y: np.ndarray) -> float:
-    if float(np.ptp(x)) == 0.0:
-        return float(np.sum((y - y.mean()) ** 2))
-    model = LinearRegression().fit(x, y)
-    residuals = y - model.predict(x)
-    return float(np.sum(residuals**2))
 
 
 def _as_matrix(x: np.ndarray) -> np.ndarray:

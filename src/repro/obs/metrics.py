@@ -13,10 +13,11 @@ attribution, ...).  Design constraints, in order:
   package's dependency surface.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<event>``
-(e.g. ``costing.estimate_plan.calls``).  Units follow DESIGN §5: sub-op
+(e.g. ``costing.estimate_cache.hits``).  Units follow DESIGN §5: sub-op
 kernels are µs/record, everything operator-level is **seconds**; wall
-clock and simulated seconds never share a metric (wall metrics carry a
-``wall`` path segment).
+clock and simulated seconds never share a metric (wall-clock histograms
+use :data:`WALL_SECONDS_BUCKETS`, simulated ones
+:data:`DEFAULT_SECONDS_BUCKETS`).
 """
 
 from __future__ import annotations

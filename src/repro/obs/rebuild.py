@@ -135,8 +135,6 @@ def _estimate(fold: _Fold, payload: Mapping[str, object]) -> None:
     registry.histogram(
         "costing.estimate_seconds", buckets=DEFAULT_SECONDS_BUCKETS
     ).observe(seconds)
-    if payload.get("remedy_active"):
-        registry.counter("costing.estimates_remedied").inc()
     system = str(payload.get("system", ""))
     if system:
         fold.tenants.record_estimate(fold.attribute(system, payload), seconds)

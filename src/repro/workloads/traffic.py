@@ -379,15 +379,9 @@ class AdmissionGate:
         self._last = now
         if self._backlog + 1.0 > self.depth:
             self.rejected += 1
-            obs.counter(
-                "traffic.rejected", help="arrivals shed by the admission gate"
-            ).inc()
             return False
         self._backlog += 1.0
         self.admitted += 1
-        obs.counter(
-            "traffic.admitted", help="arrivals admitted by the admission gate"
-        ).inc()
         return True
 
 
@@ -852,9 +846,6 @@ class TrafficSimulator:
                     )
                 except Exception:  # noqa: BLE001 - counted, not fatal
                     report.errors += 1
-                    obs.counter(
-                        "traffic.errors", help="queries that raised mid-simulation"
-                    ).inc()
                     continue
                 report.executed += 1
                 if remedied:

@@ -288,8 +288,8 @@ class TestObservabilityCommands:
         assert "events applied: 2 (actual=1, estimate=1)" in out
         assert "hive/join" in out
         assert "costing.approach.sub_op" in out
-        # estimate_plan.calls counts cache hits, which never journal.
-        assert "costing.estimate_plan.calls" not in out
+        # Cache hits never journal, so replay rebuilds no hit counter.
+        assert "costing.estimate_cache.hits" not in out
 
     def test_stats_journal_json_round_trips_through_from(
         self, capsys, tmp_path

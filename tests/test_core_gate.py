@@ -143,14 +143,13 @@ class TestWriteSide:
 
 
 class TestSaturationTelemetry:
-    def test_uncontended_reads_record_holds_but_no_waits(self, gate):
-        """The estimate hot path: no writer anywhere means no wait
-        timing at all — only the outermost hold is observed."""
+    def test_uncontended_reads_record_no_histogram(self, gate):
+        """The estimate hot path: no writer anywhere means no timing at
+        all, so the gate puts nothing in the registry."""
         with gate.read():
             with gate.read():
                 pass
-        assert histogram_count("gate.read_wait_seconds") == 0
-        assert histogram_count("gate.read_hold_seconds") == 1  # outermost only
+        assert obs.plane().registry.snapshot() == {}
 
     def test_reader_parked_behind_writer_records_wait(self, gate):
         release_writer = threading.Event()
@@ -221,13 +220,6 @@ class TestSaturationTelemetry:
         hold = obs.plane().registry.get("gate.write_hold_seconds").snapshot()
         assert hold["count"] == 1
         assert hold["sum"] >= 0.009
-
-    def test_read_hold_covers_outermost_span(self, gate):
-        with gate.read():
-            time.sleep(0.01)
-        snapshot = obs.plane().registry.get("gate.read_hold_seconds").snapshot()
-        assert snapshot["count"] == 1
-        assert snapshot["sum"] >= 0.009
 
 
 class TestIntrospection:

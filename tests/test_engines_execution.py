@@ -1,5 +1,6 @@
 """Tests for the DFS-engine execution model."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -11,6 +12,7 @@ from repro.engines import (
     EngineCapabilities,
     HiveEngine,
     ImpalaEngine,
+    PrestoEngine,
     PrimitiveKind,
     PrimitiveQuery,
     SparkEngine,
@@ -256,6 +258,21 @@ class TestEngineTuning:
             EngineTuning(overlap_factor=0.0)
         with pytest.raises(ConfigurationError):
             EngineTuning(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize(
+        "engine_class", [HiveEngine, SparkEngine, ImpalaEngine, PrestoEngine]
+    )
+    def test_noise_override_keeps_the_callers_tuning(self, engine_class):
+        tuning = EngineTuning(
+            job_startup=0.2,
+            wave_startup=0.05,
+            overlap_factor=0.8,
+            noise_sigma=0.1,
+            straggler_probability=0.5,
+            straggler_factor=4.0,
+        )
+        engine = engine_class(tuning=tuning, noise_sigma=0.0)
+        assert engine.tuning == dataclasses.replace(tuning, noise_sigma=0.0)
 
     def test_retune_swaps_constants_mid_flight(self, small_hive):
         before = small_hive.tuning

@@ -1,10 +1,10 @@
-"""Tests for OLS and segmented regression."""
+"""Tests for OLS regression."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ModelNotTrainedError, TrainingError
-from repro.ml.linear import LinearRegression, SegmentedLinearRegression
+from repro.ml.linear import LinearRegression
 
 
 class TestLinearRegression:
@@ -54,54 +54,3 @@ class TestLinearRegression:
         with pytest.raises(ConfigurationError):
             model.predict(np.ones((2, 3)))
 
-
-class TestSegmentedRegression:
-    @staticmethod
-    def two_regime_data():
-        """Synthetic HashBuild-like data: slope change at x = 500."""
-        x = np.array([40, 70, 100, 250, 400, 500, 600, 700, 800, 900, 1000], float)
-        y = np.where(x <= 500, 0.02 * x + 18, 0.18 * x - 50)
-        return x, y
-
-    def test_finds_breakpoint(self):
-        x, y = self.two_regime_data()
-        model = SegmentedLinearRegression().fit(x, y)
-        assert 400 <= model.breakpoint <= 600
-
-    def test_segment_slopes(self):
-        x, y = self.two_regime_data()
-        model = SegmentedLinearRegression().fit(x, y)
-        low, high = model.segments
-        assert low.slope == pytest.approx(0.02, abs=0.005)
-        assert high.slope == pytest.approx(0.18, abs=0.01)
-
-    def test_prediction_routes_by_regime(self):
-        x, y = self.two_regime_data()
-        model = SegmentedLinearRegression().fit(x, y)
-        assert model.predict(np.array([100.0]))[0] == pytest.approx(20.0, abs=1.0)
-        assert model.predict(np.array([900.0]))[0] == pytest.approx(112.0, abs=3.0)
-
-    def test_single_regime_data_still_fits(self):
-        x = np.linspace(1, 100, 20)
-        y = 2 * x + 3
-        model = SegmentedLinearRegression().fit(x, y)
-        pred = model.predict(np.array([50.0]))[0]
-        assert pred == pytest.approx(103.0, rel=0.02)
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(TrainingError):
-            SegmentedLinearRegression(min_segment_points=3).fit(
-                np.arange(5.0), np.arange(5.0)
-            )
-
-    def test_all_ties_rejected(self):
-        with pytest.raises(TrainingError):
-            SegmentedLinearRegression().fit(np.ones(10), np.arange(10.0))
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(ModelNotTrainedError):
-            SegmentedLinearRegression().predict(np.array([1.0]))
-
-    def test_min_segment_validation(self):
-        with pytest.raises(ConfigurationError):
-            SegmentedLinearRegression(min_segment_points=1)

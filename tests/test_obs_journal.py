@@ -243,11 +243,11 @@ class TestReplayUnits:
         result = replay(events)
         registry = result.registry
         assert result.applied == 1
-        # Live, estimate_plan.calls counts cache hits too; the journal
-        # holds only fresh estimates, so replay leaves that counter out.
-        assert registry.get("costing.estimate_plan.calls") is None
         assert registry.counter("costing.approach.sub_op").value == 1
-        assert registry.counter("costing.estimates_remedied").value == 1
+        assert registry.get("costing.estimate_seconds").snapshot()["count"] == 1
+        # A remedied estimate is counted by its own ``remedy`` event
+        # (remedy.activations), not again by the estimate event.
+        assert registry.get("remedy.activations") is None
 
     def test_actual_event_feeds_ledger(self):
         events = [

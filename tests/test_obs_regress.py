@@ -11,6 +11,7 @@ import pytest
 from benchmarks import regress as gate_script
 from repro.obs import regress
 from repro.serve import EstimationService
+from repro.sql.parser import parse_select
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GATE_SCRIPT = os.path.join(REPO_ROOT, "benchmarks", "regress.py")
@@ -299,8 +300,31 @@ class TestBudgets:
 
     def test_warm_estimate_updates_are_exact_counters(self):
         counters = regress.load_baseline(COMMITTED_BASELINE)["counters"]
-        for name in (gate_script.COUNTER_UPDATES, gate_script.HISTOGRAM_UPDATES):
+        for name in (
+            gate_script.COUNTER_UPDATES,
+            gate_script.HISTOGRAM_UPDATES,
+            gate_script.PLAN_UPDATES,
+        ):
             assert counters[name] >= 1 and counters[name] == int(counters[name])
+
+    @pytest.mark.usefixtures("restore_obs_plane")
+    def test_cold_estimate_stays_within_the_priced_updates(self):
+        """``overhead_disabled`` prices one estimate_plan at
+        COUNTERS_PER_CALL counter increments (a gauge set priced as
+        one) and HISTOGRAMS_PER_CALL observations: the cold join call,
+        a cache miss, must not make more."""
+        module, _, catalog, _ = gate_script._build_module()
+        plan = parse_select(gate_script.JOIN_SQL)
+        module.estimate_plan("hive", plan, catalog)  # build the estimator
+        module.invalidate_cache("hive")
+        estimates = []
+        census = gate_script.count_updates(
+            lambda: estimates.append(module.estimate_plan("hive", plan, catalog)),
+            calls=1,
+        )
+        assert not estimates[0].cache_hit
+        assert census.counters + census.gauges <= gate_script.COUNTERS_PER_CALL
+        assert census.histograms <= gate_script.HISTOGRAMS_PER_CALL
 
     def test_every_budget_is_exercised(self):
         assert set(BREAK_ONE_BUDGET) == set(gate_script.BUDGETS)
