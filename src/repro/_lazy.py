@@ -10,9 +10,10 @@ is a plain attribute lookup.  A process therefore loads only the
 modules it runs: ``repro serve`` never compiles the dashboard, and the
 simulator's scenarios load with ``repro simulate``.
 
-A package still imports directly the submodules whose import has side
-effects it relies on (``repro.obs`` registers its completion hooks
-that way); see DESIGN.md §5, "Import on first use".
+A package still imports directly the submodules every request runs
+(``repro.obs`` loads its plane, context, tracer, ledgers, journal and
+windows that way), so no import hides in a first request; see
+DESIGN.md §5, "Import on first use".
 """
 
 from __future__ import annotations

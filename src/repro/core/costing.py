@@ -487,8 +487,6 @@ class CostEstimationModule:
         tenant = obs.current_tenant()
         if tenant:
             obs.plane().tenants.record_estimate(tenant, estimate.seconds)
-            if query_id is not None:
-                obs.record_exemplar(f"tenant:{tenant}", query_id)
         journal = obs.plane().journal
         if journal.enabled:
             payload = {
@@ -607,7 +605,7 @@ class CostEstimationModule:
         drift_flagged = False
         tenant = obs.current_tenant()
         if estimate.seconds > 0:
-            self.ledger.record(
+            q_error = self.ledger.record(
                 system=name,
                 operator=estimate.operator.value,
                 estimated_seconds=estimate.seconds,
@@ -615,11 +613,7 @@ class CostEstimationModule:
                 approach=estimate.approach.value,
                 remedy_active=remedy_active,
                 tenant=tenant,
-            )
-            q_error = max(
-                estimate.seconds / actual_seconds,
-                actual_seconds / estimate.seconds,
-            )
+            ).q_error
             # Per-system q-error distribution: the windowed telemetry
             # plane turns this into per-window means/quantiles that the
             # trend-q-error rule watches for sustained regressions.
@@ -658,8 +652,6 @@ class CostEstimationModule:
         query_id = obs.current_query_id()
         if query_id is not None:
             obs.record_exemplar(name, query_id)
-            if tenant:
-                obs.record_exemplar(f"tenant:{tenant}", query_id)
         journal = obs.plane().journal
         if journal.enabled:
             payload = {

@@ -30,8 +30,9 @@ around that loop:
 * :mod:`repro.obs.exporters` — JSON-file and Prometheus-text exports;
 * :mod:`repro.obs.context` — the query-scoped trace context: a
   ``contextvars`` query id (and tenant) propagated end-to-end,
-  head-based trace sampling (env ``REPRO_OBS_SAMPLE``), per-query
-  completion hooks, and the per-system exemplar store that lets alerts
+  head-based trace sampling (env ``REPRO_OBS_SAMPLE``), the hand-off
+  of each completed query to the plane's tracer, flight recorder and
+  tenant ledger, and the per-system exemplar store that lets alerts
   name concrete queries;
 * :mod:`repro.obs.tail` — tail-based trace sampling: the keep/drop
   decision moves to query *completion*, keeping latency/q-error/error
@@ -91,8 +92,6 @@ does not call.
 
 from repro._lazy import lazy_exports
 
-# Importing tracing registers the tracer's completion hook and then the
-# flight recorder's feeds; tenants registers its hook after them.
 from repro.obs import (  # noqa: F401
     config,
     metrics,
@@ -161,13 +160,10 @@ __all__ = lazy_exports(
             "EventJournal",
             "JournalEvent",
             "NoopJournal",
-            "add_journal_listener",
             "read_journal",
-            "remove_journal_listener",
         ),
         ".flight": (
             "FLIGHT_SCHEMA_VERSION",
-            "FlightRecord",
             "FlightRecorder",
             "IncidentBundle",
             "load_bundle",
@@ -191,7 +187,6 @@ __all__ = lazy_exports(
             "HeadSampler",
             "QueryContext",
             "QueryStats",
-            "add_completion_hook",
             "adopt_context",
             "build_query_context",
             "current_context",
@@ -203,8 +198,6 @@ __all__ = lazy_exports(
             "note_query_q_error",
             "query_context",
             "record_exemplar",
-            "remove_completion_hook",
-            "reset_query_ids",
         ),
         ".alerts": (
             "ALERT_SCHEMA_VERSION",

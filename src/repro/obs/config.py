@@ -7,6 +7,8 @@ the time-series aggregator and the stack sampler.  :func:`plane`
 returns the installed plane and :func:`install` swaps in another,
 returning the one it replaced, so a test, the traffic simulator or an
 embedder swaps the whole plane in one call and restores it in one.
+Each plane also mints its own query ids, so a restored plane resumes
+its sequence where it left off.
 
 :class:`ObsConfig` holds the nine ``REPRO_OBS_*`` variables, parsed in
 one place.  Every value is stripped; a value that does not parse, and
@@ -22,6 +24,7 @@ field's module then.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -190,6 +193,9 @@ class ObsPlane:
     :mod:`repro.obs.flight` loads only when ``REPRO_OBS_FLIGHT_DIR``
     asks for a recorder.  A resolved field is a plain attribute.
 
+    The plane also owns its query-id sequence (:meth:`next_query_id`),
+    which is not a field: every plane starts at ``q-000001``.
+
     Attributes:
         registry: The metrics registry.
         ledger: The accuracy ledger ``record_actual`` feeds.
@@ -230,7 +236,16 @@ class ObsPlane:
         # Reentrant: building one field may read another on this thread
         # (a constructor that bumps a counter on the registry).
         self._lock = threading.RLock()
+        self._ids = itertools.count(1)
+        self._id_lock = threading.Lock()
         self.__dict__.update(fields)
+
+    def next_query_id(self) -> str:
+        """Mint this plane's next query id (``q-000001`` first).  A
+        plain counter, not a UUID, keeps journal payloads
+        byte-deterministic across runs of the same workload."""
+        with self._id_lock:
+            return f"q-{next(self._ids):06d}"
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for a field not resolved yet.

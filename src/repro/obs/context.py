@@ -7,7 +7,8 @@ exhibit the problem", and when tracing is on under heavy traffic, its
 cost must be bounded.  This module provides the three primitives:
 
 * **query context** — a :mod:`contextvars`-based
-  :class:`QueryContext` carrying a process-unique query id, propagated
+  :class:`QueryContext` carrying a query id the installed plane mints
+  (:meth:`~repro.obs.config.ObsPlane.next_query_id`), propagated
   automatically across the whole estimate path (federation → optimizer
   → ``estimate_batch`` → cache → NN/remedy) without threading an
   argument through every signature.  ``contextvars`` (not
@@ -21,14 +22,14 @@ cost must be bounded.  This module provides the three primitives:
 * **exemplars** — a small ring buffer of recent query ids per remote
   system, fed by the costing module's emission sites and attached to
   fired alerts so a metric breach always names concrete queries;
-* **completion hooks** — when an *owning* query scope closes, the
-  scope builds a :class:`repro.obs.tail.QueryOutcome` (wall latency,
-  worst q-error, estimated seconds, error status, tenant), asks the
-  tail sampler (:mod:`repro.obs.tail`) for the completion-time
-  keep/drop decision, and dispatches both to every registered hook.
-  The tracer's hook commits or discards the query's buffered spans;
-  the flight recorder's hook feeds its ring; the tenant ledger's hook
-  attributes the traffic.  Hooks never raise into the query path.
+* **completion** — when an *owning* query scope closes, the scope
+  builds a :class:`repro.obs.tail.QueryOutcome` (wall latency, worst
+  q-error, estimated seconds, error status, tenant), asks the tail
+  sampler (:mod:`repro.obs.tail`) for the completion-time keep/drop
+  decision, and hands both to the plane's three consumers of a
+  finished query: the tracer commits or discards the query's buffered
+  spans, the flight recorder feeds its ring, the tenant ledger
+  attributes the traffic.  A consumer never raises into the query path.
 
 Like the rest of :mod:`repro.obs`, this module depends only on the
 standard library and must never import from the instrumented packages.
@@ -36,14 +37,13 @@ standard library and must never import from the instrumented packages.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.config import plane
+from repro.obs.config import ObsPlane, plane
 from repro.obs.metrics import counter
 from repro.obs.tail import QueryOutcome, TailDecision
 
@@ -62,10 +62,7 @@ __all__ = [
     "current_tenant",
     "note_query_q_error",
     "note_estimated_seconds",
-    "add_completion_hook",
-    "remove_completion_hook",
     "record_exemplar",
-    "reset_query_ids",
 ]
 
 
@@ -73,8 +70,8 @@ class QueryStats:
     """Mutable per-query accumulator riding on the frozen context.
 
     The feedback loop reports into it while the query runs (worst
-    q-error seen, total estimated operator seconds); the completion
-    hook reads it once when the scope closes to build the
+    q-error seen, total estimated operator seconds); the owning scope
+    reads it once when it closes to build the
     :class:`~repro.obs.tail.QueryOutcome` the tail sampler judges.
 
     Deliberately lock-free: one instance is allocated per query (the
@@ -103,9 +100,9 @@ class QueryContext:
     """The ambient identity of one federated query.
 
     Attributes:
-        query_id: Process-unique id (``q-000042``), minted at the
-            federation layer and stamped onto every span and journal
-            event the query produces.
+        query_id: Id unique on the plane that minted it
+            (``q-000042``), minted at the federation layer and stamped
+            onto every span and journal event the query produces.
         sampled: Head-sampling decision; with tail sampling off,
             ``False`` short-circuits span recording for the whole
             query (with it on, spans buffer pending the tail verdict).
@@ -127,24 +124,6 @@ class QueryContext:
 _current: ContextVar[Optional[QueryContext]] = ContextVar(
     "repro_obs_query_context", default=None
 )
-
-#: Monotonic query-id source.  A plain counter (not a UUID) keeps journal
-#: payloads byte-deterministic across runs of the same workload.
-_id_counter = itertools.count(1)
-_id_lock = threading.Lock()
-
-
-def _next_query_id() -> str:
-    with _id_lock:
-        return f"q-{next(_id_counter):06d}"
-
-
-def reset_query_ids() -> None:
-    """Restart query ids at ``q-000001`` (tests and fresh experiments)."""
-    global _id_counter
-    with _id_lock:
-        _id_counter = itertools.count(1)
-
 
 class HeadSampler:
     """Deterministic rate-accumulator sampler for head-based decisions.
@@ -184,50 +163,60 @@ class HeadSampler:
 
 
 # ----------------------------------------------------------------------
-# Completion hooks: the tail-sampling dispatch point
+# Completion: the tail-sampling dispatch point
 # ----------------------------------------------------------------------
-CompletionHook = Callable[[QueryOutcome, TailDecision], None]
-
-_completion_hooks: List[CompletionHook] = []
-
-
-def add_completion_hook(hook: CompletionHook) -> None:
-    """Register ``hook`` to run (in registration order) whenever an
-    owning query scope closes.  Idempotent per hook object."""
-    if hook not in _completion_hooks:
-        _completion_hooks.append(hook)
-
-
-def remove_completion_hook(hook: CompletionHook) -> None:
-    """Unregister ``hook``; missing hooks are ignored."""
-    try:
-        _completion_hooks.remove(hook)
-    except ValueError:
-        pass
-
-
 #: Shared verdicts for the no-tail-sampler path (no per-query allocation).
 _HEAD_KEEP = TailDecision(keep=True, reasons=("head",))
 _HEAD_DROP = TailDecision(keep=False)
 
 
+def _settle_traces(
+    current: ObsPlane, outcome: QueryOutcome, decision: TailDecision
+) -> None:
+    current.tracer.settle_pending(outcome.query_id, decision.keep)
+
+
+def _record_flight(
+    current: ObsPlane, outcome: QueryOutcome, decision: TailDecision
+) -> None:
+    recorder = current.flight_recorder
+    if recorder is not None:
+        recorder.record(outcome, decision)
+
+
+def _attribute_tenant(
+    current: ObsPlane, outcome: QueryOutcome, decision: TailDecision
+) -> None:
+    if outcome.tenant:
+        current.tenants.record_query(outcome, decision)
+
+
+#: A finished query's consumers, in this order: the tracer settles the
+#: query's pending spans first, so a kept query's trace is in its ring
+#: before the flight recorder copies it.
+_CONSUMERS = (_settle_traces, _record_flight, _attribute_tenant)
+
+
 def _complete(outcome: QueryOutcome) -> None:
-    """Take the tail decision for ``outcome`` and dispatch both to every
-    hook.  With no tail sampler installed the decision degrades to the
-    head sampler's verdict, so behaviour without ``REPRO_OBS_TAIL_*``
-    set is exactly the pre-tail behaviour."""
-    sampler = plane().tail_sampler
+    """Take the tail decision for ``outcome`` and hand both to each
+    consumer in :data:`_CONSUMERS`.  A consumer that raises is counted
+    in ``context.completion_hook_errors``; the later ones still run.
+    With no tail sampler installed the decision degrades to the head
+    sampler's verdict, so behaviour without ``REPRO_OBS_TAIL_*`` set is
+    exactly the pre-tail behaviour."""
+    current = plane()
+    sampler = current.tail_sampler
     if sampler is not None:
         decision = sampler.decide(outcome)
     else:
         decision = _HEAD_KEEP if outcome.sampled else _HEAD_DROP
-    for hook in tuple(_completion_hooks):
+    for consume in _CONSUMERS:
         try:
-            hook(outcome, decision)
+            consume(current, outcome, decision)
         except Exception:
             counter(
                 "context.completion_hook_errors",
-                help="query-completion hooks that raised",
+                help="query-completion consumers that raised",
             ).inc()
 
 
@@ -238,7 +227,7 @@ class _ContextScope:
     """Context manager installing (and restoring) a query context.
 
     An *owning* scope (the one that installed the context) also times
-    the query and runs the completion hooks on exit; joining scopes
+    the query and completes it on exit; joining scopes
     (``ensure_query_context`` under an active context) do neither.
     """
 
@@ -294,10 +283,11 @@ def build_query_context(
     scope with :func:`adopt_context`.  The query id therefore reflects
     *arrival* order even when workers complete out of order.
     """
+    current = plane()
     if sampled is None:
-        sampled = plane().head_sampler.decide()
+        sampled = current.head_sampler.decide()
     context = QueryContext(
-        query_id=query_id if query_id is not None else _next_query_id(),
+        query_id=query_id if query_id is not None else current.next_query_id(),
         sampled=sampled,
         query=query,
         tenant=tenant,
@@ -314,7 +304,7 @@ def build_query_context(
 def adopt_context(context: QueryContext) -> _ContextScope:
     """Open an *owning* scope around a context minted elsewhere (see
     :func:`build_query_context`): installs it, times the query, and
-    runs the completion hooks on exit — exactly like
+    completes it on exit — exactly like
     :func:`query_context`, but on the adopting thread."""
     return _ContextScope(context)
 
@@ -329,7 +319,7 @@ def query_context(
 
     Args:
         query: The SQL text (attached to spans and the dashboard).
-        query_id: Explicit id; minted from the monotonic counter when
+        query_id: Explicit id; minted by the installed plane when
             omitted.
         sampled: Explicit head-sampling decision; asked of the plane's
             head sampler when omitted.

@@ -3,9 +3,10 @@
 An accuracy SLO breach is investigated *after* the fact, when the
 queries that caused it are long gone.  This module keeps the recent
 past on hand the way an aircraft flight recorder does: a thread-safe
-ring of the last N completed query records (fed by the query-completion
-hook, with the full span trace attached for tail-kept queries) plus a
-ring of recent journal events (fed by a journal listener).  When an
+ring of the last N completed query records (fed as each query
+completes, with the full span trace attached for tail-kept queries)
+plus a ring of recent journal events (fed by the journal as it writes
+them).  When an
 :class:`~repro.obs.alerts.AlertEngine` rule fires or a drift monitor
 raises its alarm, :meth:`FlightRecorder.trigger_incident` freezes both
 rings into a schema-versioned **incident bundle** naming the implicated
@@ -24,9 +25,9 @@ standard library and must never import from the instrumented packages
 (and, to keep the import graph acyclic, never from
 :mod:`repro.obs.alerts` or :mod:`repro.obs.dashboard` — they sit above
 it).  The plane holds the process's recorder
-(:class:`~repro.obs.config.ObsPlane`); ``trigger_incident`` and the
-recorder's feeds live in :mod:`repro.obs.tracing`, so this module
-loads only when a recorder is first built.
+(:class:`~repro.obs.config.ObsPlane`); ``trigger_incident`` lives in
+:mod:`repro.obs.tracing`, so this module loads only when a recorder is
+first built.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.obs.tail import QueryOutcome, TailDecision
 
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
-    "FlightRecord",
     "IncidentBundle",
     "FlightRecorder",
     "load_bundle",
@@ -60,64 +60,6 @@ _JSON_COMPACT = {"sort_keys": True, "separators": (",", ":")}
 
 def _dumps(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, **_JSON_COMPACT)
-
-
-@dataclass
-class FlightRecord:
-    """One completed query as the flight recorder remembers it.
-
-    Every completion contributes a record (the metadata is cheap); the
-    full span trace rides along only when the tail sampler kept the
-    query, so the ring names every recent query while storing trees
-    only for the SLO-relevant tail.
-
-    A plain (non-frozen) dataclass on purpose, like
-    :class:`~repro.obs.tail.QueryOutcome`: one is built per query
-    completion on the budgeted hot path, and frozen construction costs
-    one ``object.__setattr__`` per field.  Treat instances as
-    read-only.
-    """
-
-    query_id: str
-    tenant: str = ""
-    query: str = ""
-    wall_seconds: float = 0.0
-    max_q_error: float = 0.0
-    estimated_seconds: float = 0.0
-    error: str = ""
-    kept: bool = False
-    reasons: Tuple[str, ...] = ()
-    trace: Tuple[Dict[str, Any], ...] = ()
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form (deterministic under sorted dumps)."""
-        return {
-            "query_id": self.query_id,
-            "tenant": self.tenant,
-            "query": self.query,
-            "wall_seconds": self.wall_seconds,
-            "max_q_error": self.max_q_error,
-            "estimated_seconds": self.estimated_seconds,
-            "error": self.error,
-            "kept": self.kept,
-            "reasons": list(self.reasons),
-            "trace": [dict(root) for root in self.trace],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "FlightRecord":
-        return cls(
-            query_id=str(payload.get("query_id", "")),
-            tenant=str(payload.get("tenant", "")),
-            query=str(payload.get("query", "")),
-            wall_seconds=float(payload.get("wall_seconds", 0.0)),
-            max_q_error=float(payload.get("max_q_error", 0.0)),
-            estimated_seconds=float(payload.get("estimated_seconds", 0.0)),
-            error=str(payload.get("error", "")),
-            kept=bool(payload.get("kept", False)),
-            reasons=tuple(str(r) for r in payload.get("reasons", ())),
-            trace=tuple(payload.get("trace", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -291,7 +233,7 @@ class FlightRecorder:
         self.max_incidents = max_incidents
         self.directory = os.fspath(directory) if directory is not None else None
         self._lock = threading.Lock()
-        self._records: List[FlightRecord] = []
+        self._records: List[Dict[str, Any]] = []
         self._events: List[Dict[str, Any]] = []
         self._incidents: List[IncidentBundle] = []
         self._incident_seq = 0
@@ -300,28 +242,32 @@ class FlightRecorder:
     # Feeding the rings
     # ------------------------------------------------------------------
     def record(self, outcome: QueryOutcome, decision: TailDecision) -> None:
-        """Remember one completed query (the completion hook's entry)."""
-        trace: Tuple[Dict[str, Any], ...] = ()
+        """Remember one completed query (its completion's entry) as the
+        payload its bundle ``record`` line carries.  Every completion
+        is recorded; the span trace rides along only when the tail
+        sampler kept the query, so the ring names every recent query
+        while storing trees only for the SLO-relevant tail."""
+        trace: List[Dict[str, Any]] = []
         if decision.keep:
-            # The tracing hook ran first (registration order), so a
-            # kept query's roots are already in the tracer ring.
-            trace = tuple(
+            # The tracer settled the query first, so a kept query's
+            # roots are already in its ring.
+            trace = [
                 root.to_dict()
                 for root in plane().tracer.traces()
                 if root.attributes.get("query_id") == outcome.query_id
-            )
-        entry = FlightRecord(
-            query_id=outcome.query_id,
-            tenant=outcome.tenant,
-            query=outcome.query,
-            wall_seconds=outcome.wall_seconds,
-            max_q_error=outcome.max_q_error,
-            estimated_seconds=outcome.estimated_seconds,
-            error=outcome.error,
-            kept=decision.keep,
-            reasons=decision.reasons,
-            trace=trace,
-        )
+            ]
+        entry = {
+            "query_id": outcome.query_id,
+            "tenant": outcome.tenant,
+            "query": outcome.query,
+            "wall_seconds": outcome.wall_seconds,
+            "max_q_error": outcome.max_q_error,
+            "estimated_seconds": outcome.estimated_seconds,
+            "error": outcome.error,
+            "kept": decision.keep,
+            "reasons": list(decision.reasons),
+            "trace": trace,
+        }
         evicted = 0
         with self._lock:
             self._records.append(entry)
@@ -336,8 +282,9 @@ class FlightRecorder:
             ).inc(evicted)
 
     def on_journal_event(self, event: JournalEvent) -> None:
-        """Remember one journal event (the journal listener's entry).
-        Incident events are skipped — a bundle must not ingest itself."""
+        """Remember one journal event (the journal hands each written
+        one here).  Incident events are skipped — a bundle must not
+        ingest itself."""
         if event.type in ("incident", "incident_record"):
             return
         entry = {"seq": event.seq, "type": event.type, "payload": event.payload}
@@ -349,7 +296,8 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    def records(self) -> Tuple[FlightRecord, ...]:
+    def records(self) -> Tuple[Dict[str, Any], ...]:
+        """The ring's record payloads, oldest first (read-only)."""
         with self._lock:
             return tuple(self._records)
 
@@ -371,7 +319,7 @@ class FlightRecorder:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable view for the ``/flight`` endpoint."""
         with self._lock:
-            records = [entry.to_payload() for entry in self._records]
+            records = list(self._records)
             events = [dict(entry) for entry in self._events]
             incidents = [bundle.name for bundle in self._incidents]
         return {
@@ -406,7 +354,7 @@ class FlightRecorder:
         with self._lock:
             self._incident_seq += 1
             name = f"incident-{self._incident_seq:06d}-{_slug(kind)}"
-            records = tuple(entry.to_payload() for entry in self._records)
+            records = tuple(self._records)
             events = tuple(dict(entry) for entry in self._events)
         trigger: Dict[str, Any] = {"kind": kind}
         trigger.update(info)

@@ -41,15 +41,9 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.obs.config import plane
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,8 +55,6 @@ __all__ = [
     "ReadResult",
     "read_journal",
     "iter_journal_lines",
-    "add_journal_listener",
-    "remove_journal_listener",
 ]
 
 #: Bump on breaking payload changes; readers skip newer-versioned events.
@@ -163,43 +155,6 @@ class NoopJournal:
 NOOP_JOURNAL = NoopJournal()
 
 
-# ----------------------------------------------------------------------
-# Listeners: in-process taps on the live event stream
-# ----------------------------------------------------------------------
-#: Called with each event after it is durably written (outside the
-#: journal lock).  The flight recorder taps the stream this way.
-JournalListener = Callable[[JournalEvent], None]
-
-_listeners: List[JournalListener] = []
-
-
-def add_journal_listener(listener: JournalListener) -> None:
-    """Register ``listener`` for every event any :class:`EventJournal`
-    writes.  Idempotent per listener object."""
-    if listener not in _listeners:
-        _listeners.append(listener)
-
-
-def remove_journal_listener(listener: JournalListener) -> None:
-    """Unregister ``listener``; missing listeners are ignored."""
-    try:
-        _listeners.remove(listener)
-    except ValueError:
-        pass
-
-
-def _notify_listeners(events: Tuple[JournalEvent, ...]) -> None:
-    if not _listeners:
-        return
-    for listener in tuple(_listeners):
-        for event in events:
-            try:
-                listener(event)
-            except Exception:
-                # A misbehaving tap must never fail the emission site.
-                pass
-
-
 class EventJournal:
     """Append-only, size-rotated JSONL journal of feedback-loop events.
 
@@ -242,25 +197,7 @@ class EventJournal:
     # ------------------------------------------------------------------
     def append(self, event_type: str, **payload: object) -> JournalEvent:
         """Serialize and append one event; returns the written event."""
-        with self._lock:
-            self._seq += 1
-            event = JournalEvent(
-                seq=self._seq, type=event_type, payload=payload
-            )
-            line = event.to_line() + "\n"
-            encoded = len(line.encode("utf-8"))
-            if self._fh is None:
-                self._open()
-            if self._size + encoded > self.max_bytes and self._size > 0:
-                self._rotate()
-            self._fh.write(line)
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            self._size += encoded
-            self._appended += 1
-        _notify_listeners((event,))
-        return event
+        return self.append_group(((event_type, payload),))[0]
 
     def append_group(self, events) -> Tuple[JournalEvent, ...]:
         """Append several events atomically with respect to rotation.
@@ -276,7 +213,8 @@ class EventJournal:
             events: ``(event_type, payload_dict)`` pairs.
 
         Returns:
-            The written events, in order.
+            The written events, in order, each also handed to the
+            plane's flight recorder when it has one.
         """
         items = [(event_type, dict(payload)) for event_type, payload in events]
         if not items:
@@ -302,7 +240,10 @@ class EventJournal:
             self._size += encoded
             self._appended += len(group)
         written = tuple(group)
-        _notify_listeners(written)
+        recorder = plane().flight_recorder
+        if recorder is not None:
+            for event in written:
+                recorder.on_journal_event(event)
         return written
 
     @property

@@ -151,17 +151,16 @@ def _actual(fold: _Fold, payload: Mapping[str, object]) -> None:
         estimated > 0 and actual > 0
         and math.isfinite(estimated) and math.isfinite(actual)
     ):
-        # The paper's q-error with ``record_actual``'s guard and
-        # division, so the ledger and histogram stay bit-identical.
-        q_error = max(estimated / actual, actual / estimated)
-        fold.ledger.record(
+        # ``record_actual``'s guard, and the q-error of the entry the
+        # ledger records, so the ledger and histogram stay bit-identical.
+        q_error = fold.ledger.record(
             system=system,
             operator=str(payload.get("operator", "")),
             estimated_seconds=estimated,
             actual_seconds=actual,
             approach=str(payload.get("approach", "")),
             remedy_active=bool(payload.get("remedy_active", False)),
-        )
+        ).q_error
         registry.histogram(
             f"accuracy.q_error.{system}", buckets=Q_ERROR_BUCKETS
         ).observe(q_error)

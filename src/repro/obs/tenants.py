@@ -7,8 +7,8 @@ planned, estimated seconds must be attributable to the tenant that
 incurred them.  A :class:`TenantLedger` keeps small thread-safe
 accumulators per tenant, fed from three directions:
 
-* the **query-completion hook** — traffic (queries, wall seconds,
-  errors, tail-kept traces) for every attributed query;
+* **query completion** — traffic (queries, wall seconds, errors,
+  tail-kept traces) for every attributed query;
 * the costing module's **estimate path** — estimated operator seconds
   (the tenant's modeled spend);
 * the costing module's **feedback path** — observed q-errors (the
@@ -29,8 +29,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Tuple
 
-from repro.obs.config import plane
-from repro.obs.context import add_completion_hook
 from repro.obs.tail import QueryOutcome, TailDecision
 
 __all__ = [
@@ -100,7 +98,7 @@ class TenantLedger:
     # Feeding
     # ------------------------------------------------------------------
     def record_query(self, outcome: QueryOutcome, decision: TailDecision) -> None:
-        """Attribute one completed query (the completion hook's entry)."""
+        """Attribute one completed query (its completion's entry)."""
         if not outcome.tenant:
             return
         with self._lock:
@@ -169,11 +167,3 @@ def rank_tenants(
         return (-numeric, item[0])
 
     return sorted(snapshot.items(), key=_key)
-
-
-def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
-    if outcome.tenant:
-        plane().tenants.record_query(outcome, decision)
-
-
-add_completion_hook(_on_query_complete)

@@ -23,19 +23,15 @@ Finished root spans accumulate in an in-memory ring buffer, queryable
 **Tail mode.**  With a tail sampler on the plane
 (:class:`~repro.obs.config.ObsPlane`), head-*unsampled* queries no
 longer collapse to the no-op span: their spans record into a bounded
-per-query *pending* buffer, and the query-completion hook either
-commits them into the trace ring (the tail sampler kept the query) or
-discards them.  Head-sampled queries keep the original behaviour —
-their roots land in the ring immediately.
+per-query *pending* buffer, and the query's completion
+(:meth:`Tracer.settle_pending`) either commits them into the trace ring
+(the tail sampler kept the query) or discards them.  Head-sampled
+queries keep the original behaviour — their roots land in the ring
+immediately.
 
-**The flight recorder's feeds.**  The two feeds of the plane's
-:class:`~repro.obs.flight.FlightRecorder` (a completion hook and a
-journal listener) live here, not in
-:mod:`repro.obs.flight`: the feeds must run after the tracer's hook,
-which commits a kept query's spans before the recorder reads them, and
-must be registered before anything imports the recorder, so
-``REPRO_OBS_FLIGHT_DIR`` records from the first query while a process
-that never sets it never loads :mod:`repro.obs.flight`.
+:func:`trigger_incident` lives here, not in :mod:`repro.obs.flight`,
+so the emission sites can call it in a process that never loads the
+recorder.
 """
 
 from __future__ import annotations
@@ -46,10 +42,8 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.config import plane
-from repro.obs.context import add_completion_hook, current_context
-from repro.obs.journal import JournalEvent, add_journal_listener
+from repro.obs.context import current_context
 from repro.obs.metrics import counter
-from repro.obs.tail import QueryOutcome, TailDecision
 
 if TYPE_CHECKING:
     from repro.obs.flight import IncidentBundle
@@ -271,7 +265,7 @@ class Tracer:
         context = current_context()
         if context is not None and not context.sampled:
             # Tail mode: the root finished under a head-unsampled query;
-            # buffer it until the completion hook rules keep or drop.
+            # buffer it until the query's completion rules keep or drop.
             self._stash_pending(context.query_id, span)
             return
         with self._lock:
@@ -298,6 +292,17 @@ class Tracer:
                 self._pending[query_id] = bucket
             if len(bucket) < self.max_roots_per_pending:
                 bucket.append(span)
+
+    def settle_pending(self, query_id: str, keep: bool) -> None:
+        """Commit (``keep``) or discard a completed query's buffered
+        roots.  The unlocked emptiness check keeps the common case (no
+        tail mode, nothing pending) to one attribute read."""
+        if not self._pending:
+            return
+        if keep:
+            self.commit_pending(query_id)
+        else:
+            self.discard_pending(query_id)
 
     def commit_pending(self, query_id: str) -> Tuple[Span, ...]:
         """Move a query's buffered roots into the trace ring (the tail
@@ -398,24 +403,8 @@ def render_span_tree(span: Span) -> str:
 
 
 # ----------------------------------------------------------------------
-# The plane's tracer and flight recorder (see the module docstring)
+# The plane's flight recorder (see the module docstring)
 # ----------------------------------------------------------------------
-def _on_query_complete(outcome: QueryOutcome, decision: TailDecision) -> None:
-    """Completion hook: resolve the query's pending buffer per the tail
-    verdict.  The unlocked emptiness check keeps the common case (no
-    tail mode, nothing pending) to one attribute read."""
-    tracer = plane().tracer
-    if not tracer._pending:
-        return
-    if decision.keep:
-        tracer.commit_pending(outcome.query_id)
-    else:
-        tracer.discard_pending(outcome.query_id)
-
-
-add_completion_hook(_on_query_complete)
-
-
 def trigger_incident(kind: str, **info: Any) -> Optional["IncidentBundle"]:
     """Trigger an incident on the plane's flight recorder; no-op
     (returns ``None``) when the plane has none.  The emission sites
@@ -424,21 +413,3 @@ def trigger_incident(kind: str, **info: Any) -> Optional["IncidentBundle"]:
     if recorder is None:
         return None
     return recorder.trigger_incident(kind=kind, **info)
-
-
-def _record_query(outcome: QueryOutcome, decision: TailDecision) -> None:
-    recorder = plane().flight_recorder
-    if recorder is not None:
-        recorder.record(outcome, decision)
-
-
-def _record_journal_event(event: JournalEvent) -> None:
-    recorder = plane().flight_recorder
-    if recorder is not None:
-        recorder.on_journal_event(event)
-
-
-# Registered right after the tracer's hook, so kept traces are committed
-# into the ring before the recorder looks.
-add_completion_hook(_record_query)
-add_journal_listener(_record_journal_event)

@@ -57,9 +57,9 @@ holds the gate's read side over both the estimate and its read of the
 generation, so a swap waits until the reply is built.  The traffic
 simulator (:mod:`repro.workloads.traffic`) leans on the same contract
 from the other side: it drives whole scenarios through a single-worker
-:class:`EstimationService` so every admission, context, and completion
-hook runs the production code path while the journal stays a pure
-function of the seed.
+:class:`EstimationService` so every admission, context, and query
+completion runs the production code path while the journal stays a
+pure function of the seed.
 """
 
 from __future__ import annotations

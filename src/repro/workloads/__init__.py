@@ -36,7 +36,6 @@ __all__ = lazy_exports(
             "DiurnalArrivals",
             "DiurnalBurstArrivals",
             "Mutation",
-            "SimClock",
             "SteadyArrivals",
             "TenantMix",
             "TrafficConfig",

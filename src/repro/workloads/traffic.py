@@ -61,7 +61,6 @@ from repro.workloads.join import JoinConfig, JoinWorkload
 from repro.workloads.scan import ScanWorkload
 
 __all__ = [
-    "SimClock",
     "SteadyArrivals",
     "DiurnalArrivals",
     "BurstyArrivals",
@@ -76,44 +75,6 @@ __all__ = [
     "TrafficReport",
     "TrafficSimulator",
 ]
-
-
-# ----------------------------------------------------------------------
-# Simulated clock
-# ----------------------------------------------------------------------
-class SimClock:
-    """Monotonic simulated time in seconds.
-
-    The simulator never consults the wall clock: every time-dependent
-    decision (arrival rates, admission draining, diurnal phase) reads
-    this value, which only moves when the driver advances it.  That is
-    what makes scheduling independent of host load, thread interleaving,
-    and real elapsed time.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ConfigurationError("cannot advance the clock backwards")
-        self._now += seconds
-        return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        if timestamp < self._now:
-            raise ConfigurationError(
-                f"cannot rewind clock from {self._now:.3f} to {timestamp:.3f}"
-            )
-        self._now = float(timestamp)
-        return self._now
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.3f})"
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +536,6 @@ class TrafficSimulator:
         self.config = config
         self.journal_path = journal_path
         self.flight_dir = flight_dir
-        self.clock = SimClock()
         self._rng = np.random.default_rng(config.seed)
         self._grown: Dict[str, object] = {}  # table name -> grown TableSpec
         self._oor_active = config.oor_from_start
@@ -779,8 +739,9 @@ class TrafficSimulator:
 
         # Fresh observability plane: nothing from previous runs (or the
         # training phase's instruments) leaks into the journal or the
-        # health verdict, and two same-seed runs see identical state.
-        # The caller's plane is back once the run returns or raises.
+        # health verdict, and two same-seed runs see identical state,
+        # query ids from q-000001 on.  The caller's plane, with its own
+        # id sequence, is back once the run returns or raises.
         ledger = obs.AccuracyLedger(window=config.ledger_window)
         journal = obs.NoopJournal()
         corrupt_before = 0
@@ -791,7 +752,6 @@ class TrafficSimulator:
         if self.flight_dir:
             fields["flight_recorder"] = obs.FlightRecorder(directory=self.flight_dir)
         previous = obs.install(obs.ObsPlane(**fields))
-        obs.reset_query_ids()
         self.sphere.costing.ledger = ledger
         try:
             self._simulate(report, journal)
@@ -819,7 +779,6 @@ class TrafficSimulator:
         service.start()
         try:
             for index, timestamp in enumerate(arrivals):
-                self.clock.advance_to(timestamp)
                 while (
                     next_mutation < len(mutations)
                     and index >= mutation_at[next_mutation]
@@ -833,7 +792,7 @@ class TrafficSimulator:
                 report.tenant_queries[tenant] = (
                     report.tenant_queries.get(tenant, 0) + 1
                 )
-                if not gate.offer(self.clock.now):
+                if not gate.offer(timestamp):
                     report.rejected += 1
                     continue
                 template = self._pick_template(klass)

@@ -350,19 +350,16 @@ class TestTenantAttributionAndIncidents:
         module, plan = trained
         journal = obs.EventJournal(tmp_path / "tenant.jsonl")
         previous = obs.install(obs.ObsPlane(journal=journal))
-        obs.reset_query_ids()
         try:
             with obs.query_context(query="SELECT 1", tenant="etl"):
                 estimate = module.estimate_plan("hive", plan, small_catalog)
             journal.close()
             stats = obs.plane().tenants.snapshot()["etl"]
-            recent = obs.plane().exemplars.recent("tenant:etl")
         finally:
             obs.install(previous)
         assert stats["estimates"] > 0
         assert stats["estimated_seconds"] > 0.0
         assert stats["estimated_seconds"] >= estimate.seconds
-        assert recent == ("q-000001",)
         events = obs.read_journal(tmp_path / "tenant.jsonl").events
         estimates = [e for e in events if e.type == "estimate"]
         assert estimates

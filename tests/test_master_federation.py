@@ -162,7 +162,6 @@ class TestQueryContextPropagation:
 
         registry = obs.MetricsRegistry()
         previous = obs.install(obs.ObsPlane(registry=registry))
-        obs.reset_query_ids()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 200")
@@ -175,7 +174,6 @@ class TestQueryContextPropagation:
 
         journal = obs.EventJournal(tmp_path / "fed.jsonl")
         previous = obs.install(obs.ObsPlane(journal=journal))
-        obs.reset_query_ids()
         try:
             sphere.run(
                 "SELECT r.a1 FROM t1000000_100 r JOIN t10000_40 s "
@@ -196,7 +194,6 @@ class TestQueryContextPropagation:
         from repro.obs.context import ExemplarStore
 
         previous = obs.install(obs.ObsPlane())
-        obs.reset_query_ids()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
             recent = obs.plane().exemplars.recent("hive")
@@ -209,7 +206,6 @@ class TestQueryContextPropagation:
         from repro.obs.context import ExemplarStore
 
         previous = obs.install(obs.ObsPlane())
-        obs.reset_query_ids()
         try:
             sphere.explain("SELECT a1 FROM t10000_40 WHERE a1 < 100")
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")
@@ -281,7 +277,6 @@ class TestTenantPropagation:
         from repro import obs
 
         previous = obs.install(obs.ObsPlane())
-        obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 311", tenant="etl")
@@ -299,7 +294,6 @@ class TestTenantPropagation:
         from repro import obs
 
         previous = obs.install(obs.ObsPlane())
-        obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.explain(
@@ -318,7 +312,6 @@ class TestTenantPropagation:
 
         journal = obs.EventJournal(tmp_path / "tenant.jsonl")
         previous = obs.install(obs.ObsPlane(journal=journal))
-        obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.run(
@@ -336,7 +329,6 @@ class TestTenantPropagation:
         from repro import obs
 
         previous = obs.install(obs.ObsPlane())
-        obs.reset_query_ids()
         sphere.costing.invalidate_cache()
         try:
             sphere.run("SELECT a1 FROM t10000_40 WHERE a1 < 100")

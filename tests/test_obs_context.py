@@ -11,12 +11,25 @@ from repro.obs import context as ctx
 
 @pytest.fixture(autouse=True)
 def _fresh_context_state():
-    """Isolate query ids and the observability plane per test."""
-    obs.reset_query_ids()
+    """Isolate the observability plane, and with it the query ids, per
+    test."""
     previous = obs.install(obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0)))
     yield
     obs.install(previous)
-    obs.reset_query_ids()
+
+
+def _install_recorder(**fields):
+    """Install a fresh plane with a flight recorder, which with the
+    plane's tenant ledger sees every completed query; returns it."""
+    recorder = obs.FlightRecorder()
+    obs.install(
+        obs.ObsPlane(
+            head_sampler=ctx.HeadSampler(rate=1.0),
+            flight_recorder=recorder,
+            **fields,
+        )
+    )
+    return recorder
 
 
 class TestQueryContext:
@@ -32,9 +45,14 @@ class TestQueryContext:
             pass
         assert first.query_id == "q-000001"
         assert second.query_id == "q-000002"
-        obs.reset_query_ids()
-        with obs.query_context() as again:
-            assert again.query_id == "q-000001"
+        # Ids belong to the plane: a fresh one starts over, and the
+        # restored one resumes its own sequence.
+        restored = obs.install(obs.ObsPlane())
+        with obs.query_context() as fresh:
+            assert fresh.query_id == "q-000001"
+        obs.install(restored)
+        with obs.query_context() as resumed:
+            assert resumed.query_id == "q-000003"
 
     def test_scope_installs_and_restores(self):
         with obs.query_context(query="SELECT 1") as context:
@@ -117,20 +135,14 @@ class TestQueryContext:
         assert obs.current_context() is None
 
     def test_adopted_scope_runs_completion_hooks(self):
-        outcomes = []
-
-        def hook(outcome, decision):
-            outcomes.append(outcome)
-
-        obs.add_completion_hook(hook)
-        try:
-            context = obs.build_query_context(query="SELECT 1", tenant="adhoc")
-            with obs.adopt_context(context):
-                pass
-        finally:
-            obs.remove_completion_hook(hook)
-        assert len(outcomes) == 1
-        assert outcomes[0].tenant == "adhoc"
+        recorder = _install_recorder()
+        context = obs.build_query_context(query="SELECT 1", tenant="adhoc")
+        with obs.adopt_context(context):
+            pass
+        (record,) = recorder.records()
+        assert record["query_id"] == context.query_id
+        assert record["tenant"] == "adhoc"
+        assert obs.plane().tenants.snapshot()["adhoc"]["queries"] == 1
 
 
 class TestHeadSampler:
@@ -284,79 +296,50 @@ class TestExemplarStore:
 
 
 class TestCompletionHooks:
-    """The owning scope times the query, builds the outcome, and
-    dispatches (outcome, decision) to every registered hook."""
-
-    def _capture(self):
-        seen = []
-        hook = lambda outcome, decision: seen.append((outcome, decision))  # noqa: E731
-        return seen, hook
+    """The owning scope times the query, builds the outcome, and hands
+    (outcome, decision) to the plane's tracer, flight recorder and
+    tenant ledger, in that order."""
 
     def test_outcome_carries_timing_and_identity(self):
-        seen, hook = self._capture()
-        obs.add_completion_hook(hook)
-        try:
-            with obs.query_context(query="SELECT 1", tenant="etl") as context:
-                query_id = context.query_id
-        finally:
-            obs.remove_completion_hook(hook)
-        (outcome, _), = seen
-        assert outcome.query_id == query_id
-        assert outcome.query == "SELECT 1"
-        assert outcome.tenant == "etl"
-        assert outcome.wall_seconds > 0.0
-        assert outcome.error == ""
+        recorder = _install_recorder()
+        with obs.query_context(query="SELECT 1", tenant="etl") as context:
+            query_id = context.query_id
+        (record,) = recorder.records()
+        assert record["query_id"] == query_id
+        assert record["query"] == "SELECT 1"
+        assert record["tenant"] == "etl"
+        assert record["wall_seconds"] > 0.0
+        assert record["error"] == ""
 
     def test_outcome_names_the_escaping_exception(self):
-        seen, hook = self._capture()
-        obs.add_completion_hook(hook)
-        try:
-            with pytest.raises(TimeoutError):
-                with obs.query_context(query="SELECT 1"):
-                    raise TimeoutError("remote died")
-        finally:
-            obs.remove_completion_hook(hook)
-        (outcome, _), = seen
-        assert outcome.error == "TimeoutError"
+        recorder = _install_recorder()
+        with pytest.raises(TimeoutError):
+            with obs.query_context(query="SELECT 1", tenant="etl"):
+                raise TimeoutError("remote died")
+        (record,) = recorder.records()
+        assert record["error"] == "TimeoutError"
+        assert obs.plane().tenants.snapshot()["etl"]["errors"] == 1
 
     def test_joining_scope_never_double_dispatches(self):
-        seen, hook = self._capture()
-        obs.add_completion_hook(hook)
-        try:
-            with obs.query_context(query="SELECT 1"):
-                with obs.ensure_query_context(query="inner"):
-                    pass
-        finally:
-            obs.remove_completion_hook(hook)
-        assert len(seen) == 1
+        recorder = _install_recorder()
+        with obs.query_context(query="SELECT 1", tenant="etl"):
+            with obs.ensure_query_context(query="inner"):
+                pass
+        assert len(recorder.records()) == 1
+        assert obs.plane().tenants.snapshot()["etl"]["queries"] == 1
 
     def test_raising_hook_is_counted_and_isolated(self):
-        def broken(outcome, decision):
-            raise RuntimeError("hook bug")
+        class BrokenTracer(obs.Tracer):
+            def settle_pending(self, query_id, keep):
+                raise RuntimeError("consumer bug")
 
-        seen, capture = self._capture()
-        obs.add_completion_hook(broken)
-        obs.add_completion_hook(capture)
-        try:
-            with obs.query_context(query="SELECT 1"):
-                pass
-            errors = obs.plane().registry.counter(
-                "context.completion_hook_errors"
-            ).value
-        finally:
-            obs.remove_completion_hook(capture)
-            obs.remove_completion_hook(broken)
+        recorder = _install_recorder(tracer=BrokenTracer())
+        with obs.query_context(query="SELECT 1", tenant="etl"):
+            pass
+        errors = obs.plane().registry.counter(
+            "context.completion_hook_errors"
+        ).value
         assert errors == 1.0
-        assert len(seen) == 1  # the later hook still ran
-
-    def test_duplicate_registration_is_idempotent(self):
-        seen, hook = self._capture()
-        obs.add_completion_hook(hook)
-        obs.add_completion_hook(hook)
-        try:
-            with obs.query_context(query="SELECT 1"):
-                pass
-        finally:
-            obs.remove_completion_hook(hook)
-        assert len(seen) == 1
-        obs.remove_completion_hook(hook)  # second removal is a no-op
+        # The tracer is first; the recorder and the ledger still ran.
+        assert len(recorder.records()) == 1
+        assert obs.plane().tenants.snapshot()["etl"]["queries"] == 1

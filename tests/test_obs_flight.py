@@ -24,12 +24,11 @@ def _plane(**fields):
 
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    """Isolate ids and the observability plane per test."""
-    obs.reset_query_ids()
+    """Isolate the observability plane, and with it the query ids, per
+    test."""
     previous = obs.install(_plane())
     yield
     obs.install(previous)
-    obs.reset_query_ids()
 
 
 KEEP = TailDecision(keep=True, reasons=("q_error",))
@@ -49,24 +48,6 @@ def outcome(index=1, **overrides):
     return QueryOutcome(**defaults)
 
 
-class TestFlightRecord:
-    def test_payload_round_trip(self):
-        record = flight.FlightRecord(
-            query_id="q-000001",
-            tenant="etl",
-            query="SELECT 1",
-            wall_seconds=1.5,
-            max_q_error=3.0,
-            estimated_seconds=2.5,
-            error="ValueError",
-            kept=True,
-            reasons=("latency", "q_error"),
-            trace=({"name": "root", "children": []},),
-        )
-        rebuilt = flight.FlightRecord.from_payload(record.to_payload())
-        assert rebuilt.to_payload() == record.to_payload()
-
-
 class TestFlightRecorder:
     def test_validates_ring_sizes(self):
         with pytest.raises(ValueError):
@@ -79,7 +60,7 @@ class TestFlightRecorder:
         for index in range(5):
             recorder.record(outcome(index), DROP)
         records = recorder.records()
-        assert [r.query_id for r in records] == [
+        assert [r["query_id"] for r in records] == [
             "q-000002",
             "q-000003",
             "q-000004",
@@ -100,16 +81,16 @@ class TestFlightRecorder:
                 pass
             obs.note_query_q_error(9.0)
         (record,) = recorder.records()
-        assert record.kept is True
-        assert record.reasons == ("q_error",)
-        assert [root["name"] for root in record.trace] == ["costing.estimate"]
+        assert record["kept"] is True
+        assert record["reasons"] == ["q_error"]
+        assert [root["name"] for root in record["trace"]] == ["costing.estimate"]
 
     def test_dropped_query_recorded_without_trace(self):
         recorder = obs.FlightRecorder()
         recorder.record(outcome(1), DROP)
         (record,) = recorder.records()
-        assert record.kept is False
-        assert record.trace == ()
+        assert record["kept"] is False
+        assert record["trace"] == []
 
     def test_event_ring_skips_incident_events(self):
         recorder = obs.FlightRecorder(max_events=2)
@@ -307,10 +288,10 @@ class TestCompletionIntegration:
         with obs.query_context(query="SELECT 1", tenant="etl"):
             obs.note_estimated_seconds(3.0)
         (record,) = recorder.records()
-        assert record.query == "SELECT 1"
-        assert record.tenant == "etl"
-        assert record.estimated_seconds == 3.0
-        assert record.wall_seconds > 0.0
+        assert record["query"] == "SELECT 1"
+        assert record["tenant"] == "etl"
+        assert record["estimated_seconds"] == 3.0
+        assert record["wall_seconds"] > 0.0
 
     def test_error_exit_recorded(self):
         recorder = obs.FlightRecorder()
@@ -319,7 +300,7 @@ class TestCompletionIntegration:
             with obs.query_context(query="SELECT 1"):
                 raise RuntimeError("boom")
         (record,) = recorder.records()
-        assert record.error == "RuntimeError"
+        assert record["error"] == "RuntimeError"
 
 
 class TestThreadSafety:

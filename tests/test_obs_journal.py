@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.data import Catalog, build_paper_corpus
 from repro.engines import HiveEngine
-from repro.obs import journal as jmod
 from repro.obs.journal import (
     EVENT_TYPES,
     EventJournal,
@@ -727,19 +726,21 @@ class TestAppendGroup:
         assert len(lines) == 16  # the active file simply overshoots
         assert os.path.getsize(path) > 1024
 
-    def test_group_notifies_journal_listeners(self, tmp_path):
-        seen = []
-        listener = seen.append
-        jmod.add_journal_listener(listener)
-        try:
-            journal = EventJournal(tmp_path / "j.jsonl")
-            journal.append_group(
-                [("incident", {"name": "i"}), ("incident_record", {"n": 1})]
-            )
-            journal.close()
-        finally:
-            jmod.remove_journal_listener(listener)
-        assert [e.type for e in seen] == ["incident", "incident_record"]
+    def test_group_notifies_journal_listeners(self, tmp_path, restore_obs_plane):
+        """The journal hands every event it writes, a group's in order,
+        to the plane's flight recorder."""
+        recorder = obs.FlightRecorder()
+        obs.install(obs.ObsPlane(flight_recorder=recorder))
+        journal = EventJournal(tmp_path / "j.jsonl")
+        written = journal.append_group(
+            [("estimate", {"system": "hive"}), ("actual", {"system": "hive"})]
+        )
+        written += (journal.append("alert", rule="slo-q-error"),)
+        journal.close()
+        assert [(e["seq"], e["type"]) for e in recorder.events()] == [
+            (event.seq, event.type) for event in written
+        ]
+        assert [e.type for e in written] == ["estimate", "actual", "alert"]
 
     def test_noop_journal_group_is_inert(self):
         assert NOOP_JOURNAL.append_group([("incident", {"name": "i"})]) == ()

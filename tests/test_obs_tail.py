@@ -10,12 +10,11 @@ from repro.obs import tail
 
 @pytest.fixture(autouse=True)
 def _fresh_obs_state():
-    """Isolate ids and the observability plane per test."""
-    obs.reset_query_ids()
+    """Isolate the observability plane, and with it the query ids, per
+    test."""
     previous = obs.install(obs.ObsPlane(head_sampler=ctx.HeadSampler(rate=1.0)))
     yield
     obs.install(previous)
-    obs.reset_query_ids()
 
 
 def outcome(**overrides):
@@ -110,39 +109,37 @@ class TestEnvConfiguration:
 
 
 class TestCompletionDispatch:
-    """The context scope asks the tail sampler at close and dispatches
-    (outcome, decision) to every registered hook."""
+    """The context scope asks the tail sampler at close and hands
+    (outcome, decision) to the plane's consumers; the flight recorder's
+    records show both."""
 
     def test_without_tail_sampler_decision_mirrors_head(self):
-        seen = []
-        hook = lambda o, d: seen.append((o, d))  # noqa: E731
-        obs.add_completion_hook(hook)
-        try:
-            with obs.query_context(sampled=True):
-                pass
-            with obs.query_context(sampled=False):
-                pass
-        finally:
-            obs.remove_completion_hook(hook)
-        assert seen[0][1].keep is True
-        assert seen[0][1].reasons == ("head",)
-        assert seen[1][1].keep is False
+        recorder = obs.FlightRecorder()
+        obs.install(obs.ObsPlane(flight_recorder=recorder))
+        with obs.query_context(sampled=True):
+            pass
+        with obs.query_context(sampled=False):
+            pass
+        kept, dropped = recorder.records()
+        assert kept["kept"] is True
+        assert kept["reasons"] == ["head"]
+        assert dropped["kept"] is False
 
     def test_tail_sampler_keeps_breaching_unsampled_query(self):
-        obs.install(obs.ObsPlane(tail_sampler=tail.TailSampler(max_q_error=2.0)))
-        seen = []
-        hook = lambda o, d: seen.append((o, d))  # noqa: E731
-        obs.add_completion_hook(hook)
-        try:
-            with obs.query_context(query="SELECT 1", sampled=False):
-                obs.note_query_q_error(5.0)
-        finally:
-            obs.remove_completion_hook(hook)
-        (outcome_seen, decision), = seen
-        assert outcome_seen.max_q_error == 5.0
-        assert outcome_seen.query == "SELECT 1"
-        assert decision.keep is True
-        assert decision.reasons == ("q_error",)
+        recorder = obs.FlightRecorder()
+        obs.install(
+            obs.ObsPlane(
+                tail_sampler=tail.TailSampler(max_q_error=2.0),
+                flight_recorder=recorder,
+            )
+        )
+        with obs.query_context(query="SELECT 1", sampled=False):
+            obs.note_query_q_error(5.0)
+        (record,) = recorder.records()
+        assert record["max_q_error"] == 5.0
+        assert record["query"] == "SELECT 1"
+        assert record["kept"] is True
+        assert record["reasons"] == ["q_error"]
 
 
 class TestTailRetention:

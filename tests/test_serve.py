@@ -158,7 +158,6 @@ class TestConcurrentDeterminism:
         assert obs.counter("serve.errors").value == 0.0
 
     def test_query_ids_minted_at_admission(self, sphere):
-        obs.reset_query_ids()
         with EstimationService(sphere, workers=2) as service:
             jobs = [
                 service.submit(lambda: None, query=f"q{i}") for i in range(4)

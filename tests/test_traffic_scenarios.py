@@ -90,6 +90,16 @@ class TestMiniRuns:
         run_scenario("steady", queries=50)
         assert obs.plane() is before
 
+    def test_run_never_reissues_the_callers_query_ids(self):
+        issued = set()
+        for _ in range(100):
+            with obs.query_context() as context:
+                issued.add(context.query_id)
+        run_scenario("steady", queries=50)
+        with obs.query_context() as context:
+            assert context.query_id not in issued
+        assert context.query_id == "q-000101"
+
     def test_torn_tail_of_an_earlier_run_does_not_fail_replay(self, tmp_path):
         path = tmp_path / "j.jsonl"
         run_scenario("steady", queries=50, journal_path=str(path))
@@ -98,23 +108,30 @@ class TestMiniRuns:
         report = run_scenario("steady", queries=50, journal_path=str(path)).report
         assert report.replay_consistent, report.replay_detail
 
-    def test_corrupt_line_among_the_runs_events_fails_replay(self, tmp_path):
+    def test_corrupt_line_among_the_runs_events_fails_replay(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "j.jsonl"
         torn = []
+        feed = obs.FlightRecorder.on_journal_event
 
-        def tear_once(event):
+        def tear_once(recorder, event):
+            # The journal hands each written event to the run's flight
+            # recorder: tear the file right after the first one.
             if not torn:
                 torn.append(event)
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write("{ not json\n")
+            feed(recorder, event)
 
-        obs.add_journal_listener(tear_once)
-        try:
-            report = run_scenario(
-                "steady", queries=50, journal_path=str(path)
-            ).report
-        finally:
-            obs.remove_journal_listener(tear_once)
+        monkeypatch.setattr(obs.FlightRecorder, "on_journal_event", tear_once)
+        report = run_scenario(
+            "steady",
+            queries=50,
+            journal_path=str(path),
+            flight_dir=str(tmp_path / "flight"),
+        ).report
+        assert torn
         assert not report.replay_consistent
         assert report.replay_detail == "1 corrupt journal lines"
 

@@ -20,27 +20,10 @@ from repro.workloads.traffic import (
     DiurnalArrivals,
     DiurnalBurstArrivals,
     Mutation,
-    SimClock,
     SteadyArrivals,
     TenantMix,
     generate_arrivals,
 )
-
-
-class TestSimClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = SimClock()
-        assert clock.now == 0.0
-        assert clock.advance(2.5) == 2.5
-        assert clock.advance_to(10.0) == 10.0
-        assert clock.now == 10.0
-
-    def test_rejects_rewind(self):
-        clock = SimClock(start=5.0)
-        with pytest.raises(ConfigurationError):
-            clock.advance(-1.0)
-        with pytest.raises(ConfigurationError):
-            clock.advance_to(4.0)
 
 
 class TestArrivalProcesses:
